@@ -11,12 +11,20 @@ QoS-1 bookkeeping doubles as the error-recovery model: an outbound publish
 whose first transmission times out unacknowledged counts as an error, a
 later acknowledged retry marks it corrected, and exhausting max_retries
 marks it uncorrected.
+
+Matching runs on two level tries kept in step with every state change: one
+over subscription filters (so a publish visits only the filters that can
+match its topic) and one over retained topics (so a SUBSCRIBE replays only
+the topics its filters match). Outputs keep the order a linear scan gives:
+fan-out in session connect order, replay in retained-store order.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 from . import codec
@@ -72,23 +80,116 @@ class Session:
     client_id: str
     conn_id: str
     keep_alive_s: int
-    subscriptions: list[tuple[str, int]] = field(default_factory=list)
+    subscriptions: dict[str, int] = field(default_factory=dict)  # filter -> granted qos
     inflight: dict[int, Inflight] = field(default_factory=dict)
     last_seen_t: float = 0.0
     next_packet_id: int = 1
+    connect_seq: int = 0      # position in BrokerCore.sessions; orders fan-out
 
     def take_packet_id(self) -> int:
         pid = self.next_packet_id
         self.next_packet_id = pid % 0xFFFF + 1
         return pid
 
-    def best_qos_for(self, topic: str) -> int | None:
-        """Highest granted qos among matching subscriptions, None if no match."""
-        best: int | None = None
-        for topic_filter, qos in self.subscriptions:
-            if codec.topic_matches(topic_filter, topic):
-                best = qos if best is None else max(best, qos)
-        return best
+
+class _Node:
+    """One topic level of a trie; `entries` holds what ends at this level.
+
+    Subscription trie: filter levels ('+' and '#' are ordinary keys),
+    entries map client_id -> granted qos. Retained trie: topic levels,
+    entries map the topic -> its insertion sequence number.
+    """
+
+    __slots__ = ("children", "entries")
+
+    def __init__(self) -> None:
+        self.children: dict[str, _Node] = {}
+        self.entries: dict[str, int] = {}
+
+    def is_empty(self) -> bool:
+        return not self.children and not self.entries
+
+
+def _trie_insert(root: _Node, levels: list[str], key: str, value: int) -> None:
+    node = root
+    for level in levels:
+        child = node.children.get(level)
+        if child is None:
+            child = node.children[level] = _Node()
+        node = child
+    node.entries[key] = value
+
+
+def _trie_remove(root: _Node, levels: list[str], key: str) -> None:
+    """Remove `key` at `levels` and prune the nodes left empty."""
+    path = [root]
+    for level in levels:
+        node = path[-1].children.get(level)
+        if node is None:
+            return
+        path.append(node)
+    path[-1].entries.pop(key, None)
+    for depth in range(len(levels), 0, -1):
+        if not path[depth].is_empty():
+            break
+        del path[depth - 1].children[levels[depth - 1]]
+
+
+def _collect_subscribers(node: _Node, levels: list[str], i: int, best: dict[str, int]) -> None:
+    """Merge into `best` the entries of every filter under `node` matching levels[i:].
+
+    Recurses into '+' children and loops down the literal child.
+    """
+    while True:
+        children = node.children
+        child = children.get("#")  # 'a/#' matches 'a' too
+        if child is not None:
+            _merge_highest(best, child.entries)
+        if i == len(levels):
+            _merge_highest(best, node.entries)
+            return
+        child = children.get("+")
+        if child is not None:
+            _collect_subscribers(child, levels, i + 1, best)
+        node = children.get(levels[i])
+        if node is None:
+            return
+        i += 1
+
+
+def _merge_highest(best: dict[str, int], entries: dict[str, int]) -> None:
+    for client_id, qos in entries.items():
+        if best.get(client_id, -1) < qos:
+            best[client_id] = qos
+
+
+def _collect_retained(node: _Node, flevels: list[str], i: int, out: list) -> None:
+    """Append (topic, seq) for every retained topic under `node` matching flevels[i:].
+
+    At the root a wildcard skips '$' topics (MQTT 3.1.1 section 4.7.2).
+    """
+    if i == len(flevels):
+        out.extend(node.entries.items())
+        return
+    level = flevels[i]
+    if level != "+" and level != "#":
+        child = node.children.get(level)
+        if child is not None:
+            _collect_retained(child, flevels, i + 1, out)
+        return
+    for key, child in node.children.items():
+        if i == 0 and key.startswith("$"):
+            continue
+        if level == "+":
+            _collect_retained(child, flevels, i + 1, out)
+            continue
+        stack = [child]
+        while stack:
+            below = stack.pop()
+            out.extend(below.entries.items())
+            stack.extend(below.children.values())
+    if level == "#":
+        out.extend(node.entries.items())  # 'a/#' also matches 'a'
 
 
 class BrokerCore:
@@ -106,6 +207,9 @@ class BrokerCore:
         self.retained: dict[str, tuple[bytes, int]] = {}
         self.corrected_errors = 0
         self.uncorrected_errors = 0
+        self._subscription_trie = _Node()
+        self._retained_trie = _Node()
+        self._seq = itertools.count()  # insertion order of sessions and retained topics
 
     # -- inbound ---------------------------------------------------------
 
@@ -124,9 +228,8 @@ class BrokerCore:
             return self._handle_subscribe(session, packet, now)
         if isinstance(packet, Unsubscribe):
             for topic_filter in packet.filters:
-                session.subscriptions = [
-                    (f, q) for f, q in session.subscriptions if f != topic_filter
-                ]
+                if session.subscriptions.pop(topic_filter, None) is not None:
+                    _trie_remove(self._subscription_trie, topic_filter.split("/"), client_id)
             return [Send(conn_id, UnsubAck(packet_id=packet.packet_id))]
         if isinstance(packet, PubAck):
             self._handle_puback(session, packet)
@@ -164,6 +267,7 @@ class BrokerCore:
             conn_id=conn_id,
             keep_alive_s=packet.keep_alive_s,
             last_seen_t=now,
+            connect_seq=next(self._seq),
         )
         self.sessions[packet.client_id] = session
         self.conn_to_client[conn_id] = packet.client_id
@@ -175,16 +279,18 @@ class BrokerCore:
         if packet.qos == 1:
             outputs.append(Send(sender.conn_id, PubAck(packet_id=packet.packet_id)))
         if packet.retain:
-            if packet.payload:
-                self.retained[packet.topic] = (packet.payload, packet.qos)
+            if not packet.payload:
+                if self.retained.pop(packet.topic, None) is not None:
+                    _trie_remove(self._retained_trie, packet.topic.split("/"), packet.topic)
             else:
-                self.retained.pop(packet.topic, None)
-        for session in self.sessions.values():
-            sub_qos = session.best_qos_for(packet.topic)
-            if sub_qos is None:
-                continue
+                if packet.topic not in self.retained:
+                    _trie_insert(self._retained_trie, packet.topic.split("/"),
+                                 packet.topic, next(self._seq))
+                self.retained[packet.topic] = (packet.payload, packet.qos)
+        sessions = self.sessions
+        for client_id, sub_qos in self._subscribers(packet.topic).items():
             outputs.append(self._outbound_publish(
-                session,
+                sessions[client_id],
                 topic=packet.topic,
                 payload=packet.payload,
                 qos=min(packet.qos, sub_qos),
@@ -194,29 +300,54 @@ class BrokerCore:
         return outputs
 
     def _handle_subscribe(self, session: Session, packet: Subscribe, now: float) -> list[BrokerOutput]:
+        for topic_filter, _ in packet.filters:
+            codec.validate_filter(topic_filter)
         granted: list[int] = []
         for topic_filter, qos in packet.filters:
             # re-subscribing to the same filter replaces the old qos
-            session.subscriptions = [
-                (f, q) for f, q in session.subscriptions if f != topic_filter
-            ]
-            session.subscriptions.append((topic_filter, qos))
+            session.subscriptions[topic_filter] = qos
+            _trie_insert(self._subscription_trie, topic_filter.split("/"), session.client_id, qos)
             granted.append(qos)
         outputs: list[BrokerOutput] = [
             Send(session.conn_id, SubAck(packet_id=packet.packet_id, granted=tuple(granted)))
         ]
         for topic_filter, qos in packet.filters:
-            for topic, (payload, retained_qos) in self.retained.items():
-                if codec.topic_matches(topic_filter, topic):
-                    outputs.append(self._outbound_publish(
-                        session,
-                        topic=topic,
-                        payload=payload,
-                        qos=min(retained_qos, qos),
-                        retain=True,
-                        now=now,
-                    ))
+            for topic in self._retained_matching(topic_filter):
+                payload, retained_qos = self.retained[topic]
+                outputs.append(self._outbound_publish(
+                    session,
+                    topic=topic,
+                    payload=payload,
+                    qos=min(retained_qos, qos),
+                    retain=True,
+                    now=now,
+                ))
         return outputs
+
+    def _subscribers(self, topic: str) -> dict[str, int]:
+        """client_id -> highest qos granted by that session's filters matching
+        `topic`, ordered by session connect order."""
+        levels = topic.split("/")
+        best: dict[str, int] = {}
+        if topic.startswith("$"):
+            # root-level wildcards never match '$' topics (section 4.7.2)
+            node = self._subscription_trie.children.get(levels[0])
+            if node is not None:
+                _collect_subscribers(node, levels, 1, best)
+        else:
+            _collect_subscribers(self._subscription_trie, levels, 0, best)
+        if len(best) > 1:
+            sessions = self.sessions
+            order = sorted(best, key=lambda client_id: sessions[client_id].connect_seq)
+            best = {client_id: best[client_id] for client_id in order}
+        return best
+
+    def _retained_matching(self, topic_filter: str) -> list[str]:
+        """Retained topics matching `topic_filter`, in retained-store order."""
+        found: list[tuple[str, int]] = []
+        _collect_retained(self._retained_trie, topic_filter.split("/"), 0, found)
+        found.sort(key=itemgetter(1))
+        return [topic for topic, _ in found]
 
     def _handle_puback(self, session: Session, packet: PubAck) -> None:
         entry = session.inflight.pop(packet.packet_id, None)
@@ -297,6 +428,8 @@ class BrokerCore:
         session = self.sessions.pop(client_id, None)
         if session is not None:
             self.conn_to_client.pop(session.conn_id, None)
+            for topic_filter in session.subscriptions:
+                _trie_remove(self._subscription_trie, topic_filter.split("/"), client_id)
 
     def _emit(self, kind: str, **fields) -> None:
         if self.event_sink is not None:

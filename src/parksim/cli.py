@@ -161,8 +161,12 @@ def _run_broker(cmd: BrokerCmd) -> int:
     except OSError as exc:
         print(f"parksim: cannot bind {cmd.bind}: {exc}", file=sys.stderr)
         return EXIT_NETWORK
-    print(f"broker listening on {server.address[0]}:{server.address[1]}", file=sys.stderr)
-    server.serve_forever()
+    try:
+        print(f"broker listening on {server.address[0]}:{server.address[1]}", file=sys.stderr)
+        server.serve_forever()
+    except KeyboardInterrupt:
+        # Ctrl-C landed before serve_forever could absorb it
+        server.stop()
     return EXIT_OK
 
 

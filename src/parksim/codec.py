@@ -110,17 +110,22 @@ MqttPacket = (
 
 
 def validate_topic(topic: str) -> None:
-    """Publish topics: non-empty, no wildcard characters."""
+    """Publish topics: non-empty, no wildcard characters, no U+0000."""
     if not topic:
         raise ValueError("topic must be non-empty")
     if "+" in topic or "#" in topic:
         raise ValueError(f"topic must not contain wildcards: {topic!r}")
+    if "\0" in topic:
+        raise ValueError(f"topic must not contain U+0000: {topic!r}")
 
 
 def validate_filter(topic_filter: str) -> None:
-    """Subscription filters: '+' alone in a level, '#' alone in the last level."""
+    """Subscription filters: '+' alone in a level, '#' alone in the last level,
+    no U+0000."""
     if not topic_filter:
         raise ValueError("topic filter must be non-empty")
+    if "\0" in topic_filter:
+        raise ValueError(f"topic filter must not contain U+0000: {topic_filter!r}")
     levels = topic_filter.split("/")
     for i, level in enumerate(levels):
         if "#" in level:
@@ -131,10 +136,16 @@ def validate_filter(topic_filter: str) -> None:
 
 
 def topic_matches(topic_filter: str, topic: str) -> bool:
-    """Level-wise filter match per MQTT rules."""
+    """Level-wise filter match per MQTT rules.
+
+    A wildcard in the first level never matches a topic starting with '$'
+    (MQTT 3.1.1 section 4.7.2), so '#' does not see '$SYS/...' topics.
+    """
     validate_filter(topic_filter)
     flevels = topic_filter.split("/")
     tlevels = topic.split("/")
+    if topic.startswith("$") and flevels[0] in ("+", "#"):
+        return False
     for i, flevel in enumerate(flevels):
         if flevel == "#":
             return True

@@ -60,8 +60,8 @@ class BrokerServer:
             _quiet_close(sock)
 
     def serve_forever(self) -> None:
-        self.start()
         try:
+            self.start()
             while not self._stopping.is_set():
                 time.sleep(0.2)
         except KeyboardInterrupt:

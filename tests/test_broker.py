@@ -1,4 +1,6 @@
 
+from hypothesis import given, settings, strategies as st
+
 from parksim.broker import BrokerCore, Close, Send
 from parksim.codec import (
     ConnAck,
@@ -10,6 +12,8 @@ from parksim.codec import (
     Publish,
     SubAck,
     Subscribe,
+    Unsubscribe,
+    topic_matches,
 )
 
 
@@ -157,6 +161,16 @@ class TestRetained:
         )
         assert len(sends_of(outputs, Publish)) == 3
 
+    def test_replay_follows_retained_store_order(self):
+        # an overwrite keeps the topic's place; a clear and re-publish moves it last
+        for topic, payload in (("parking/slot/3/status", b"1"), ("parking/slot/1/status", b""),
+                               ("parking/slot/1/status", b"1")):
+            self.core.handle("pub", Publish(topic=topic, payload=payload, retain=True), 1.0)
+        connect(self.core, "late", "latecomer")
+        outputs = self.core.handle("late", Subscribe(packet_id=1, filters=(("parking/#", 0),)), 5.0)
+        assert [p.packet.topic for p in sends_of(outputs, Publish)] == list(self.core.retained)
+        assert list(self.core.retained)[-2:] == ["parking/slot/4/status", "parking/slot/1/status"]
+
     def test_live_fanout_clears_retain_flag(self):
         connect(self.core, "live", "lively")
         self.core.handle("live", Subscribe(packet_id=1, filters=(("parking/#", 0),)), 1.0)
@@ -288,3 +302,155 @@ def test_retained_consistency_after_many_flips():
         slot = int(p.topic.split("/")[2])
         seen[slot - 1] = int(p.payload)
     assert [seen[i] for i in range(n)] == current
+
+
+class TestDollarTopics:
+    """MQTT 3.1.1 section 4.7.2: a first-level wildcard never matches '$' topics."""
+
+    def setup_method(self):
+        self.core = BrokerCore()
+        connect(self.core, "pub", "publisher")
+        for conn, topic_filter in (("s1", "#"), ("s2", "+/x"), ("s3", "$SYS/#"), ("s4", "$SYS/+")):
+            connect(self.core, conn, conn)
+            self.core.handle(conn, Subscribe(packet_id=1, filters=((topic_filter, 0),)), 0.0)
+
+    def test_fanout_skips_root_wildcards(self):
+        outputs = self.core.handle("pub", Publish(topic="$SYS/x", payload=b"1"), 1.0)
+        assert [o.conn_id for o in sends_of(outputs, Publish)] == ["s3", "s4"]
+
+    def test_replay_skips_root_wildcards(self):
+        self.core.handle("pub", Publish(topic="$SYS/x", payload=b"1", retain=True), 1.0)
+        self.core.handle("pub", Publish(topic="a/x", payload=b"2", retain=True), 1.0)
+        connect(self.core, "late", "late")
+        outputs = self.core.handle("late", Subscribe(packet_id=1, filters=(("#", 0),)), 2.0)
+        assert [o.packet.topic for o in sends_of(outputs, Publish)] == ["a/x"]
+        outputs = self.core.handle("late", Subscribe(packet_id=2, filters=(("$SYS/#", 0),)), 2.0)
+        assert [o.packet.topic for o in sends_of(outputs, Publish)] == ["$SYS/x"]
+
+
+class BruteForceCore(BrokerCore):
+    """Reference matcher: linear scans with codec.topic_matches, the way the
+    broker matched before it kept tries. Everything else is shared."""
+
+    def _subscribers(self, topic):
+        found = {}
+        for session in self.sessions.values():
+            granted = [qos for topic_filter, qos in session.subscriptions.items()
+                       if topic_matches(topic_filter, topic)]
+            if granted:
+                found[session.client_id] = max(granted)
+        return found
+
+    def _retained_matching(self, topic_filter):
+        return [topic for topic in self.retained if topic_matches(topic_filter, topic)]
+
+
+CLIENTS = ("c0", "c1", "c2")
+_LEVEL = st.sampled_from(("a", "b", "", "$s"))
+_TOPIC = st.lists(_LEVEL, min_size=1, max_size=3).map("/".join).filter(bool)
+_FILTER = st.one_of(
+    st.just("#"),
+    st.tuples(
+        st.lists(st.one_of(_LEVEL, st.just("+")), min_size=1, max_size=3),
+        st.booleans(),
+    ).map(lambda parts: "/".join(parts[0] + ["#"] * parts[1])).filter(bool),
+)
+
+
+@st.composite
+def _filter_near(draw, topics):
+    """A filter made from a pool topic, so that it likely matches some pool
+    topics: levels turned into '+', or the tail cut off and ended with '#'."""
+    levels = [draw(st.sampled_from((level, level, "+")))
+              for level in draw(st.sampled_from(topics)).split("/")]
+    if draw(st.booleans()):
+        levels = levels[:draw(st.integers(0, len(levels)))] + ["#"]
+    return "/".join(levels)
+
+
+@st.composite
+def _scripts(draw):
+    """A step list over small topic and filter pools, so that steps often
+    hit the same topic or filter again (overwrite, re-subscribe, clear)."""
+    topics = draw(st.lists(_TOPIC, min_size=2, max_size=4, unique=True))
+    topic = st.sampled_from(topics)
+    topic_filter = st.sampled_from(draw(st.lists(
+        st.one_of(_filter_near(topics), _FILTER), min_size=1, max_size=4, unique=True)))
+    client = st.sampled_from(CLIENTS)
+    qos = st.integers(0, 1)
+    steps = {
+        "connect": st.tuples(st.just("connect"), client, st.integers(0, 1), st.sampled_from((0, 3))),
+        "subscribe": st.tuples(st.just("subscribe"), client,
+                               st.lists(st.tuples(topic_filter, qos), min_size=1, max_size=3)),
+        "unsubscribe": st.tuples(st.just("unsubscribe"), client,
+                                 st.lists(topic_filter, min_size=1, max_size=2)),
+        "publish": st.tuples(st.just("publish"), client, topic, qos,
+                             st.sampled_from((True, True, False)), st.sampled_from((b"x", b"y"))),
+        "clear": st.tuples(st.just("clear"), client, topic),
+        "puback": st.tuples(st.just("puback"), client, st.integers(1, 4)),
+        "disconnect": st.tuples(st.just("disconnect"), client),
+        "closed": st.tuples(st.just("closed"), client),
+        "sweep": st.tuples(st.just("sweep")),
+    }
+    # publishes and subscribes carry the matching; the other kinds change state
+    kind = st.sampled_from(("publish",) * 4 + ("subscribe",) * 3 + tuple(steps))
+    step = kind.flatmap(steps.__getitem__)
+    return draw(st.lists(step, min_size=10, max_size=40))
+
+
+def _apply(core, step, now):
+    kind = step[0]
+    if kind == "sweep":
+        return core.keepalive_sweep(now) + core.redeliver(now)
+    client = step[1]
+    if kind == "connect":
+        return core.handle(f"{client}-{step[2]}", Connect(client_id=client, keep_alive_s=step[3]), now)
+    outputs = []
+    if client not in core.sessions:  # act on a live session, not "packet before CONNECT"
+        outputs += core.handle(f"{client}-auto", Connect(client_id=client), now)
+    conn = core.sessions[client].conn_id
+    if kind == "subscribe":
+        packet = Subscribe(packet_id=1, filters=tuple(step[2]))
+    elif kind == "unsubscribe":
+        packet = Unsubscribe(packet_id=1, filters=tuple(step[2]))
+    elif kind == "publish":
+        _, _, topic, qos, retain, payload = step
+        packet = Publish(topic=topic, payload=payload, qos=qos, retain=retain,
+                         packet_id=1 if qos else None)
+    elif kind == "clear":
+        packet = Publish(topic=step[2], payload=b"", retain=True)
+    elif kind == "puback":
+        packet = PubAck(packet_id=step[2])
+    elif kind == "disconnect":
+        packet = Disconnect()
+    else:
+        core.connection_closed(conn)
+        return outputs
+    return outputs + core.handle(conn, packet, now)
+
+
+def _assert_no_leaked_nodes(core):
+    if not core.sessions:
+        assert core._subscription_trie.is_empty()
+    if not core.retained:
+        assert core._retained_trie.is_empty()
+
+
+@settings(max_examples=300)
+@given(_scripts())
+def test_indexed_core_matches_brute_force_reference(steps):
+    indexed, reference = BrokerCore(), BruteForceCore()
+    for n, step in enumerate(steps):
+        now = float(n)
+        assert _apply(indexed, step, now) == _apply(reference, step, now), step
+        assert list(indexed.retained.items()) == list(reference.retained.items())
+        _assert_no_leaked_nodes(indexed)
+
+    # drain: clear every retained topic, then end every session
+    connect(indexed, "janitor", "janitor", now=len(steps))
+    for topic in list(indexed.retained):
+        indexed.handle("janitor", Publish(topic=topic, payload=b"", retain=True), len(steps))
+    for session in list(indexed.sessions.values()):
+        indexed.handle(session.conn_id, Disconnect(), len(steps))
+    assert indexed.sessions == {} and indexed.retained == {}
+    assert indexed._subscription_trie.is_empty() and indexed._retained_trie.is_empty()

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parksim import cli
+from parksim import cli, net
 from parksim.cli import (
     AnalyzeCmd,
     BrokerCmd,
@@ -94,6 +94,26 @@ class TestExitCodes:
 
     def test_watch_unreachable_exits_3(self, capsys):
         assert cli.main(["watch", "--broker", "127.0.0.1:1", "--retries", "1"]) == 3
+
+
+class TestBrokerInterrupt:
+    """Ctrl-C at any point after the bind exits 0 with the server stopped."""
+
+    @pytest.mark.parametrize("method", ["start", "serve_forever"])
+    def test_keyboard_interrupt_exits_ok_and_stops(self, monkeypatch, capsys, method):
+        servers = []
+
+        def interrupted(self):
+            servers.append(self)
+            raise KeyboardInterrupt
+
+        # "start" raising covers serve_forever's own window; "serve_forever"
+        # raising stands for a signal landing before serve_forever is entered.
+        monkeypatch.setattr(net.BrokerServer, method, interrupted)
+        assert cli.main(["broker", "--bind", "127.0.0.1:0"]) == cli.EXIT_OK
+        (server,) = servers
+        assert server._stopping.is_set()
+        assert server._listener.fileno() == -1
 
 
 class TestAnalyzeOutput:

@@ -110,6 +110,12 @@ def test_remaining_length_cap_enforced_before_allocation():
         ("parking/+", "parking", False),
         ("parking/slot/1/status", "parking/slot/1/status", True),
         ("parking/slot/1/status", "parking/slot/2/status", False),
+        # MQTT 3.1.1 section 4.7.2: first-level wildcards skip '$' topics
+        ("#", "$SYS/x", False),
+        ("+/x", "$SYS/x", False),
+        ("$SYS/#", "$SYS/x", True),
+        ("$SYS/+", "$SYS/x", True),
+        ("parking/#", "parking/$x", True),
     ],
 )
 def test_topic_matches(topic_filter, topic, expected):
@@ -117,9 +123,39 @@ def test_topic_matches(topic_filter, topic, expected):
 
 
 def test_bad_filters_rejected():
-    for bad in ("parking/#/status", "parking/sl+ot", "#extra", ""):
+    for bad in ("parking/#/status", "parking/sl+ot", "#extra", "", "parking/\0"):
         with pytest.raises(ValueError):
             codec.validate_filter(bad)
+
+
+def test_nul_in_topic_rejected():
+    # MQTT 3.1.1 section 1.5.3: topic names and filters must not contain U+0000
+    with pytest.raises(ValueError):
+        codec.validate_topic("parking/\0/status")
+    for packet in (
+        Publish(topic="parking/\0", payload=b"1"),
+        Subscribe(packet_id=1, filters=(("parking/\0", 0),)),
+        Unsubscribe(packet_id=1, filters=("parking/\0",)),
+    ):
+        with pytest.raises(EncodeError):
+            encode_packet(packet)
+
+
+@pytest.mark.parametrize(
+    "packet",
+    [
+        Publish(topic="parking/x", payload=b"1"),
+        Subscribe(packet_id=1, filters=(("parking/x", 0),)),
+        Unsubscribe(packet_id=1, filters=("parking/x",)),
+    ],
+    ids=["publish", "subscribe", "unsubscribe"],
+)
+def test_decoded_nul_in_topic_is_protocol_error(packet):
+    # encode a valid frame, then swap the 'x' in the topic for U+0000
+    wire = encode_packet(packet)
+    assert decode_packet(wire)[0] == packet
+    with pytest.raises(ProtocolError):
+        decode_packet(wire.replace(b"parking/x", b"parking/\x00"))
 
 
 def test_connect_unsupported_features_flagged():

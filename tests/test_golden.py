@@ -1,0 +1,57 @@
+"""Golden outputs: pinned sha256 digests of events.jsonl and metrics.csv.
+
+A pure refactor keeps these digests. A deliberate behaviour change updates
+them in the same change and says why in CHANGES.md.
+"""
+
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from parksim import sim
+from parksim.scenario import load_scenario
+
+DAY_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "day.cfg"
+
+
+def _stock_day():
+    return load_scenario(DAY_CFG)
+
+
+def _lossy_six_hours():
+    # 10% drop on broker-to-subscriber frames drives the qos-1 retry path
+    cfg = load_scenario(DAY_CFG)
+    return replace(cfg, duration_s=6 * 3600.0, network=replace(cfg.network, drop_prob=0.1))
+
+
+@pytest.mark.parametrize(
+    "make_cfg,events_sha256,metrics_sha256",
+    [
+        (
+            _stock_day,
+            "48784504f3fa706e9fdd3a1e5ca217711c07a975cae9c6e4e5b03c4429415689",
+            "f21ed2e3273c5c1917170a1da0a3e2e867e778d3ef8bfa8c1454820bc19e7059",
+        ),
+        (
+            _lossy_six_hours,
+            "4fda2fec2b99d4dd7f7216815cb388421793da650f2698bfdff06602172cb7f5",
+            "3bf9a1055d6ed7a61d81fac64617b63548989db5242edfbe8ffe0cf78b0dc2a6",
+        ),
+    ],
+    ids=["day-seed42", "lossy-6h-drop0.1"],
+)
+def test_output_digests_pinned(make_cfg, events_sha256, metrics_sha256, tmp_path):
+    cfg = make_cfg()
+    assert cfg.seed == 42
+    paths = sim.run_scenario(cfg).write(tmp_path)
+    assert hashlib.sha256(paths["events"].read_bytes()).hexdigest() == events_sha256
+    assert hashlib.sha256(paths["metrics"].read_bytes()).hexdigest() == metrics_sha256
+
+
+def test_lossy_scenario_exercises_retries(tmp_path):
+    paths = sim.run_scenario(_lossy_six_hours()).write(tmp_path)
+    kinds = [record["kind"] for record in sim.read_events_jsonl(paths["events"])]
+    assert kinds.count("drop") > 0
+    assert kinds.count("error_corrected") > 0
