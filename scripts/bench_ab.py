@@ -1,0 +1,198 @@
+#!/usr/bin/env python3
+"""A/B benchmark: a parent ref against the working tree, in alternating pairs.
+
+    python3 scripts/bench_ab.py --parent REF --workload W --first-seed S \
+        --pairs N [--seconds 20] [--trace-seed T] [--claim METRIC] \
+        [--change "what changed"] --out BENCH_<n>.json
+
+Run from the root of a parksim checkout. The parent side is `git archive REF`
+and the change side is a copy of the working tree (tracked files plus
+untracked, not ignored ones, uncommitted edits included), each unpacked in
+its own directory under one temporary directory that is removed afterwards.
+Pair i runs `perfbench/run.py --seed S+i` on both sides, parent first in
+even pairs and change first in odd ones, so drift in machine speed falls on
+both sides alike.
+
+For each end-to-end metric the workload entry holds q1/median/q3 per side
+(inclusive quartiles), `change_over_parent` (ratio of medians),
+`change_wins` (pairs the change won), `parent_iqr` and `median_gap` (the
+absolute difference of the medians), plus every pair's raw values. With
+--trace-seed, one `--trace 1` run per side adds its per-layer metrics. The
+entry is merged into --out, so one file can hold several workloads.
+Nothing under perfbench/ is changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from importlib import metadata
+
+RUN_TIMEOUT_S = 900
+
+
+def export_parent(ref: str, dest: str) -> None:
+    tar_path = dest + ".tar"
+    subprocess.run(["git", "archive", "--format=tar", "-o", tar_path, ref], check=True)
+    with tarfile.open(tar_path) as tar:
+        tar.extractall(dest, filter="data")
+    os.remove(tar_path)
+
+
+def copy_working_tree(dest: str) -> None:
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            check=True, capture_output=True).stdout.decode()
+    for rel in filter(None, listed.split("\0")):
+        if not os.path.isfile(rel):  # deleted but not yet staged
+            continue
+        target = os.path.join(dest, rel)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(rel, target)
+
+
+def run_side(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", f"{seconds:g}", "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"bench_ab: {' '.join(cmd)} failed in {root}:\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    return {
+        "correct": result["correct"],
+        "failed": result["failed"],
+        "metrics": {name: entry["value"] for name, entry in result["metrics"].items()},
+    }
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    if len(values) == 1:
+        return {"q1": values[0], "median": values[0], "q3": values[0]}
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": med, "q3": q3}
+
+
+def summarize(runs: list[dict], declared: list[dict]) -> dict:
+    metrics = {}
+    for spec in declared:
+        name = spec["name"]
+        parent = [r["parent"][name] for r in runs if name in r["parent"]]
+        change = [r["change"][name] for r in runs if name in r["change"]]
+        if not parent or len(parent) != len(change):
+            continue
+        lower = spec["better"] == "lower"
+        p, c = quartiles(parent), quartiles(change)
+        metrics[name] = {
+            "unit": spec["unit"],
+            "better": spec["better"],
+            "parent": p,
+            "change": c,
+            "change_over_parent": c["median"] / p["median"] if p["median"] else None,
+            "change_wins": sum((cv < pv) if lower else (cv > pv) for pv, cv in zip(parent, change)),
+            "parent_iqr": p["q3"] - p["q1"],
+            "median_gap": abs(c["median"] - p["median"]),
+        }
+    return metrics
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(prog="scripts/bench_ab.py", description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, help="git ref of the parent side")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--first-seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--trace-seed", type=int, help="also run --trace 1 once per side")
+    parser.add_argument("--claim", help="end-to-end metric this change claims to improve")
+    parser.add_argument("--change", help="one-line description of the change")
+    parser.add_argument("--out", required=True, help="BENCH_<n>.json to write or merge into")
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str]) -> int:
+    args = parse_args(argv)
+    if not os.path.isfile(os.path.join("perfbench", "run.py")):
+        print("bench_ab: run from the root of a parksim checkout", file=sys.stderr)
+        return 2
+    with open("BENCHMARK.json", encoding="utf-8") as handle:
+        declared = json.load(handle)["end_to_end"]
+
+    seeds = [args.first_seed + i for i in range(args.pairs)]
+    runs, traced = [], {}
+    with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
+        roots = {"parent": os.path.join(tmp, "parent"), "change": os.path.join(tmp, "change")}
+        export_parent(args.parent, roots["parent"])
+        copy_working_tree(roots["change"])
+        for i, seed in enumerate(seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed}
+            for side in order:
+                pair[side] = run_side(roots[side], args.workload, seed, args.seconds, 0)
+            runs.append(pair)
+            print(f"pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
+                f"{name} {pair['parent']['metrics'].get(name, 0):.4g} -> "
+                f"{pair['change']['metrics'].get(name, 0):.4g}"
+                for name in ("run_s", "msg_us")), flush=True)
+        if args.trace_seed is not None:
+            for side in ("parent", "change"):
+                traced[side] = run_side(roots[side], args.workload, args.trace_seed, args.seconds, 1)
+
+    entry = {
+        "pairs": len(runs),
+        "correct": all(r[side]["correct"] for r in runs for side in ("parent", "change")),
+        "failed": {side: sum(r[side]["failed"] for r in runs) for side in ("parent", "change")},
+        "seeds": seeds,
+        "metrics": summarize([{"parent": r["parent"]["metrics"], "change": r["change"]["metrics"]}
+                              for r in runs], declared),
+        "runs": [{"seed": r["seed"], "parent": r["parent"]["metrics"], "change": r["change"]["metrics"]}
+                 for r in runs],
+    }
+    if traced:
+        entry["trace"] = {"seed": args.trace_seed,
+                          **{side: traced[side]["metrics"] for side in ("parent", "change")}}
+
+    bench = {}
+    if os.path.isfile(args.out):
+        with open(args.out, encoding="utf-8") as handle:
+            bench = json.load(handle)
+    try:
+        numpy_version = metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        numpy_version = "missing"
+    if args.change:
+        bench["change"] = args.change
+    bench["parent"] = args.parent
+    bench["command"] = f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0"
+    bench["method"] = ("alternating parent/change runs (parent first in even pairs), each side in its "
+                       "own export under a temporary directory; seed = first seed + pair index, same "
+                       "seed on both sides of a pair; inclusive quartiles over the runs of each side; "
+                       "change_wins counts pairs the change won")
+    bench["environment"] = {"python": platform.python_version(), "numpy": numpy_version,
+                            "nproc": os.cpu_count(), "machine": platform.machine()}
+    if args.claim:
+        bench["claimed"] = {"workload": args.workload, "metric": args.claim}
+    bench.setdefault("workloads", {})[args.workload] = entry
+    with open(args.out, "w", encoding="utf-8") as handle:
+        json.dump(bench, handle, indent=2)
+        handle.write("\n")
+
+    print(f"{'metric':<14}{'parent':>12}{'change':>12}{'ratio':>8}{'wins':>6}{'iqr':>10}{'gap':>10}")
+    for name, m in entry["metrics"].items():
+        ratio = m["change_over_parent"]
+        print(f"{name:<14}{m['parent']['median']:>12.5g}{m['change']['median']:>12.5g}"
+              f"{ratio if ratio is not None else float('nan'):>8.3f}{m['change_wins']:>6}"
+              f"{m['parent_iqr']:>10.4g}{m['median_gap']:>10.4g}")
+    print(f"correct {entry['correct']}, failed {entry['failed']}; wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -8,8 +8,10 @@ with return code 0x01.
 
 decode_packet() is incremental: it returns None while the buffer holds only
 a prefix of a frame, and raises ProtocolError for bytes that can never
-become a valid frame. The remaining-length cap is enforced before any
-payload allocation.
+become a valid frame. It reads the fixed header in place and copies only
+the frame body, so it can be handed a memoryview slice of a larger receive
+buffer. The remaining-length cap is enforced before any payload allocation.
+FrameSplitter turns one connection's byte stream into packets on top of it.
 """
 
 from __future__ import annotations
@@ -171,17 +173,18 @@ def encode_varint(n: int) -> bytes:
             return bytes(out)
 
 
-def decode_varint(buf: bytes) -> tuple[int, int] | None:
-    """Returns (value, bytes consumed), or None if the buffer is too short.
+def decode_varint(buf: bytes | bytearray | memoryview, start: int = 0) -> tuple[int, int] | None:
+    """Reads the varint at buf[start:]; returns (value, bytes consumed), or
+    None if the buffer is too short.
 
     Raises ProtocolError for a 5th continuation byte or a non-minimal
     encoding (trailing 0x00 groups).
     """
     value = 0
     for i in range(4):
-        if i >= len(buf):
+        if start + i >= len(buf):
             return None
-        byte = buf[i]
+        byte = buf[start + i]
         value |= (byte & 0x7F) << (7 * i)
         if not byte & 0x80:
             if i > 0 and byte == 0:
@@ -307,8 +310,8 @@ def decode_packet(
 
     Returns (packet, bytes_consumed), or None when more bytes are needed.
     Raises ProtocolError when the buffer can never become a valid frame.
+    Only the frame body is copied out of `buf`.
     """
-    buf = bytes(buf)
     if not buf:
         return None
     first = buf[0]
@@ -316,7 +319,7 @@ def decode_packet(
     flags = first & 0x0F
     if ptype in (0, 15):
         raise ProtocolError(f"reserved packet type {ptype}")
-    varint = decode_varint(buf[1:])
+    varint = decode_varint(buf, 1)
     if varint is None:
         return None
     remaining, varint_len = varint
@@ -325,8 +328,51 @@ def decode_packet(
     total = 1 + varint_len + remaining
     if len(buf) < total:
         return None
-    body = buf[1 + varint_len : total]
+    body = bytes(buf[1 + varint_len : total])
     return _decode_body(ptype, flags, body), total
+
+
+class FrameSplitter:
+    """Splits one connection's inbound byte stream into packets.
+
+    feed() appends the bytes just received, decodes every complete frame in
+    place (a memoryview plus an offset, through the module's decode_packet)
+    and trims the consumed prefix once per call; a partial frame stays
+    buffered for the next call. When the stream holds bytes that can never
+    form a frame, feed() still returns the packets before them and sets
+    `error`; the stream is dead from then on and later calls return [].
+    """
+
+    def __init__(self) -> None:
+        self.error: ProtocolError | None = None
+        self._buf = bytearray()
+
+    def feed(self, data: bytes | bytearray | memoryview) -> list[MqttPacket]:
+        if self.error is not None:
+            return []
+        buf = self._buf
+        buf += data
+        packets: list[MqttPacket] = []
+        pos = 0
+        view = memoryview(buf)
+        try:
+            while pos < len(buf):
+                decoded = decode_packet(view[pos:])
+                if decoded is None:
+                    break
+                packet, consumed = decoded
+                packets.append(packet)
+                pos += consumed
+        except ProtocolError as exc:
+            self.error = exc
+        finally:
+            view.release()
+        if self.error is not None:
+            # the error's traceback may still hold a slice of the old buffer
+            self._buf = bytearray()
+        else:
+            del buf[:pos]
+        return packets
 
 
 class _Cursor:

@@ -1,63 +1,101 @@
 """TCP transport for the broker core and a blocking MQTT client.
 
-Connection reader threads decode frames incrementally and feed the shared
-BrokerCore under one lock, so broker state transitions stay serialized no
-matter how many sockets are live. A housekeeping thread runs redelivery and
-keep-alive sweeps on the monotonic clock.
+BrokerServer drives the sans-IO BrokerCore from one `selectors` loop on one
+daemon thread. The listener, every connection and a wake-up socketpair are
+registered with the same selector, so only that thread ever touches the
+core and no lock is needed. Sockets are non-blocking:
+
+- Inbound, each connection's codec.FrameSplitter decodes every complete
+  frame of a recv() in place and hands the packets to the core in order.
+- Outbound, each connection keeps a bytearray. Frames the core produces are
+  appended in the order it produced them, and every connection with bytes
+  pending gets one send() per loop pass. EVENT_WRITE is registered only
+  while bytes remain after that send.
+- A peer whose pending bytes exceed MAX_OUTBOUND_BYTES is a slow consumer:
+  it is disconnected, counted in `slow_consumer_closes`, and the core is
+  told through connection_closed, so it cannot stall anyone else.
+- Redelivery and keep-alive sweeps run every SWEEP_PERIOD_S on the
+  monotonic clock; the select timeout is the time left until the next one.
+
+stop() may be called from any thread: it wakes the loop through the
+socketpair and waits for it to close every socket.
 """
 
 from __future__ import annotations
 
 import logging
 import queue
+import selectors
 import socket
 import threading
 import time
 
 from . import codec
-from .broker import BrokerCore, Close, Send
+from .broker import BrokerCore, BrokerOutput, Send
 from .client import ClientEngine
 
 log = logging.getLogger(__name__)
 
 SWEEP_PERIOD_S = 0.5
-READ_CHUNK = 4096
+READ_CHUNK = 1 << 16
+# Outbound bytes a connection may have pending before it counts as a slow
+# consumer and is disconnected.
+MAX_OUTBOUND_BYTES = 1 << 20
+
+_READ = selectors.EVENT_READ
+_READ_WRITE = selectors.EVENT_READ | selectors.EVENT_WRITE
+
+
+class _Conn:
+    __slots__ = ("conn_id", "sock", "frames", "out", "writing")
+
+    def __init__(self, conn_id: str, sock: socket.socket):
+        self.conn_id = conn_id
+        self.sock = sock
+        self.frames = codec.FrameSplitter()
+        self.out = bytearray()
+        self.writing = False  # EVENT_WRITE registered
 
 
 class BrokerServer:
     def __init__(self, host: str = "0.0.0.0", port: int = 1883,
                  core: BrokerCore | None = None):
         self.core = core or BrokerCore()
-        self._lock = threading.Lock()
-        self._conns: dict[str, socket.socket] = {}
-        self._send_locks: dict[str, threading.Lock] = {}
+        self.slow_consumer_closes = 0
+        self._conns: dict[str, _Conn] = {}
+        # connections with outbound bytes to send at the end of this pass
+        self._pending: dict[str, _Conn] = {}
         self._conn_counter = 0
         self._stopping = threading.Event()
+        self._thread: threading.Thread | None = None
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(32)
+        self._listener.setblocking(False)
         self.address = self._listener.getsockname()
-        self._threads: list[threading.Thread] = []
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, _READ)
+        self._selector.register(self._wake_r, _READ)
 
     def start(self) -> None:
-        accept = threading.Thread(target=self._accept_loop, name="mqtt-accept", daemon=True)
-        sweep = threading.Thread(target=self._sweep_loop, name="mqtt-sweep", daemon=True)
-        accept.start()
-        sweep.start()
-        self._threads += [accept, sweep]
+        self._thread = threading.Thread(target=self._serve, name="mqtt-broker", daemon=True)
+        self._thread.start()
         log.info("broker listening on %s:%d", *self.address)
 
     def stop(self) -> None:
         self._stopping.set()
         try:
-            self._listener.close()
+            self._wake_w.send(b"\0")
         except OSError:
-            pass
-        with self._lock:
-            conns = list(self._conns.items())
-        for _, sock in conns:
-            _quiet_close(sock)
+            pass  # already closed, or a wake-up is already queued
+        thread = self._thread
+        if thread is not None and thread is not threading.current_thread():
+            thread.join()
+        self._close_all()
 
     def serve_forever(self) -> None:
         try:
@@ -69,89 +107,131 @@ class BrokerServer:
         finally:
             self.stop()
 
-    # -- internals ---------------------------------------------------------
+    # -- the loop ----------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                sock, peer = self._listener.accept()
-            except OSError:
-                return
-            with self._lock:
-                self._conn_counter += 1
-                conn_id = f"tcp-{self._conn_counter}"
-                self._conns[conn_id] = sock
-                self._send_locks[conn_id] = threading.Lock()
-            log.debug("connection %s from %s:%d", conn_id, *peer)
-            reader = threading.Thread(
-                target=self._read_loop, args=(conn_id, sock),
-                name=f"mqtt-{conn_id}", daemon=True,
-            )
-            reader.start()
-
-    def _read_loop(self, conn_id: str, sock: socket.socket) -> None:
-        buffer = bytearray()
+    def _serve(self) -> None:
+        select = self._selector.select
+        next_sweep = time.monotonic() + SWEEP_PERIOD_S
         try:
             while not self._stopping.is_set():
-                try:
-                    chunk = sock.recv(READ_CHUNK)
-                except OSError:
-                    break
-                if not chunk:
-                    break
-                buffer.extend(chunk)
-                while True:
-                    try:
-                        decoded = codec.decode_packet(buffer)
-                    except codec.ProtocolError as exc:
-                        log.warning("%s: protocol error: %s", conn_id, exc)
-                        return
-                    if decoded is None:
-                        break
-                    packet, consumed = decoded
-                    del buffer[:consumed]
-                    with self._lock:
-                        outputs = self.core.handle(conn_id, packet, time.monotonic())
-                    self._dispatch(outputs)
+                for key, mask in select(max(next_sweep - time.monotonic(), 0.0)):
+                    conn = key.data
+                    if conn is None:
+                        if key.fileobj is self._listener:
+                            self._accept()
+                        else:
+                            self._wake_r.recv(4096)
+                    elif self._conns.get(conn.conn_id) is conn:
+                        if mask & selectors.EVENT_READ:
+                            self._read(conn)
+                        if mask & selectors.EVENT_WRITE:
+                            self._pending[conn.conn_id] = conn
+                now = time.monotonic()
+                if now >= next_sweep:
+                    self._dispatch(self.core.redeliver(now) + self.core.keepalive_sweep(now))
+                    next_sweep = now + SWEEP_PERIOD_S
+                self._flush()
         finally:
-            with self._lock:
-                self.core.connection_closed(conn_id)
-                self._conns.pop(conn_id, None)
-                self._send_locks.pop(conn_id, None)
-            _quiet_close(sock)
-            log.debug("connection %s closed", conn_id)
+            self._stopping.set()
+            self._close_all()
 
-    def _sweep_loop(self) -> None:
-        while not self._stopping.wait(SWEEP_PERIOD_S):
-            now = time.monotonic()
-            with self._lock:
-                outputs = self.core.redeliver(now) + self.core.keepalive_sweep(now)
-            self._dispatch(outputs)
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, peer = self._listener.accept()
+            except BlockingIOError:
+                return
+            except OSError as exc:
+                log.warning("accept failed: %s", exc)
+                return
+            sock.setblocking(False)
+            self._conn_counter += 1
+            conn = _Conn(f"tcp-{self._conn_counter}", sock)
+            self._conns[conn.conn_id] = conn
+            self._selector.register(sock, _READ, conn)
+            log.debug("connection %s from %s:%d", conn.conn_id, *peer)
 
-    def _dispatch(self, outputs: list[Send | Close]) -> None:
-        for output in outputs:
-            if isinstance(output, Send):
-                self._send(output.conn_id, output.packet)
-            else:
-                with self._lock:
-                    sock = self._conns.pop(output.conn_id, None)
-                    self._send_locks.pop(output.conn_id, None)
-                    self.core.connection_closed(output.conn_id)
-                if sock is not None:
-                    _quiet_close(sock)
-
-    def _send(self, conn_id: str, packet: codec.MqttPacket) -> None:
-        with self._lock:
-            sock = self._conns.get(conn_id)
-            send_lock = self._send_locks.get(conn_id)
-        if sock is None or send_lock is None:
-            return
-        data = codec.encode_packet(packet)
+    def _read(self, conn: _Conn) -> None:
         try:
-            with send_lock:
-                sock.sendall(data)
-        except OSError as exc:
-            log.debug("send to %s failed: %s", conn_id, exc)
+            data = conn.sock.recv(READ_CHUNK)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:
+            self._close(conn)
+            return
+        now = time.monotonic()
+        try:
+            for packet in conn.frames.feed(data):
+                self._dispatch(self.core.handle(conn.conn_id, packet, now))
+                if conn.conn_id not in self._conns:
+                    return
+        except Exception:
+            log.exception("%s: failed to handle a packet", conn.conn_id)
+            self._close(conn)
+            return
+        if conn.frames.error is not None:
+            log.warning("%s: protocol error: %s", conn.conn_id, conn.frames.error)
+            self._close(conn)
+
+    def _dispatch(self, outputs: list[BrokerOutput]) -> None:
+        conns = self._conns
+        for output in outputs:
+            conn = conns.get(output.conn_id)
+            if conn is None:
+                continue
+            if not isinstance(output, Send):
+                self._close(conn)
+                continue
+            conn.out += codec.encode_packet(output.packet)
+            if len(conn.out) > MAX_OUTBOUND_BYTES:
+                self.slow_consumer_closes += 1
+                log.warning("%s: slow consumer, %d bytes pending; disconnecting",
+                            conn.conn_id, len(conn.out))
+                self._close(conn, flush=False)
+            elif not conn.writing:
+                self._pending[conn.conn_id] = conn
+
+    def _flush(self) -> None:
+        """One send() per connection with bytes pending."""
+        pending, self._pending = self._pending, {}
+        for conn in pending.values():
+            try:
+                sent = conn.sock.send(conn.out)
+            except BlockingIOError:
+                sent = 0
+            except OSError as exc:
+                log.debug("send to %s failed: %s", conn.conn_id, exc)
+                self._close(conn, flush=False)
+                continue
+            del conn.out[:sent]
+            if conn.writing != bool(conn.out):
+                conn.writing = not conn.writing
+                self._selector.modify(conn.sock, _READ_WRITE if conn.writing else _READ, conn)
+
+    def _close(self, conn: _Conn, flush: bool = True) -> None:
+        """Forget `conn`, tell the core, and close the socket after one last
+        try at sending what is pending when `flush` is set."""
+        if self._conns.pop(conn.conn_id, None) is None:
+            return
+        self._pending.pop(conn.conn_id, None)
+        self._selector.unregister(conn.sock)
+        if flush and conn.out:
+            try:
+                conn.sock.send(conn.out)
+            except OSError:
+                pass
+        self.core.connection_closed(conn.conn_id)
+        _quiet_close(conn.sock)
+        log.debug("connection %s closed", conn.conn_id)
+
+    def _close_all(self) -> None:
+        for conn in list(self._conns.values()):
+            self._close(conn, flush=False)
+        for sock in (self._listener, self._wake_r, self._wake_w):
+            sock.close()
+        self._selector.close()
 
 
 def _quiet_close(sock: socket.socket) -> None:
@@ -232,7 +312,7 @@ class MqttConnection:
                 return
 
     def _read_loop(self) -> None:
-        buffer = bytearray()
+        frames = codec.FrameSplitter()
         while not self._closed.is_set():
             try:
                 chunk = self._sock.recv(READ_CHUNK)
@@ -242,18 +322,7 @@ class MqttConnection:
                 break
             if not chunk:
                 break
-            buffer.extend(chunk)
-            while True:
-                try:
-                    decoded = codec.decode_packet(buffer)
-                except codec.ProtocolError as exc:
-                    log.warning("client: protocol error from broker: %s", exc)
-                    self.close()
-                    return
-                if decoded is None:
-                    break
-                packet, consumed = decoded
-                del buffer[:consumed]
+            for packet in frames.feed(chunk):
                 if isinstance(packet, codec.ConnAck):
                     self.engine.handle_packet(packet)
                     self._connack.set()
@@ -263,3 +332,7 @@ class MqttConnection:
                         self._send(response)
                     except OSError:
                         return
+            if frames.error is not None:
+                log.warning("client: protocol error from broker: %s", frames.error)
+                self.close()
+                return

@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import random
 
 import pytest
@@ -308,3 +310,56 @@ def test_varint_roundtrip_property(n):
 def test_hash_filter_matches_everything(chars):
     topic = "".join(chars).strip("/") or "x"
     assert topic_matches("#", topic)
+
+
+# -- incremental frame splitting ----------------------------------------------
+
+
+@given(st.randoms(use_true_random=False), st.integers(min_value=1, max_value=40), st.data())
+def test_splitter_yields_packets_in_order_across_any_chunking(rng, count, data):
+    packets = [random_packet(rng) for _ in range(count)]
+    wires = [encode_packet(p) for p in packets]
+    stream = b"".join(wires)
+    frame_ends = list(itertools.accumulate(len(w) for w in wires))
+    cuts = sorted(data.draw(st.lists(st.integers(min_value=0, max_value=len(stream)), max_size=12)))
+    splitter = codec.FrameSplitter()
+    out = []
+    for lo, hi in zip([0] + cuts, cuts + [len(stream)]):
+        out += splitter.feed(stream[lo:hi])
+        # every frame fully received so far has come out, and no other
+        assert out == packets[:bisect.bisect_right(frame_ends, hi)]
+    assert out == packets
+    assert splitter.error is None
+
+
+@given(st.randoms(use_true_random=False), st.data())
+def test_splitter_holds_a_partial_tail_until_it_is_completed(rng, data):
+    head, tail = random_packet(rng), random_packet(rng)
+    wire = encode_packet(tail)
+    cut = data.draw(st.integers(min_value=0, max_value=len(wire) - 1))
+    splitter = codec.FrameSplitter()
+    assert splitter.feed(encode_packet(head) + wire[:cut]) == [head]
+    assert splitter.feed(b"") == []
+    assert splitter.feed(wire[cut:]) == [tail]
+    assert splitter.error is None
+
+
+def test_splitter_returns_frames_before_a_malformed_one_then_stops():
+    good = [Connect(client_id="c1"), PingReq()]
+    stream = b"".join(encode_packet(p) for p in good) + b"\xf0\x00" + encode_packet(PingReq())
+    splitter = codec.FrameSplitter()
+    assert splitter.feed(stream) == good
+    assert isinstance(splitter.error, ProtocolError)
+    assert splitter.feed(encode_packet(PingReq())) == []
+
+
+def test_decode_reads_a_memoryview_slice_in_place():
+    wire = encode_packet(Publish(topic="parking/slot/1/status", payload=b"1"))
+    buf = bytearray(b"\x00" * 5 + wire + encode_packet(PingReq()))
+    view = memoryview(buf)
+    packet, consumed = decode_packet(view[5:])
+    assert packet == Publish(topic="parking/slot/1/status", payload=b"1")
+    assert consumed == len(wire)
+    assert type(packet.payload) is bytes
+    view.release()
+    del buf[:5]  # no view of the buffer is left behind

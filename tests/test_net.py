@@ -1,10 +1,13 @@
 """End-to-end checks of the TCP broker and client over localhost."""
 
 import queue
+import socket
+import threading
 import time
 
 import pytest
 
+from parksim import codec, net
 from parksim.net import BrokerServer, ConnectionError_, MqttConnection
 
 
@@ -26,6 +29,16 @@ def drain(q, timeout=2.0):
             if items:
                 return items
     return items
+
+
+def wait_until(predicate, timeout=5.0):
+    """Poll `predicate` until it holds or `timeout` seconds pass."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 class TestTcpBroker:
@@ -73,13 +86,10 @@ class TestTcpBroker:
             pub.publish("t/x", b"payload", qos=1)
             messages = drain(sub.messages)
             assert ("t/x", b"payload", False) in messages
-            deadline = time.time() + 2.0
-            while pub.engine.inflight and time.time() < deadline:
-                time.sleep(0.05)
-            assert pub.engine.inflight == {}  # broker PUBACK arrived
-            with server._lock:
-                session = server.core.sessions.get("sub-3")
-                assert session is not None and session.inflight == {}
+            assert wait_until(lambda: pub.engine.inflight == {})  # broker PUBACK arrived
+            session = server.core.sessions.get("sub-3")
+            assert session is not None
+            assert wait_until(lambda: session.inflight == {})
         finally:
             sub.close()
             pub.close()
@@ -89,9 +99,9 @@ class TestTcpBroker:
         first = MqttConnection(host, port, client_id="dup")
         second = MqttConnection(host, port, client_id="dup")
         try:
-            time.sleep(0.2)
-            with server._lock:
-                assert len(server.core.sessions) == 1
+            # the first connection is closed and one session is left
+            assert wait_until(lambda: len(server._conns) == 1)
+            assert len(server.core.sessions) == 1
         finally:
             first.close()
             second.close()
@@ -128,3 +138,108 @@ class TestTcpBroker:
             assert any("free   1/3" == line for line in first)
         finally:
             pub.close()
+
+
+class TestSelectorLoop:
+    def test_frames_before_a_malformed_one_are_answered_then_closed(self, server):
+        wire = (codec.encode_packet(codec.Connect(client_id="raw"))
+                + codec.encode_packet(codec.PingReq())
+                + b"\x00\x00")  # reserved packet type 0
+        frames = codec.FrameSplitter()
+        received = []
+        with socket.create_connection(server.address, timeout=5.0) as raw:
+            raw.sendall(wire)
+            while chunk := raw.recv(4096):
+                received += frames.feed(chunk)
+        assert received == [codec.ConnAck(return_code=0), codec.PingResp()]
+        assert wait_until(lambda: "raw" not in server.core.sessions)
+
+    def test_slow_consumer_is_closed_and_others_keep_receiving(self, server, monkeypatch):
+        monkeypatch.setattr(net, "MAX_OUTBOUND_BYTES", 256 * 1024)
+        host, port = server.address
+        slow = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        slow.settimeout(5.0)
+        slow.connect((host, port))
+        fast = MqttConnection(host, port, client_id="fast")
+        pub = MqttConnection(host, port, client_id="pub")
+        try:
+            # subscribes, then never reads a byte
+            slow.sendall(codec.encode_packet(codec.Connect(client_id="slow"))
+                         + codec.encode_packet(codec.Subscribe(packet_id=1, filters=(("load/#", 0),))))
+            fast.subscribe("load/#", qos=0)
+            assert wait_until(lambda: all(
+                name in server.core.sessions and server.core.sessions[name].subscriptions
+                for name in ("slow", "fast")))
+
+            # Rounds of 32 publishes of 4 KiB, each round received in full by
+            # `fast` before the next: `fast` never has more than 128 KiB
+            # pending, under the cap, while `slow` piles up everything.
+            payload = bytes(4096)
+            sent = 0
+            while server.slow_consumer_closes == 0 and sent < 4096:  # 16 MiB ceiling
+                for _ in range(32):
+                    pub.publish("load/x", b"%d:" % sent + payload)
+                    sent += 1
+                for expected in range(sent - 32, sent):
+                    topic, data, _ = fast.messages.get(timeout=5.0)
+                    assert (topic, data.split(b":", 1)[0]) == ("load/x", b"%d" % expected)
+            assert server.slow_consumer_closes == 1
+            assert wait_until(lambda: "slow" not in server.core.sessions)
+
+            pub.publish("load/after", b"still flowing")
+            assert fast.messages.get(timeout=5.0) == ("load/after", b"still flowing", False)
+            assert "fast" in server.core.sessions
+        finally:
+            slow.close()
+            fast.close()
+            pub.close()
+
+    def test_late_subscriber_ends_on_the_retained_value(self, server):
+        """Retained replay and live fan-out reach a subscriber in the order
+        the core made them, so the last value it sees is the retained one."""
+        host, port = server.address
+        pub = MqttConnection(host, port, client_id="flipper")
+        sub = MqttConnection(host, port, client_id="late")
+        flipping = threading.Event()
+
+        def flip():
+            for i in range(1000):
+                pub.publish("lot/gate", b"%d" % i, retain=True)
+                if i == 100:
+                    flipping.set()
+            pub.publish("lot/marker", b"end", retain=True)
+
+        flipper = threading.Thread(target=flip)
+        flipper.start()
+        try:
+            assert flipping.wait(5.0)
+            sub.subscribe("lot/#", qos=0)
+            flipper.join(10.0)
+            assert not flipper.is_alive()
+            last = None
+            while True:
+                topic, payload, _ = sub.messages.get(timeout=5.0)
+                if topic == "lot/marker":
+                    break
+                last = payload
+            assert last == server.core.retained["lot/gate"][0] == b"999"
+        finally:
+            flipper.join(10.0)
+            pub.close()
+            sub.close()
+
+    def test_stop_from_another_thread_closes_everything(self):
+        broker = BrokerServer(host="127.0.0.1", port=0)
+        broker.start()
+        conn = MqttConnection(*broker.address, client_id="watcher")
+        try:
+            stopper = threading.Thread(target=broker.stop)
+            stopper.start()
+            stopper.join(5.0)
+            assert not stopper.is_alive()
+            assert not broker._thread.is_alive()
+            assert broker.core.sessions == {}
+            assert broker._listener.fileno() == -1
+        finally:
+            conn.close()
