@@ -3,9 +3,9 @@
 The core never touches sockets or the event queue: callers feed it decoded
 packets with a timestamp and get back a list of Send/Close commands. The
 simulator drives it from the discrete-event loop with simulated time; the
-TCP server drives it from connection threads with the monotonic clock. All
-state transitions happen inside whichever single logical loop owns the
-instance, so they serialize naturally.
+TCP server drives it from one `selectors` loop on one thread with the
+monotonic clock. All state transitions happen inside whichever single loop
+owns the instance, so they serialize naturally and need no lock.
 
 QoS-1 bookkeeping doubles as the error-recovery model: an outbound publish
 whose first transmission times out unacknowledged counts as an error, a

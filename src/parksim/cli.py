@@ -233,6 +233,9 @@ def _run_watch(cmd: WatchCmd) -> int:
             try:
                 topic, payload, _retain = conn.messages.get(timeout=0.5)
             except queue.Empty:
+                if conn.closed:
+                    print(f"parksim: connection to {cmd.broker_addr} lost", file=sys.stderr)
+                    return EXIT_NETWORK
                 continue
             view.feed(topic, payload)
             # drain whatever else arrived before redrawing

@@ -12,6 +12,8 @@ become a valid frame. It reads the fixed header in place and copies only
 the frame body, so it can be handed a memoryview slice of a larger receive
 buffer. The remaining-length cap is enforced before any payload allocation.
 FrameSplitter turns one connection's byte stream into packets on top of it.
+frame_size() gives the length encode_packet() would produce for a PUBLISH,
+after the same checks, without building the frame.
 """
 
 from __future__ import annotations
@@ -205,6 +207,35 @@ def _check_packet_id(packet_id: int) -> None:
         raise EncodeError(f"packet_id must be in 1..65535, got {packet_id}")
 
 
+def _check_publish(packet: Publish) -> None:
+    try:
+        validate_topic(packet.topic)
+    except ValueError as exc:
+        raise EncodeError(str(exc)) from exc
+    if packet.qos not in (0, 1):
+        raise EncodeError(f"qos must be 0 or 1, got {packet.qos}")
+    if packet.qos == 1:
+        if packet.packet_id is None:
+            raise EncodeError("qos 1 publish requires a packet_id")
+        _check_packet_id(packet.packet_id)
+    elif packet.packet_id is not None:
+        raise EncodeError("qos 0 publish must not carry a packet_id")
+
+
+def frame_size(packet: Publish) -> int:
+    """len(encode_packet(packet)) for a PUBLISH, after the same checks,
+    without serializing it."""
+    _check_publish(packet)
+    topic_len = len(packet.topic.encode("utf-8"))
+    if topic_len > 0xFFFF:
+        raise EncodeError(f"string too long for wire format ({topic_len} bytes)")
+    remaining = 2 + topic_len + (2 if packet.qos == 1 else 0) + len(packet.payload)
+    if remaining > MAX_REMAINING_LENGTH:
+        raise EncodeError(f"varint out of range: {remaining}")
+    varint_len = 1 if remaining < 0x80 else 2 if remaining < 0x4000 else 3 if remaining < 0x200000 else 4
+    return 1 + varint_len + remaining
+
+
 def encode_packet(packet: MqttPacket) -> bytes:
     """Serialize to the MQTT 3.1.1 wire layout."""
     if isinstance(packet, Connect):
@@ -227,18 +258,7 @@ def encode_packet(packet: MqttPacket) -> bytes:
         return _frame(_CONNACK, 0, bytes([0, packet.return_code]))
 
     if isinstance(packet, Publish):
-        try:
-            validate_topic(packet.topic)
-        except ValueError as exc:
-            raise EncodeError(str(exc)) from exc
-        if packet.qos not in (0, 1):
-            raise EncodeError(f"qos must be 0 or 1, got {packet.qos}")
-        if packet.qos == 1:
-            if packet.packet_id is None:
-                raise EncodeError("qos 1 publish requires a packet_id")
-            _check_packet_id(packet.packet_id)
-        elif packet.packet_id is not None:
-            raise EncodeError("qos 0 publish must not carry a packet_id")
+        _check_publish(packet)
         flags = (int(packet.dup) << 3) | (packet.qos << 1) | int(packet.retain)
         body = _mqtt_string(packet.topic)
         if packet.qos == 1:

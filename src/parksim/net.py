@@ -311,7 +311,20 @@ class MqttConnection:
             except OSError:
                 return
 
+    @property
+    def closed(self) -> bool:
+        """True once close() ran or the broker side of the socket went away."""
+        return self._closed.is_set()
+
     def _read_loop(self) -> None:
+        try:
+            self._read_until_closed()
+        finally:
+            # the broker hung up or the socket failed: no DISCONNECT can follow
+            self.engine.connected = False
+            self.close()
+
+    def _read_until_closed(self) -> None:
         frames = codec.FrameSplitter()
         while not self._closed.is_set():
             try:
@@ -319,9 +332,9 @@ class MqttConnection:
             except socket.timeout:
                 continue
             except OSError:
-                break
+                return
             if not chunk:
-                break
+                return
             for packet in frames.feed(chunk):
                 if isinstance(packet, codec.ConnAck):
                     self.engine.handle_packet(packet)

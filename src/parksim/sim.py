@@ -41,6 +41,9 @@ BROKER_CONN = "broker"
 CONTROLLER_CONN = "controller"
 DASHBOARD_CONN = "dashboard"
 
+# json.dumps(record, separators=...) would build a new encoder per record
+_RECORD_ENCODER = json.JSONEncoder(separators=(", ", ": "))
+
 
 # -- event payloads ----------------------------------------------------------
 
@@ -93,13 +96,6 @@ SimPayload = (
     CarArrives | CarParks | CarDeparts | SensorSample | PacketDelivery
     | GasInjectionEvent | GateTimer | RedeliverCheck
 )
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    t: float
-    seq: int
-    payload: SimPayload
 
 
 class GasField:
@@ -157,11 +153,19 @@ class SimReport:
     records: list[dict[str, Any]]
     final_state: domain.FacilityState
     counters: dict[str, int]
-    metrics_csv: str
+    aggregator: telemetry.Aggregator  # the run's one aggregation, for both files
     duration_s: float
 
+    @property
+    def metrics_csv(self) -> str:
+        return self.aggregator.to_csv()
+
     def events_jsonl(self) -> str:
-        return "".join(json.dumps(r, separators=(", ", ": ")) + "\n" for r in self.records)
+        encode, records = _RECORD_ENCODER.encode, self.records
+        # joined in blocks of lines: one list entry per line would keep every
+        # line's own string alive beside the finished log
+        return "".join("".join([encode(r) + "\n" for r in records[i:i + 1024]])
+                       for i in range(0, len(records), 1024))
 
     def write(self, out_dir: str | Path) -> dict[str, Path]:
         out = Path(out_dir)
@@ -173,7 +177,7 @@ class SimReport:
         }
         paths["events"].write_text(self.events_jsonl(), encoding="utf-8")
         paths["metrics"].write_text(self.metrics_csv, encoding="utf-8")
-        paths["report"].write_text(render_report(self.records), encoding="utf-8")
+        paths["report"].write_text(render_report(self.records, self.aggregator), encoding="utf-8")
         return paths
 
 
@@ -191,7 +195,8 @@ class Simulation:
             for name, child in zip(RNG_STREAMS, children)
         }
 
-        self.heap: list[tuple[float, int, SimEvent]] = []
+        # (t, seq, payload); seq breaks ties in push order and counts pushes
+        self.heap: list[tuple[float, int, SimPayload]] = []
         self.seq = 0
         self.now = 0.0
 
@@ -204,6 +209,13 @@ class Simulation:
         self.controller_client = ClientEngine(client_id="facility-controller")
         self.dashboard_client = ClientEngine(client_id="dashboard")
         self.gas_field = GasField(cfg.mq2, cfg.gas_decay_ppm_per_s)
+        self.engines = {CONTROLLER_CONN: self.controller_client, DASHBOARD_CONN: self.dashboard_client}
+        self.handlers = {
+            CarArrives: self._on_car_arrives, CarParks: self._on_car_parks,
+            CarDeparts: self._on_car_departs, SensorSample: self._on_sensor_sample,
+            PacketDelivery: self._on_packet_delivery, GasInjectionEvent: self._on_gas_injection,
+            GateTimer: self._on_gate_timer, RedeliverCheck: self._on_redeliver_check,
+        }
 
         self.records: list[dict[str, Any]] = []
         self.bumps: list[sensors.Bump] = []
@@ -224,9 +236,8 @@ class Simulation:
     # -- plumbing ---------------------------------------------------------
 
     def _push(self, t: float, payload: SimPayload) -> None:
-        event = SimEvent(t=t, seq=self.seq, payload=payload)
+        heapq.heappush(self.heap, (t, self.seq, payload))
         self.seq += 1
-        heapq.heappush(self.heap, (event.t, event.seq, event))
 
     def _record(self, kind: str, **fields: Any) -> None:
         record: dict[str, Any] = {"t": self.now, "kind": kind}
@@ -264,7 +275,7 @@ class Simulation:
                         self.rng["network"].random() < self.cfg.network.drop_prob:
                     self.counters["drops"] += 1
                     self._record("drop", topic=packet.topic,
-                                 bytes=len(codec.encode_packet(packet)),
+                                 bytes=codec.frame_size(packet),
                                  client_id=output.conn_id)
                     continue
                 self._push(
@@ -393,17 +404,14 @@ class Simulation:
             outputs = self.broker.handle(event.source, event.packet, self.now)
             if isinstance(event.packet, codec.Publish):
                 self._record("publish", topic=event.packet.topic,
-                             bytes=len(codec.encode_packet(event.packet)),
+                             bytes=codec.frame_size(event.packet),
                              client_id=event.source)
                 if self.publish_hook is not None:
                     self.publish_hook(event.packet.topic, event.packet.payload, event.packet.retain)
             self._dispatch_broker_outputs(outputs)
             return
 
-        engine = {
-            CONTROLLER_CONN: self.controller_client,
-            DASHBOARD_CONN: self.dashboard_client,
-        }.get(event.destination)
+        engine = self.engines.get(event.destination)
         if engine is None:
             log.debug("delivery to unknown destination %s dropped", event.destination)
             return
@@ -411,7 +419,7 @@ class Simulation:
             self._record(
                 "deliver",
                 topic=event.packet.topic,
-                bytes=len(codec.encode_packet(event.packet)),
+                bytes=codec.frame_size(event.packet),
                 client_id=event.destination,
                 delay=telemetry.delay(event.accept_t if event.accept_t is not None else self.now,
                                       self.now),
@@ -428,6 +436,9 @@ class Simulation:
             self._apply_actions(self.controller.close_entrance())
         else:
             self._apply_actions(self.controller.close_exit())
+
+    def _on_redeliver_check(self, event: RedeliverCheck) -> None:
+        self._dispatch_broker_outputs(self.broker.redeliver(self.now))
 
     # -- run ----------------------------------------------------------------
 
@@ -466,28 +477,13 @@ class Simulation:
     def run(self) -> SimReport:
         self._bootstrap()
         duration = self.cfg.duration_s
-        while self.heap:
-            _, _, event = heapq.heappop(self.heap)
-            if event.t > duration:
+        heap, handlers = self.heap, self.handlers
+        while heap:
+            t, _, payload = heapq.heappop(heap)
+            if t > duration:
                 break
-            self.now = event.t
-            payload = event.payload
-            if isinstance(payload, CarArrives):
-                self._on_car_arrives(payload)
-            elif isinstance(payload, CarParks):
-                self._on_car_parks(payload)
-            elif isinstance(payload, CarDeparts):
-                self._on_car_departs(payload)
-            elif isinstance(payload, SensorSample):
-                self._on_sensor_sample(payload)
-            elif isinstance(payload, PacketDelivery):
-                self._on_packet_delivery(payload)
-            elif isinstance(payload, GasInjectionEvent):
-                self._on_gas_injection(payload)
-            elif isinstance(payload, GateTimer):
-                self._on_gate_timer(payload)
-            elif isinstance(payload, RedeliverCheck):
-                self._dispatch_broker_outputs(self.broker.redeliver(self.now))
+            self.now = t
+            handlers[type(payload)](payload)
 
         state = self.controller.state
         in_lot_per_counter = state.total_slots - state.total_vacant
@@ -500,7 +496,7 @@ class Simulation:
             records=self.records,
             final_state=state,
             counters=dict(self.counters),
-            metrics_csv=aggregator.to_csv(),
+            aggregator=aggregator,
             duration_s=duration,
         )
 
@@ -561,8 +557,10 @@ def time_weighted_mean(series: list[tuple[float, int]], t_end: float, t_start: f
     return total / (t_end - t_start)
 
 
-def render_report(records: list[dict[str, Any]]) -> str:
-    """Human-readable run summary regenerable from the event log alone."""
+def render_report(records: list[dict[str, Any]],
+                  aggregator: telemetry.Aggregator | None = None) -> str:
+    """Human-readable run summary regenerable from the event log alone;
+    `aggregator` is the run's own aggregation of `records`, if at hand."""
     meta = records[0] if records and records[0].get("kind") == "meta" else {}
     config = meta.get("config", {})
     duration = float(config.get("duration_s", max((r["t"] for r in records), default=1.0) or 1.0))
@@ -575,8 +573,9 @@ def render_report(records: list[dict[str, Any]]) -> str:
     series = occupancy_timeseries(records)
     mean_occ = time_weighted_mean(series, duration) if series else 0.0
 
-    aggregator = telemetry.Aggregator(duration_s=duration)
-    aggregator.add_records(records)
+    if aggregator is None:
+        aggregator = telemetry.Aggregator(duration_s=duration)
+        aggregator.add_records(records)
     summary = aggregator.summary()
 
     lines = [

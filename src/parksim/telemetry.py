@@ -10,26 +10,7 @@ so re-running it over the same log reproduces the file byte for byte.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
-
-class MetricKind(enum.Enum):
-    BYTES_TRANSFERRED = "bytes_transferred"
-    PUBLISH_DELAY = "publish_delay"
-    ERROR_CORRECTED = "error_corrected"
-    ERROR_UNCORRECTED = "error_uncorrected"
-
-
-@dataclass(frozen=True)
-class MetricSample:
-    kind: MetricKind
-    value: float
-    t: float
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError(f"metric value must be >= 0: {self.value}")
+import bisect
 
 
 def data_rate(bytes_total: float, duration_s: float) -> float:
@@ -58,12 +39,12 @@ def error_correction_rate(corrected: int, total_errors: int) -> float:
     return corrected / total_errors
 
 
+CSV_HEADER = "metric,window_start_s,window_end_s,value"
+
 # Event-log record kinds this module consumes. "publish" is a broker accept,
 # "deliver" a subscriber delivery (carrying its delay), and the error kinds
 # come from qos-1 recovery bookkeeping.
-_BYTE_KINDS = ("publish", "deliver")
-
-CSV_HEADER = "metric,window_start_s,window_end_s,value"
+_SAMPLE_KINDS = ("publish", "deliver", "error_corrected", "error_uncorrected")
 
 
 def _fmt(value: float) -> str:
@@ -71,7 +52,13 @@ def _fmt(value: float) -> str:
 
 
 class Aggregator:
-    """Windowed rollup of telemetry samples extracted from event records."""
+    """Windowed rollup of telemetry samples extracted from event records.
+
+    `samples` keeps the records that carry samples, in the order they were
+    added. rows() and summary() share one pass over them, redone only after
+    more arrive; its sums add the same values in the same order as a scan of
+    every sample per window would, so the CSV keeps its bytes.
+    """
 
     def __init__(self, duration_s: float, window_s: float = 3600.0):
         if duration_s <= 0:
@@ -80,23 +67,15 @@ class Aggregator:
             raise ValueError("window_s must be > 0")
         self.duration_s = duration_s
         self.window_s = window_s
-        self.samples: list[MetricSample] = []
+        self.samples: list[dict] = []
+        self._rollup_of = -1  # len(samples) when the cached rollup was made
+        self._rollup: tuple[list[tuple[str, float, float, float]], dict[str, float]] = ([], {})
 
     def add_record(self, record: dict) -> None:
-        kind = record.get("kind")
-        t = float(record.get("t", 0.0))
-        if kind in _BYTE_KINDS:
-            self.samples.append(MetricSample(MetricKind.BYTES_TRANSFERRED, float(record["bytes"]), t))
-            if kind == "deliver":
-                self.samples.append(MetricSample(MetricKind.PUBLISH_DELAY, float(record["delay"]), t))
-        elif kind == "error_corrected":
-            self.samples.append(MetricSample(MetricKind.ERROR_CORRECTED, 1.0, t))
-        elif kind == "error_uncorrected":
-            self.samples.append(MetricSample(MetricKind.ERROR_UNCORRECTED, 1.0, t))
+        self.add_records((record,))
 
     def add_records(self, records) -> None:
-        for record in records:
-            self.add_record(record)
+        self.samples.extend(record for record in records if record.get("kind") in _SAMPLE_KINDS)
 
     def _window_bounds(self) -> list[tuple[float, float]]:
         bounds = []
@@ -107,34 +86,69 @@ class Aggregator:
             start += self.window_s
         return bounds
 
-    def rows(self) -> list[tuple[str, float, float, float]]:
-        """(metric, window_start, window_end, value) rows, deterministic order."""
+    def _rolled_up(self) -> tuple[list[tuple[str, float, float, float]], dict[str, float]]:
+        """(per-window rows, run totals), from one pass over the samples."""
+        if self._rollup_of == len(self.samples):
+            return self._rollup
+        duration = self.duration_s
+        bounds = self._window_bounds()
+        starts = [start for start, _ in bounds]
+        values: dict[str, list[float]] = {"bytes": [], "delay": []}
+        in_window = [{"bytes": [], "delay": []} for _ in bounds]
+        errors = {"error_corrected": 0, "error_uncorrected": 0}
+        for record in self.samples:
+            kind = record["kind"]
+            if kind in errors:
+                errors[kind] += 1
+                continue
+            t = float(record.get("t", 0.0))
+            # a window holds start <= t < end; the last, ending at duration_s, also t == end
+            i = bisect.bisect_right(starts, t) - 1
+            window = in_window[i] if i >= 0 and (t < bounds[i][1] or t == bounds[i][1] == duration) \
+                else None
+            for field in ("bytes", "delay") if kind == "deliver" else ("bytes",):
+                value = float(record[field])
+                if value < 0:
+                    raise ValueError(f"metric value must be >= 0: {field} {value}")
+                values[field].append(value)
+                if window is not None:
+                    window[field].append(value)
+
         per_window: list[tuple[str, float, float, float]] = []
-        for start, end in self._window_bounds():
-            in_window = [s for s in self.samples if start <= s.t < end or (s.t == end == self.duration_s)]
-            byte_total = sum(s.value for s in in_window if s.kind is MetricKind.BYTES_TRANSFERRED)
-            delays = [s.value for s in in_window if s.kind is MetricKind.PUBLISH_DELAY]
+        for (start, end), window in zip(bounds, in_window):
+            byte_total = sum(window["bytes"])
             if byte_total > 0:
                 per_window.append(("data_rate_bytes_per_s", start, end, data_rate(byte_total, end - start)))
-            if delays:
-                per_window.append(("delay_mean_s", start, end, sum(delays) / len(delays)))
+            if window["delay"]:
+                per_window.append(("delay_mean_s", start, end, sum(window["delay"]) / len(window["delay"])))
 
-        run_start, run_end = 0.0, self.duration_s
-        bytes_total = sum(s.value for s in self.samples if s.kind is MetricKind.BYTES_TRANSFERRED)
-        delays = [s.value for s in self.samples if s.kind is MetricKind.PUBLISH_DELAY]
-        corrected = sum(1 for s in self.samples if s.kind is MetricKind.ERROR_CORRECTED)
-        uncorrected = sum(1 for s in self.samples if s.kind is MetricKind.ERROR_UNCORRECTED)
-        run_rows: list[tuple[str, float, float, float]] = [
-            ("bytes_total", run_start, run_end, bytes_total),
-            ("data_rate_bytes_per_s", run_start, run_end, data_rate(bytes_total, self.duration_s)),
-        ]
+        bytes_total = sum(values["bytes"])
+        delays = values["delay"]
+        corrected, uncorrected = errors["error_corrected"], errors["error_uncorrected"]
+        totals = {
+            "bytes_total": bytes_total,
+            "data_rate_bytes_per_s": data_rate(bytes_total, duration),
+            "errors_corrected": float(corrected),
+            "errors_uncorrected": float(uncorrected),
+            "ec_modeled": error_correction_rate(corrected, corrected + uncorrected),
+        }
         if delays:
-            run_rows.append(("delay_mean_s", run_start, run_end, sum(delays) / len(delays)))
-            run_rows.append(("delay_min_s", run_start, run_end, min(delays)))
-            run_rows.append(("delay_max_s", run_start, run_end, max(delays)))
-        run_rows.append(("ec_modeled", run_start, run_end,
-                         error_correction_rate(corrected, corrected + uncorrected)))
-        return sorted(per_window, key=lambda r: (r[1], r[2], r[0])) + run_rows
+            totals["delay_mean_s"] = sum(delays) / len(delays)
+            totals["delay_min_s"] = min(delays)
+            totals["delay_max_s"] = max(delays)
+        self._rollup_of = len(self.samples)
+        self._rollup = (per_window, totals)
+        return self._rollup
+
+    def rows(self) -> list[tuple[str, float, float, float]]:
+        """(metric, window_start, window_end, value) rows: the windows in
+        time order, then the run-level rows."""
+        per_window, totals = self._rolled_up()
+        run_rows = [(metric, 0.0, self.duration_s, totals[metric])
+                    for metric in ("bytes_total", "data_rate_bytes_per_s", "delay_mean_s",
+                                   "delay_min_s", "delay_max_s", "ec_modeled")
+                    if metric in totals]
+        return per_window + run_rows
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
@@ -144,19 +158,4 @@ class Aggregator:
 
     def summary(self) -> dict[str, float]:
         """Run-level numbers for the text report."""
-        bytes_total = sum(s.value for s in self.samples if s.kind is MetricKind.BYTES_TRANSFERRED)
-        delays = [s.value for s in self.samples if s.kind is MetricKind.PUBLISH_DELAY]
-        corrected = sum(1 for s in self.samples if s.kind is MetricKind.ERROR_CORRECTED)
-        uncorrected = sum(1 for s in self.samples if s.kind is MetricKind.ERROR_UNCORRECTED)
-        out = {
-            "bytes_total": bytes_total,
-            "data_rate_bytes_per_s": data_rate(bytes_total, self.duration_s),
-            "errors_corrected": float(corrected),
-            "errors_uncorrected": float(uncorrected),
-            "ec_modeled": error_correction_rate(corrected, corrected + uncorrected),
-        }
-        if delays:
-            out["delay_mean_s"] = sum(delays) / len(delays)
-            out["delay_min_s"] = min(delays)
-            out["delay_max_s"] = max(delays)
-        return out
+        return dict(self._rolled_up()[1])

@@ -225,8 +225,12 @@ def _random_filter(rng: random.Random) -> str:
     return "/".join(levels)
 
 
-def random_packet(rng: random.Random) -> codec.MqttPacket:
-    kind = rng.randrange(11)
+_PUBLISH_KIND = 2
+
+
+def random_packet(rng: random.Random, kind: int | None = None) -> codec.MqttPacket:
+    if kind is None:
+        kind = rng.randrange(11)
     pid = rng.randint(1, 0xFFFF)
     if kind == 0:
         return Connect(
@@ -235,7 +239,7 @@ def random_packet(rng: random.Random) -> codec.MqttPacket:
         )
     if kind == 1:
         return ConnAck(return_code=rng.randint(0, 5))
-    if kind == 2:
+    if kind == _PUBLISH_KIND:
         qos = rng.randint(0, 1)
         return Publish(
             topic=_random_topic(rng),
@@ -297,6 +301,50 @@ def test_fuzz_garbage_never_crashes():
         if result is not None:
             packet, consumed = result
             assert 0 < consumed <= len(blob)
+
+
+@given(st.randoms(use_true_random=False))
+def test_frame_size_is_the_encoded_length(rng):
+    packet = random_packet(rng, kind=_PUBLISH_KIND)
+    assert codec.frame_size(packet) == len(encode_packet(packet))
+
+
+@given(
+    st.text(alphabet=st.characters(blacklist_characters="+#\0", blacklist_categories=("Cs",)),
+            min_size=1, max_size=40),
+    st.sampled_from([0, 127, 128, 16_383, 16_384, 2_097_151, 2_097_152]),
+    st.integers(min_value=0, max_value=1),
+)
+def test_frame_size_of_publish_across_varint_widths(topic, remaining, qos):
+    # non-ASCII topics count in UTF-8 bytes; the payload is sized so the
+    # remaining length lands on either side of each varint width boundary
+    overhead = 2 + len(topic.encode("utf-8")) + 2 * qos
+    packet = Publish(topic=topic, payload=b"x" * max(remaining - overhead, 0), qos=qos,
+                     packet_id=7 if qos == 1 else None)
+    assert codec.frame_size(packet) == len(encode_packet(packet))
+
+
+@pytest.mark.parametrize(
+    "packet",
+    [
+        Publish(topic="parking/+/status", payload=b"1"),
+        Publish(topic="parking/#", payload=b"1"),
+        Publish(topic="parking/\0", payload=b"1"),
+        Publish(topic="", payload=b"1"),
+        Publish(topic="a/b", payload=b"1", qos=1, packet_id=None),
+        Publish(topic="a/b", payload=b"1", qos=1, packet_id=0),
+        Publish(topic="a/b", payload=b"1", qos=0, packet_id=5),
+        Publish(topic="a/b", payload=b"1", qos=2, packet_id=5),
+        Publish(topic="a" * 0x10000, payload=b"1"),
+    ],
+    ids=["plus", "hash", "nul", "empty", "qos1-no-id", "qos1-id-0", "qos0-with-id", "qos2",
+         "topic-too-long"],
+)
+def test_frame_size_rejects_what_encode_rejects(packet):
+    with pytest.raises(EncodeError):
+        encode_packet(packet)
+    with pytest.raises(EncodeError):
+        codec.frame_size(packet)
 
 
 @given(st.integers(min_value=0, max_value=codec.MAX_REMAINING_LENGTH))

@@ -1,4 +1,5 @@
-"""Golden outputs: pinned sha256 digests of events.jsonl and metrics.csv.
+"""Golden outputs: pinned sha256 digests of events.jsonl, metrics.csv and
+report.txt.
 
 A pure refactor keeps these digests. A deliberate behaviour change updates
 them in the same change and says why in CHANGES.md.
@@ -27,27 +28,34 @@ def _lossy_six_hours():
 
 
 @pytest.mark.parametrize(
-    "make_cfg,events_sha256,metrics_sha256",
+    "make_cfg,events_sha256,metrics_sha256,report_sha256",
     [
         (
             _stock_day,
             "48784504f3fa706e9fdd3a1e5ca217711c07a975cae9c6e4e5b03c4429415689",
             "f21ed2e3273c5c1917170a1da0a3e2e867e778d3ef8bfa8c1454820bc19e7059",
+            "f6d132dc71581fef2e94119175bb8eb804f65bd08ced7a079a3eb02e688adc09",
         ),
         (
             _lossy_six_hours,
             "4fda2fec2b99d4dd7f7216815cb388421793da650f2698bfdff06602172cb7f5",
             "3bf9a1055d6ed7a61d81fac64617b63548989db5242edfbe8ffe0cf78b0dc2a6",
+            "851f158f3dc9ce2669e6e5ff7038b4da74105eedce101488f810ab2638cddef5",
         ),
     ],
     ids=["day-seed42", "lossy-6h-drop0.1"],
 )
-def test_output_digests_pinned(make_cfg, events_sha256, metrics_sha256, tmp_path):
+def test_output_digests_pinned(make_cfg, events_sha256, metrics_sha256, report_sha256, tmp_path):
     cfg = make_cfg()
     assert cfg.seed == 42
     paths = sim.run_scenario(cfg).write(tmp_path)
     assert hashlib.sha256(paths["events"].read_bytes()).hexdigest() == events_sha256
     assert hashlib.sha256(paths["metrics"].read_bytes()).hexdigest() == metrics_sha256
+    assert hashlib.sha256(paths["report"].read_bytes()).hexdigest() == report_sha256
+    # `simulate` renders from the run's own aggregation, `parksim report`
+    # from the log alone; both must give the same text
+    records = sim.read_events_jsonl(paths["events"])
+    assert sim.render_report(records) == paths["report"].read_text(encoding="utf-8")
 
 
 def test_lossy_scenario_exercises_retries(tmp_path):

@@ -243,3 +243,62 @@ class TestSelectorLoop:
             assert broker._listener.fileno() == -1
         finally:
             conn.close()
+
+
+class TestClientNoticesClose:
+    """The client marks itself closed when the broker side goes away."""
+
+    def test_takeover_marks_the_first_connection_closed(self, server):
+        host, port = server.address
+        first = MqttConnection(host, port, client_id="dup")
+        second = MqttConnection(host, port, client_id="dup")
+        try:
+            assert first._closed.wait(5.0)
+            assert first.closed
+            assert not first.engine.connected
+            assert not second.closed
+
+            def no_send(packet):
+                raise AssertionError(f"sent {packet!r} on a closed connection")
+
+            first._send = no_send
+            first.close()  # no DISCONNECT on the dead socket
+        finally:
+            second.close()
+
+    def test_broker_stop_ends_a_running_watch(self, monkeypatch, capsys):
+        from parksim import cli
+
+        broker = BrokerServer(host="127.0.0.1", port=0)
+        broker.start()
+        host, port = broker.address
+        fed = threading.Event()
+
+        class SignallingView(cli.WatchView):
+            def feed(self, topic, payload):
+                super().feed(topic, payload)
+                fed.set()
+
+        monkeypatch.setattr(cli, "WatchView", SignallingView)
+        result = {}
+        done = threading.Event()
+
+        def watch():
+            cmd = cli.WatchCmd(broker_addr=f"{host}:{port}", topic_filter="parking/#",
+                               retries=1, color="never")
+            result["code"] = cli._run_watch(cmd)
+            done.set()
+
+        pub = MqttConnection(host, port, client_id="facility")
+        watcher = threading.Thread(target=watch, daemon=True)
+        try:
+            # retained, so the watch sees it whether it subscribes before or after
+            pub.publish("parking/summary", b"3/4", retain=True)
+            watcher.start()
+            assert fed.wait(5.0)
+        finally:
+            pub.close()
+            broker.stop()
+        assert done.wait(5.0)
+        assert result["code"] == cli.EXIT_NETWORK
+        assert "connection to" in capsys.readouterr().err

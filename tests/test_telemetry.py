@@ -1,9 +1,9 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from parksim.telemetry import (
+    CSV_HEADER,
     Aggregator,
-    MetricKind,
-    MetricSample,
     data_rate,
     delay,
     error_correction_rate,
@@ -43,8 +43,14 @@ class TestPrimitives:
             error_correction_rate(5, 4)
 
     def test_sample_rejects_negative_value(self):
-        with pytest.raises(ValueError):
-            MetricSample(MetricKind.PUBLISH_DELAY, -0.1, 0.0)
+        for record in ({"t": 1.0, "kind": "deliver", "bytes": 20, "delay": -0.1},
+                       {"t": 1.0, "kind": "publish", "bytes": -1}):
+            agg = Aggregator(duration_s=100.0)
+            agg.add_record(record)
+            with pytest.raises(ValueError):
+                agg.summary()
+            with pytest.raises(ValueError):
+                agg.rows()
 
 
 def _records():
@@ -98,3 +104,106 @@ class TestAggregator:
         rows = {metric for metric, *_ in agg.rows()}
         assert "bytes_total" in rows
         assert "ec_modeled" in rows
+
+
+# -- the one-pass rollup against a scan per window ------------------------------
+
+
+def _reference_rows(records, duration_s, window_s):
+    """rows() as a separate filter over every sample for each window."""
+    samples = []  # (kind, value, t)
+    for record in records:
+        t = float(record["t"])
+        if record["kind"] in ("publish", "deliver"):
+            samples.append(("bytes", float(record["bytes"]), t))
+            if record["kind"] == "deliver":
+                samples.append(("delay", float(record["delay"]), t))
+        elif record["kind"] in ("error_corrected", "error_uncorrected"):
+            samples.append((record["kind"], 1.0, t))
+    bounds = []
+    start = 0.0
+    while start < duration_s:
+        bounds.append((start, min(start + window_s, duration_s)))
+        start += window_s
+    per_window = []
+    for start, end in bounds:
+        in_window = [s for s in samples if start <= s[2] < end or (s[2] == end == duration_s)]
+        byte_total = sum(s[1] for s in in_window if s[0] == "bytes")
+        delays = [s[1] for s in in_window if s[0] == "delay"]
+        if byte_total > 0:
+            per_window.append(("data_rate_bytes_per_s", start, end, data_rate(byte_total, end - start)))
+        if delays:
+            per_window.append(("delay_mean_s", start, end, sum(delays) / len(delays)))
+    bytes_total = sum(s[1] for s in samples if s[0] == "bytes")
+    delays = [s[1] for s in samples if s[0] == "delay"]
+    corrected = sum(1 for s in samples if s[0] == "error_corrected")
+    uncorrected = sum(1 for s in samples if s[0] == "error_uncorrected")
+    run_rows = [("bytes_total", 0.0, duration_s, bytes_total),
+                ("data_rate_bytes_per_s", 0.0, duration_s, data_rate(bytes_total, duration_s))]
+    summary = {
+        "bytes_total": bytes_total,
+        "data_rate_bytes_per_s": data_rate(bytes_total, duration_s),
+        "errors_corrected": float(corrected),
+        "errors_uncorrected": float(uncorrected),
+        "ec_modeled": error_correction_rate(corrected, corrected + uncorrected),
+    }
+    if delays:
+        for name, value in (("delay_mean_s", sum(delays) / len(delays)),
+                            ("delay_min_s", min(delays)), ("delay_max_s", max(delays))):
+            run_rows.append((name, 0.0, duration_s, value))
+            summary[name] = value
+    run_rows.append(("ec_modeled", 0.0, duration_s, summary["ec_modeled"]))
+    rows = sorted(per_window, key=lambda r: (r[1], r[2], r[0])) + run_rows
+    return rows, summary
+
+
+@st.composite
+def _run(draw):
+    window_s = draw(st.sampled_from([3600.0, 7.3, 0.1, 1.0, 2.5]))
+    windows = draw(st.integers(min_value=1, max_value=12))
+    duration_s = draw(st.sampled_from([windows * window_s, (windows - 0.5) * window_s,
+                                       window_s * 0.999, 3.0 * window_s + 1e-9]))
+    # repeated addition, as the window starts are made
+    edges = [0.0]
+    while edges[-1] < duration_s:
+        edges.append(edges[-1] + window_s)
+    times = st.one_of(
+        st.sampled_from(edges + [duration_s]),  # exactly on a boundary, or at the end
+        st.floats(min_value=0.0, max_value=duration_s * 1.2, allow_nan=False),  # past it too
+    )
+    # values whose float sum depends on the order they are added in
+    values = st.one_of(st.sampled_from([0.1, 0.2, 0.3, 1.0, 1e16]),
+                       st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
+    records = []
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        kind = draw(st.sampled_from(["publish", "deliver", "error_corrected",
+                                     "error_uncorrected", "car_parks"]))
+        record = {"t": draw(times), "kind": kind}
+        if kind in ("publish", "deliver"):
+            record["bytes"] = draw(st.integers(min_value=0, max_value=300))
+        if kind == "deliver":
+            record["delay"] = draw(values)
+        records.append(record)
+    return records, duration_s, window_s
+
+
+@given(_run())
+def test_one_pass_rollup_equals_a_scan_per_window(run):
+    records, duration_s, window_s = run
+    rows, summary = _reference_rows(records, duration_s, window_s)
+    agg = Aggregator(duration_s=duration_s, window_s=window_s)
+    agg.add_records(records)
+    assert agg.rows() == rows
+    assert agg.summary() == summary
+    assert agg.to_csv() == "\n".join(
+        [CSV_HEADER] + [",".join([m, format(a, ".10g"), format(b, ".10g"), format(v, ".10g")])
+                        for m, a, b, v in rows]) + "\n"
+
+
+def test_rollup_is_redone_after_more_records():
+    agg = Aggregator(duration_s=7200.0)
+    agg.add_records(_records())
+    assert agg.summary()["bytes_total"] == 92
+    agg.add_record({"t": 5000.0, "kind": "publish", "bytes": 8})
+    assert agg.summary()["bytes_total"] == 100
+    assert ("data_rate_bytes_per_s", 3600.0, 7200.0, 48 / 3600) in agg.rows()
