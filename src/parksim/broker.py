@@ -12,6 +12,12 @@ whose first transmission times out unacknowledged counts as an error, a
 later acknowledged retry marks it corrected, and exhausting max_retries
 marks it uncorrected.
 
+Time enters through one timer: every inflight entry and every session with
+a keep-alive carries an absolute deadline, next_deadline() reports the
+earliest of them and tick(now) acts on those due. A driver calls tick at
+(or after) that deadline, whatever its clock: the simulator keeps one
+pending timer event, the TCP server uses it as its select timeout.
+
 Matching runs on two level tries kept in step with every state change: one
 over subscription filters (so a publish visits only the filters that can
 match its topic) and one over retained topics (so a SUBSCRIBE replays only
@@ -70,7 +76,7 @@ BrokerOutput = Send | Close
 class Inflight:
     publish: Publish          # qos-1 frame as first sent (dup clear)
     accept_t: float           # when the broker accepted the originating message
-    send_t: float             # last transmission time
+    deadline: float           # last transmission time + ack timeout
     retries: int = 0
     errored: bool = False
 
@@ -81,7 +87,7 @@ class Session:
     conn_id: str
     keep_alive_s: int
     subscriptions: dict[str, int] = field(default_factory=dict)  # filter -> granted qos
-    inflight: dict[int, Inflight] = field(default_factory=dict)
+    inflight: dict[int, Inflight] = field(default_factory=dict)  # in deadline order
     last_seen_t: float = 0.0
     next_packet_id: int = 1
     connect_seq: int = 0      # position in BrokerCore.sessions; orders fan-out
@@ -368,26 +374,51 @@ class BrokerCore:
             topic=topic, payload=payload, qos=qos, retain=retain, dup=False, packet_id=packet_id
         )
         if qos == 1:
-            session.inflight[packet_id] = Inflight(publish=publish, accept_t=now, send_t=now)
+            session.inflight[packet_id] = Inflight(
+                publish=publish, accept_t=now, deadline=now + self.ack_timeout_s)
         return Send(session.conn_id, publish)
 
     # -- timers ----------------------------------------------------------
+
+    def next_deadline(self) -> float | None:
+        """Earliest time at which tick() has something to do, or None."""
+        earliest = None
+        for session in self.sessions.values():
+            for entry in session.inflight.values():  # the first is the earliest
+                if earliest is None or entry.deadline < earliest:
+                    earliest = entry.deadline
+                break
+            if session.keep_alive_s > 0:
+                expiry = session.last_seen_t + 1.5 * session.keep_alive_s
+                if earliest is None or expiry < earliest:
+                    earliest = expiry
+        return earliest
+
+    def tick(self, now: float) -> list[BrokerOutput]:
+        """Act on every deadline at or before `now`."""
+        return self.redeliver(now) + self.keepalive_sweep(now)
 
     def redeliver(self, now: float) -> list[BrokerOutput]:
         """Re-send timed-out qos-1 messages; drop the ones out of retries."""
         outputs: list[BrokerOutput] = []
         for session in self.sessions.values():
-            expired: list[int] = []
-            for packet_id, entry in session.inflight.items():
-                if now - entry.send_t < self.ack_timeout_s:
-                    continue
+            inflight = session.inflight
+            due: list[int] = []
+            for packet_id, entry in inflight.items():
+                if now < entry.deadline:
+                    break
+                due.append(packet_id)
+            for packet_id in due:
+                entry = inflight.pop(packet_id)
                 if entry.retries >= self.max_retries:
-                    expired.append(packet_id)
+                    self.uncorrected_errors += 1
+                    self._emit("error_uncorrected", client_id=session.client_id,
+                               topic=entry.publish.topic)
                     continue
                 entry.retries += 1
-                entry.send_t = now
-                if not entry.errored:
-                    entry.errored = True
+                entry.deadline = now + self.ack_timeout_s
+                entry.errored = True
+                inflight[packet_id] = entry  # back of the deadline order
                 outputs.append(Send(
                     session.conn_id,
                     Publish(
@@ -399,20 +430,16 @@ class BrokerCore:
                         packet_id=packet_id,
                     ),
                 ))
-            for packet_id in expired:
-                entry = session.inflight.pop(packet_id)
-                self.uncorrected_errors += 1
-                self._emit("error_uncorrected", client_id=session.client_id, topic=entry.publish.topic)
         return outputs
 
     def keepalive_sweep(self, now: float) -> list[BrokerOutput]:
-        """Close sessions silent for more than 1.5x their keep-alive."""
+        """Close sessions silent for 1.5x their keep-alive or longer."""
         outputs: list[BrokerOutput] = []
         for client_id in list(self.sessions):
             session = self.sessions[client_id]
             if session.keep_alive_s <= 0:
                 continue
-            if now - session.last_seen_t > 1.5 * session.keep_alive_s:
+            if now >= session.last_seen_t + 1.5 * session.keep_alive_s:
                 self._drop_session(client_id)
                 outputs.append(Close(session.conn_id, client_id=client_id, reason="keepalive timeout"))
         return outputs

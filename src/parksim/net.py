@@ -14,8 +14,10 @@ core and no lock is needed. Sockets are non-blocking:
 - A peer whose pending bytes exceed MAX_OUTBOUND_BYTES is a slow consumer:
   it is disconnected, counted in `slow_consumer_closes`, and the core is
   told through connection_closed, so it cannot stall anyone else.
-- Redelivery and keep-alive sweeps run every SWEEP_PERIOD_S on the
-  monotonic clock; the select timeout is the time left until the next one.
+- Redelivery and keep-alive share the core's one timer on the monotonic
+  clock: the select timeout is the time left until core.next_deadline(),
+  and a pass that reaches it calls core.tick(). With no deadline, select
+  blocks until a socket is ready.
 
 stop() may be called from any thread: it wakes the loop through the
 socketpair and waits for it to close every socket.
@@ -36,7 +38,6 @@ from .client import ClientEngine
 
 log = logging.getLogger(__name__)
 
-SWEEP_PERIOD_S = 0.5
 READ_CHUNK = 1 << 16
 # Outbound bytes a connection may have pending before it counts as a slow
 # consumer and is disconnected.
@@ -100,8 +101,7 @@ class BrokerServer:
     def serve_forever(self) -> None:
         try:
             self.start()
-            while not self._stopping.is_set():
-                time.sleep(0.2)
+            self._thread.join()
         except KeyboardInterrupt:
             pass
         finally:
@@ -110,11 +110,15 @@ class BrokerServer:
     # -- the loop ----------------------------------------------------------
 
     def _serve(self) -> None:
-        select = self._selector.select
-        next_sweep = time.monotonic() + SWEEP_PERIOD_S
+        select, core = self._selector.select, self.core
         try:
             while not self._stopping.is_set():
-                for key, mask in select(max(next_sweep - time.monotonic(), 0.0)):
+                # Any deadline a pass sets lies in the future, so the one read
+                # before select can only make tick() early, never late; an
+                # early tick finds nothing due and the next pass reads again.
+                deadline = core.next_deadline()
+                timeout = None if deadline is None else max(deadline - time.monotonic(), 0.0)
+                for key, mask in select(timeout):
                     conn = key.data
                     if conn is None:
                         if key.fileobj is self._listener:
@@ -126,10 +130,10 @@ class BrokerServer:
                             self._read(conn)
                         if mask & selectors.EVENT_WRITE:
                             self._pending[conn.conn_id] = conn
-                now = time.monotonic()
-                if now >= next_sweep:
-                    self._dispatch(self.core.redeliver(now) + self.core.keepalive_sweep(now))
-                    next_sweep = now + SWEEP_PERIOD_S
+                if deadline is not None:
+                    now = time.monotonic()
+                    if now >= deadline:
+                        self._dispatch(core.tick(now))
                 self._flush()
         finally:
             self._stopping.set()
@@ -267,8 +271,13 @@ class MqttConnection:
         self._send_lock = threading.Lock()
         self._reader = threading.Thread(target=self._read_loop, name="mqtt-client-read", daemon=True)
         self._reader.start()
-        self._send(self.engine.connect_packet())
-        if not self._connack.wait(connect_timeout_s):
+        try:
+            self._send(self.engine.connect_packet())
+        except OSError as exc:  # the broker already closed the socket
+            self.close()
+            raise ConnectionError_(f"lost {host}:{port} before CONNECT: {exc}") from exc
+        # the reader sets _connack on a CONNACK and also when it exits
+        if not self._connack.wait(connect_timeout_s) or self.engine.connack_code is None:
             self.close()
             raise ConnectionError_(f"no CONNACK from {host}:{port}")
         if not self.engine.connected:
@@ -323,6 +332,7 @@ class MqttConnection:
             # the broker hung up or the socket failed: no DISCONNECT can follow
             self.engine.connected = False
             self.close()
+            self._connack.set()  # wakes a constructor still waiting for CONNACK
 
     def _read_until_closed(self) -> None:
         frames = codec.FrameSplitter()

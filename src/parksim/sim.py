@@ -12,7 +12,9 @@ spot.
 Controller publishes travel through the embedded broker over a simulated
 transport with configurable latency; broker-to-subscriber publish frames
 can additionally be dropped with a configured probability, which the qos-1
-retry machinery then has to repair.
+retry machinery then has to repair. The broker's timer is one heap event at
+a time: a BrokerTimer at the core's next_deadline(), re-armed after each
+tick.
 """
 
 from __future__ import annotations
@@ -88,13 +90,13 @@ class GateTimer:
 
 
 @dataclass(frozen=True)
-class RedeliverCheck:
+class BrokerTimer:
     pass
 
 
 SimPayload = (
     CarArrives | CarParks | CarDeparts | SensorSample | PacketDelivery
-    | GasInjectionEvent | GateTimer | RedeliverCheck
+    | GasInjectionEvent | GateTimer | BrokerTimer
 )
 
 
@@ -199,6 +201,7 @@ class Simulation:
         self.heap: list[tuple[float, int, SimPayload]] = []
         self.seq = 0
         self.now = 0.0
+        self.broker_timer_pending = False  # at most one BrokerTimer on the heap
 
         self.controller = ctrl.Controller(cfg.facility, domain.new_facility(cfg.facility))
         self.broker = BrokerCore(
@@ -214,7 +217,7 @@ class Simulation:
             CarArrives: self._on_car_arrives, CarParks: self._on_car_parks,
             CarDeparts: self._on_car_departs, SensorSample: self._on_sensor_sample,
             PacketDelivery: self._on_packet_delivery, GasInjectionEvent: self._on_gas_injection,
-            GateTimer: self._on_gate_timer, RedeliverCheck: self._on_redeliver_check,
+            GateTimer: self._on_gate_timer, BrokerTimer: self._on_broker_timer,
         }
 
         self.records: list[dict[str, Any]] = []
@@ -268,9 +271,9 @@ class Simulation:
             if isinstance(packet, codec.Publish):
                 accept_t = self._accept_time(output.conn_id, packet)
                 if packet.qos == 1:
-                    # whether or not the frame survives the wire, the broker
-                    # will want to look again once the ack window passes
-                    self._push(self.now + self.cfg.mqtt.ack_timeout_s, RedeliverCheck())
+                    # whether or not the frame survives the wire, its ack
+                    # window is now one of the broker's deadlines
+                    self._arm_broker_timer()
                 if self.cfg.network.drop_prob > 0 and \
                         self.rng["network"].random() < self.cfg.network.drop_prob:
                     self.counters["drops"] += 1
@@ -437,8 +440,17 @@ class Simulation:
         else:
             self._apply_actions(self.controller.close_exit())
 
-    def _on_redeliver_check(self, event: RedeliverCheck) -> None:
-        self._dispatch_broker_outputs(self.broker.redeliver(self.now))
+    def _on_broker_timer(self, event: BrokerTimer) -> None:
+        self.broker_timer_pending = False
+        self._dispatch_broker_outputs(self.broker.tick(self.now))
+        self._arm_broker_timer()
+
+    def _arm_broker_timer(self) -> None:
+        if not self.broker_timer_pending:
+            deadline = self.broker.next_deadline()
+            if deadline is not None:
+                self._push(deadline, BrokerTimer())
+                self.broker_timer_pending = True
 
     # -- run ----------------------------------------------------------------
 

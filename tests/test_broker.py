@@ -1,4 +1,6 @@
 
+import copy
+
 from hypothesis import given, settings, strategies as st
 
 from parksim.broker import BrokerCore, Close, Send
@@ -243,6 +245,30 @@ class TestRedelivery:
         assert core.total_errors == 0
         assert core.redeliver(10.0) == []
 
+    def test_resent_at_its_deadline_despite_float_rounding(self):
+        # (0.05 + 2.0) - 0.05 == 1.9999999999999998: a test on elapsed time
+        # would skip the frame at the very time its timer fires
+        core = BrokerCore(ack_timeout_s=2.0)
+        connect(core, "pub", "publisher")
+        connect(core, "sub", "subscriber")
+        core.handle("sub", Subscribe(packet_id=1, filters=(("t/#", 1),)), 0.0)
+        core.handle("pub", Publish(topic="t/x", payload=b"p", qos=1, packet_id=1), 0.05)
+        deadline = core.next_deadline()
+        assert deadline == 0.05 + 2.0
+        assert [o.packet.dup for o in core.tick(deadline)] == [True]
+
+    def test_resend_moves_to_the_back_of_the_deadline_order(self):
+        core, first = self._setup_inflight()
+        outputs = core.handle("pub", Publish(topic="t/y", payload=b"q", qos=1, packet_id=2), 1.0)
+        second = sends_of(outputs, Publish)[0].packet
+        assert core.next_deadline() == 2.0
+        assert [o.packet.packet_id for o in core.tick(2.0)] == [first.packet_id]
+        inflight = core.sessions["subscriber"].inflight
+        assert list(inflight) == [second.packet_id, first.packet_id]
+        assert [entry.deadline for entry in inflight.values()] == [3.0, 4.0]
+        assert core.next_deadline() == 3.0
+        assert core.tick(2.5) == []
+
 
 class TestKeepalive:
     def test_silent_past_grace_closes(self):
@@ -251,6 +277,13 @@ class TestKeepalive:
         outputs = core.keepalive_sweep(16.0)
         assert [o.client_id for o in outputs] == ["sleepy"]
         assert core.sessions == {}
+
+    def test_silent_exactly_one_and_a_half_keepalives_closes(self):
+        core = BrokerCore()
+        connect(core, "c1", "sleepy", keep_alive=10, now=0.0)
+        assert core.next_deadline() == 15.0
+        assert [o.client_id for o in core.tick(15.0)] == ["sleepy"]
+        assert core.next_deadline() is None
 
     def test_silent_within_grace_kept(self):
         core = BrokerCore()
@@ -401,7 +434,7 @@ def _scripts(draw):
 def _apply(core, step, now):
     kind = step[0]
     if kind == "sweep":
-        return core.keepalive_sweep(now) + core.redeliver(now)
+        return core.tick(now)
     client = step[1]
     if kind == "connect":
         return core.handle(f"{client}-{step[2]}", Connect(client_id=client, keep_alive_s=step[3]), now)
@@ -429,6 +462,25 @@ def _apply(core, step, now):
     return outputs + core.handle(conn, packet, now)
 
 
+def _brute_force_deadline(core):
+    deadlines = [entry.deadline for session in core.sessions.values()
+                 for entry in session.inflight.values()]
+    deadlines += [session.last_seen_t + 1.5 * session.keep_alive_s
+                  for session in core.sessions.values() if session.keep_alive_s > 0]
+    return min(deadlines, default=None)
+
+
+def _assert_timer_progresses(core):
+    """tick() at next_deadline() clears everything due by then, so a driver
+    that sleeps until the deadline and ticks never spins."""
+    deadline = core.next_deadline()
+    if deadline is not None:
+        core = copy.deepcopy(core)
+        core.tick(deadline)
+        after = core.next_deadline()
+        assert after is None or after > deadline
+
+
 def _assert_no_leaked_nodes(core):
     if not core.sessions:
         assert core._subscription_trie.is_empty()
@@ -445,6 +497,8 @@ def test_indexed_core_matches_brute_force_reference(steps):
         assert _apply(indexed, step, now) == _apply(reference, step, now), step
         assert list(indexed.retained.items()) == list(reference.retained.items())
         _assert_no_leaked_nodes(indexed)
+        assert indexed.next_deadline() == _brute_force_deadline(indexed)
+        _assert_timer_progresses(indexed)
 
     # drain: clear every retained topic, then end every session
     connect(indexed, "janitor", "janitor", now=len(steps))

@@ -38,9 +38,9 @@ def _lossy_six_hours():
         ),
         (
             _lossy_six_hours,
-            "4fda2fec2b99d4dd7f7216815cb388421793da650f2698bfdff06602172cb7f5",
-            "3bf9a1055d6ed7a61d81fac64617b63548989db5242edfbe8ffe0cf78b0dc2a6",
-            "851f158f3dc9ce2669e6e5ff7038b4da74105eedce101488f810ab2638cddef5",
+            "7d122a43060e874a97b23f9513ddb0d7e7adf6129aeb5de428420404fbb779d2",
+            "ad7c56645f57264f705930632abf4f9ed37733456ed92d005c5375ac1fb2bcc2",
+            "598aaa486ede566cc9f7e52c282a51d605bb8520951604c8883843db72c8d76b",
         ),
     ],
     ids=["day-seed42", "lossy-6h-drop0.1"],

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from parksim import codec, net
+from parksim.broker import BrokerCore
 from parksim.net import BrokerServer, ConnectionError_, MqttConnection
 
 
@@ -48,7 +49,7 @@ class TestTcpBroker:
         pub = MqttConnection(host, port, client_id="pub-1")
         try:
             sub.subscribe("parking/#", qos=0)
-            time.sleep(0.1)
+            assert wait_until(lambda: not sub.engine.pending_subscribes)  # SUBACK in
             pub.publish("parking/slot/1/status", b"1")
             messages = drain(sub.messages)
             assert ("parking/slot/1/status", b"1", False) in messages
@@ -62,7 +63,7 @@ class TestTcpBroker:
         try:
             pub.publish("parking/slot/1/status", b"1", retain=True)
             pub.publish("parking/slot/2/status", b"0", retain=True)
-            time.sleep(0.1)
+            assert wait_until(lambda: "parking/slot/2/status" in server.core.retained)
             late = MqttConnection(host, port, client_id="late-2")
             try:
                 late.subscribe("parking/slot/+/status", qos=0)
@@ -82,7 +83,7 @@ class TestTcpBroker:
         pub = MqttConnection(host, port, client_id="pub-3")
         try:
             sub.subscribe("t/#", qos=1)
-            time.sleep(0.1)
+            assert wait_until(lambda: not sub.engine.pending_subscribes)  # SUBACK in
             pub.publish("t/x", b"payload", qos=1)
             messages = drain(sub.messages)
             assert ("t/x", b"payload", False) in messages
@@ -110,6 +111,26 @@ class TestTcpBroker:
         with pytest.raises(ConnectionError_):
             MqttConnection("127.0.0.1", 1, client_id="nobody", connect_timeout_s=0.5)
 
+    def test_peer_closing_before_connack_raises_at_once(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def accept_and_close():
+            sock, _ = listener.accept()
+            sock.close()
+
+        closer = threading.Thread(target=accept_and_close)
+        closer.start()
+        try:
+            started = time.monotonic()
+            with pytest.raises(ConnectionError_):
+                MqttConnection(*listener.getsockname(), client_id="early",
+                               connect_timeout_s=5.0)
+            assert time.monotonic() - started < 2.0
+        finally:
+            closer.join(5.0)
+            listener.close()
+        assert not closer.is_alive()
+
     def test_watch_board_rebuilds_after_reconnect(self, server):
         from parksim.watch import WatchView
 
@@ -119,7 +140,7 @@ class TestTcpBroker:
             for i, flag in enumerate((b"1", b"0", b"1"), start=1):
                 pub.publish(f"parking/slot/{i}/status", flag, retain=True)
             pub.publish("parking/summary", b"1/3", retain=True)
-            time.sleep(0.1)
+            assert wait_until(lambda: "parking/summary" in server.core.retained)
 
             def board():
                 view = WatchView()
@@ -228,6 +249,47 @@ class TestSelectorLoop:
             flipper.join(10.0)
             pub.close()
             sub.close()
+
+    def test_unacked_qos1_resent_on_the_core_deadline(self):
+        """The loop sleeps until the core's next deadline, not a fixed sweep
+        period: resends come one ack timeout apart, then the entry expires."""
+        core = BrokerCore(ack_timeout_s=0.3, max_retries=3)
+        broker = BrokerServer(host="127.0.0.1", port=0, core=core)
+        broker.start()
+        pub = None
+        try:
+            with socket.create_connection(broker.address, timeout=5.0) as raw:
+                # a qos-1 subscriber that never sends PUBACK
+                raw.sendall(codec.encode_packet(codec.Connect(client_id="mute"))
+                            + codec.encode_packet(codec.Subscribe(packet_id=1, filters=(("t", 1),))))
+                frames = codec.FrameSplitter()
+                received = []  # (arrival time, packet)
+
+                def receive_until(count):
+                    while len(received) < count:
+                        chunk = raw.recv(4096)
+                        assert chunk, "broker closed the connection"
+                        received.extend((time.monotonic(), p) for p in frames.feed(chunk))
+
+                receive_until(2)
+                assert [p for _, p in received] == [
+                    codec.ConnAck(return_code=0), codec.SubAck(packet_id=1, granted=(1,))]
+                pub = MqttConnection(*broker.address, client_id="pub")
+                pub.publish("t", b"x", qos=1)
+                receive_until(6)  # the first send and three resends
+                # out of retries one ack timeout after the last resend
+                assert wait_until(lambda: core.uncorrected_errors == 1)
+            publishes = received[2:]
+            assert [(p.topic, p.dup) for _, p in publishes] == [("t", False)] + [("t", True)] * 3
+            assert len({p.packet_id for _, p in publishes}) == 1
+            times = [t for t, _ in publishes]
+            assert all(later - earlier >= 0.25 for earlier, later in zip(times, times[1:]))
+            # a 0.5 s sweep could not resend more often than every 0.5 s
+            assert times[3] - times[1] < 0.95
+        finally:
+            if pub is not None:
+                pub.close()
+            broker.stop()
 
     def test_stop_from_another_thread_closes_everything(self):
         broker = BrokerServer(host="127.0.0.1", port=0)

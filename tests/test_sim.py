@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from parksim.scenario import (
     MqttConfig,
     NetworkConfig,
     default_scenario,
+    load_scenario,
 )
 from parksim.sensors import Mq2Model
 from parksim.stochastic import TrafficProfile
@@ -217,6 +219,51 @@ class TestNetworkInjection:
             if r["client_id"] == "dashboard" and r["topic"] == "parking/gas/ppm"
         }
         assert len(dash_deliveries) > 0
+
+
+DAY_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "day.cfg"
+
+
+class TestBrokerTimer:
+    def test_startup_frames_dropped_are_resent_one_ack_timeout_later(self):
+        # no traffic and a sparse gas period: nothing else wakes the broker
+        day = load_scenario(DAY_CFG)
+        cfg = replace(
+            day, seed=3, duration_s=200.0, gas_sample_period_s=97.3,
+            traffic=replace(day.traffic, hourly_rates=(0.0,) * 24),
+            network=replace(day.network, drop_prob=0.3),
+        )
+        records = sim.run_scenario(cfg).records
+        resend_t = 0.05 + cfg.mqtt.ack_timeout_s
+        for topic in ("parking/slot/3/status", "parking/fan/state"):
+            to_dashboard = [r for r in records if r.get("topic") == topic
+                            and r.get("client_id") == "dashboard"]
+            first, second = to_dashboard[:2]
+            assert (first["kind"], first["t"]) == ("drop", 0.05)
+            # the retry is either dropped again or delivered one latency later
+            sent_t = second["t"] - (cfg.network.latency_s if second["kind"] == "deliver" else 0.0)
+            assert sent_t == pytest.approx(resend_t), (topic, second)
+
+    def test_heap_holds_at_most_one_broker_timer(self):
+        day = load_scenario(DAY_CFG)
+        cfg = replace(day, duration_s=6 * 3600.0, network=replace(day.network, drop_prob=0.1))
+        most = fired = 0
+
+        class Watched(sim.Simulation):
+            def _push(self, t, payload):
+                nonlocal most
+                super()._push(t, payload)
+                pending = sum(type(p) is sim.BrokerTimer for _, _, p in self.heap)
+                most = max(most, pending)
+
+            def _on_broker_timer(self, event):
+                nonlocal fired
+                fired += 1
+                super()._on_broker_timer(event)
+
+        report = Watched(cfg).run()
+        assert most == 1
+        assert fired > 0 and report.counters["drops"] > 0
 
 
 class TestValidation:
