@@ -10,7 +10,9 @@ owns the instance, so they serialize naturally and need no lock.
 QoS-1 bookkeeping doubles as the error-recovery model: an outbound publish
 whose first transmission times out unacknowledged counts as an error, a
 later acknowledged retry marks it corrected, and exhausting max_retries
-marks it uncorrected.
+marks it uncorrected. A packet id is not reused while its message is in
+flight (MQTT 3.1.1 §2.3.1); a copy that finds all 65,535 ids of its
+session in flight is not sent and counts as uncorrected.
 
 Time enters through one timer: every inflight entry and every session with
 a keep-alive carries an absolute deadline, next_deadline() reports the
@@ -92,8 +94,13 @@ class Session:
     next_packet_id: int = 1
     connect_seq: int = 0      # position in BrokerCore.sessions; orders fan-out
 
-    def take_packet_id(self) -> int:
+    def take_packet_id(self) -> int | None:
+        """The next packet id not in flight, or None when all of them are."""
         pid = self.next_packet_id
+        if pid in self.inflight:  # only after a wrap: the search is the rare path
+            pid = codec.free_packet_id(pid, self.inflight)
+            if pid is None:
+                return None
         self.next_packet_id = pid % 0xFFFF + 1
         return pid
 
@@ -295,14 +302,15 @@ class BrokerCore:
                 self.retained[packet.topic] = (packet.payload, packet.qos)
         sessions = self.sessions
         for client_id, sub_qos in self._subscribers(packet.topic).items():
-            outputs.append(self._outbound_publish(
+            self._outbound_publish(
+                outputs,
                 sessions[client_id],
                 topic=packet.topic,
                 payload=packet.payload,
                 qos=min(packet.qos, sub_qos),
                 retain=False,
                 now=now,
-            ))
+            )
         return outputs
 
     def _handle_subscribe(self, session: Session, packet: Subscribe, now: float) -> list[BrokerOutput]:
@@ -320,14 +328,15 @@ class BrokerCore:
         for topic_filter, qos in packet.filters:
             for topic in self._retained_matching(topic_filter):
                 payload, retained_qos = self.retained[topic]
-                outputs.append(self._outbound_publish(
+                self._outbound_publish(
+                    outputs,
                     session,
                     topic=topic,
                     payload=payload,
                     qos=min(retained_qos, qos),
                     retain=True,
                     now=now,
-                ))
+                )
         return outputs
 
     def _subscribers(self, topic: str) -> dict[str, int]:
@@ -365,18 +374,26 @@ class BrokerCore:
             self._emit("error_corrected", client_id=session.client_id, topic=entry.publish.topic)
 
     def _outbound_publish(
-        self, session: Session, topic: str, payload: bytes, qos: int, retain: bool, now: float
-    ) -> Send:
+        self, outputs: list[BrokerOutput], session: Session, topic: str, payload: bytes,
+        qos: int, retain: bool, now: float,
+    ) -> None:
+        """Append the frame for one session's copy of a message to `outputs`;
+        the copy is lost instead when every packet id of the session is in
+        flight."""
         packet_id = None
         if qos == 1:
             packet_id = session.take_packet_id()
+            if packet_id is None:
+                self.uncorrected_errors += 1
+                self._emit("error_uncorrected", client_id=session.client_id, topic=topic)
+                return
         publish = Publish(
             topic=topic, payload=payload, qos=qos, retain=retain, dup=False, packet_id=packet_id
         )
         if qos == 1:
             session.inflight[packet_id] = Inflight(
                 publish=publish, accept_t=now, deadline=now + self.ack_timeout_s)
-        return Send(session.conn_id, publish)
+        outputs.append(Send(session.conn_id, publish))
 
     # -- timers ----------------------------------------------------------
 

@@ -277,12 +277,11 @@ def _run_analyze(cmd: AnalyzeCmd) -> int:
 
 def _run_report(cmd: ReportCmd) -> int:
     try:
-        records = sim.read_events_jsonl(cmd.in_path)
+        text = sim.render_report(sim.read_events_jsonl(cmd.in_path))
     except OSError as exc:
         raise ConfigError(f"cannot read {cmd.in_path}: {exc}") from exc
-    except ValueError as exc:
+    except ValueError as exc:  # malformed line, or a record without 't'/'kind'
         raise ConfigError(str(exc)) from exc
-    text = sim.render_report(records)
     Path(cmd.out_path).parent.mkdir(parents=True, exist_ok=True)
     Path(cmd.out_path).write_text(text, encoding="utf-8")
     print(f"wrote {cmd.out_path}")

@@ -23,6 +23,7 @@ from .codec import (
     SubAck,
     Subscribe,
     UnsubAck,
+    free_packet_id,
 )
 
 log = logging.getLogger(__name__)
@@ -45,6 +46,10 @@ class ClientEngine:
 
     def _take_packet_id(self) -> int:
         pid = self._next_packet_id
+        if pid in self.inflight or pid in self.pending_subscribes:  # only after a wrap
+            pid = free_packet_id(pid, self.inflight, self.pending_subscribes)
+            if pid is None:
+                raise RuntimeError(f"client {self.client_id}: all 65535 packet ids are in use")
         self._next_packet_id = pid % 0xFFFF + 1
         return pid
 

@@ -207,6 +207,23 @@ def _check_packet_id(packet_id: int) -> None:
         raise EncodeError(f"packet_id must be in 1..65535, got {packet_id}")
 
 
+def free_packet_id(start: int, *in_use) -> int | None:
+    """The first packet id from `start` on, wrapping from 65535 to 1, that
+    none of the `in_use` collections holds, looking at most once at each
+    id; None when all 65,535 are taken. An id stays taken until its
+    exchange completes (MQTT 3.1.1 §2.3.1)."""
+    pid = start
+    while True:
+        for used in in_use:
+            if pid in used:
+                break
+        else:
+            return pid
+        pid = pid % 0xFFFF + 1
+        if pid == start:
+            return None
+
+
 def _check_publish(packet: Publish) -> None:
     try:
         validate_topic(packet.topic)

@@ -45,6 +45,7 @@ DASHBOARD_CONN = "dashboard"
 
 # json.dumps(record, separators=...) would build a new encoder per record
 _RECORD_ENCODER = json.JSONEncoder(separators=(", ", ": "))
+_BLOCK_RECORDS = 1024  # events.jsonl is encoded and written this many lines at a time
 
 
 # -- event payloads ----------------------------------------------------------
@@ -163,13 +164,12 @@ class SimReport:
         return self.aggregator.to_csv()
 
     def events_jsonl(self) -> str:
-        encode, records = _RECORD_ENCODER.encode, self.records
-        # joined in blocks of lines: one list entry per line would keep every
-        # line's own string alive beside the finished log
-        return "".join("".join([encode(r) + "\n" for r in records[i:i + 1024]])
-                       for i in range(0, len(records), 1024))
+        return "".join(text for _, text in _encoded_blocks(self.records))
 
     def write(self, out_dir: str | Path) -> dict[str, Path]:
+        """The three output files, from one pass over the records: each
+        block of lines goes to events.jsonl as it is encoded and feeds the
+        report's tally, so the whole log never exists as one string."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         paths = {
@@ -177,10 +177,22 @@ class SimReport:
             "metrics": out / "metrics.csv",
             "report": out / "report.txt",
         }
-        paths["events"].write_text(self.events_jsonl(), encoding="utf-8")
+        tally = ReportTally()
+        with open(paths["events"], "w", encoding="utf-8") as events:
+            for block, text in _encoded_blocks(self.records):
+                events.write(text)
+                tally.add_records(block)
         paths["metrics"].write_text(self.metrics_csv, encoding="utf-8")
-        paths["report"].write_text(render_report(self.records, self.aggregator), encoding="utf-8")
+        paths["report"].write_text(tally.render(self.aggregator.summary()), encoding="utf-8")
         return paths
+
+
+def _encoded_blocks(records: list[dict[str, Any]]):
+    """(records, their events.jsonl lines as one string), _BLOCK_RECORDS at a time."""
+    encode = _RECORD_ENCODER.encode
+    for i in range(0, len(records), _BLOCK_RECORDS):
+        block = records[i:i + _BLOCK_RECORDS]
+        yield block, "".join([encode(r) + "\n" for r in block])
 
 
 class Simulation:
@@ -569,62 +581,136 @@ def time_weighted_mean(series: list[tuple[float, int]], t_end: float, t_start: f
     return total / (t_end - t_start)
 
 
+class ReportTally:
+    """What report.txt needs from an event log, gathered in one pass as the
+    records are fed: counts per kind, the `meta` header and the
+    time-weighted mean occupancy. The mean and its errors are those of
+    occupancy_timeseries + time_weighted_mean over the same records, float
+    for float: the integral takes the same steps in the same order.
+
+    The report's duration is the meta config's `duration_s`, known from the
+    first record on, else the largest `t`. In the second case no park or
+    depart record lies past the end, so the integral never needs it early.
+    """
+
+    def __init__(self) -> None:
+        self.meta: dict[str, Any] = {}
+        self.counts: dict[str, int] = {}
+        self._fed = 0                   # records seen, for error messages
+        self._max_t: Any = None         # the largest t, as max() picks it
+        self._end: float | None = None  # the meta config's duration_s
+        self._parked = 0
+        self._steps = 0                 # park and depart records seen
+        self._level = 0                 # parked cars since _prev_t
+        self._prev_t = 0.0
+        self._area = 0.0                # car-seconds up to _prev_t
+        self._past_end = False          # later steps fall outside [0, end]
+
+    def add_records(self, records) -> None:
+        counts = self.counts
+        for record in records:
+            index = self._fed
+            self._fed += 1
+            if not isinstance(record, dict) or "kind" not in record or "t" not in record:
+                raise ValueError(f"record {index}: missing 't'/'kind' fields: {record!r}")
+            kind, t = record["kind"], record["t"]
+            counts[kind] = counts.get(kind, 0) + 1
+            if self._max_t is None or t > self._max_t:
+                self._max_t = t
+            if kind == "car_parks":
+                self._parked += 1
+                self._step(float(t))
+            elif kind == "car_departs":
+                self._parked -= 1
+                self._step(float(t))
+            elif index == 0 and kind == "meta":
+                self.meta = record
+                config = record.get("config", {})
+                if "duration_s" in config:
+                    self._end = float(config["duration_s"])
+
+    def _step(self, t: float) -> None:
+        # one turn of time_weighted_mean's loop, with t_start = 0
+        self._steps += 1
+        if self._past_end:
+            return
+        if t < 0.0:
+            self._level = self._parked
+            return
+        if self._end is not None and t > self._end:
+            self._past_end = True
+            return
+        self._area += self._level * (t - self._prev_t)
+        self._prev_t = t
+        self._level = self._parked
+
+    @property
+    def duration_s(self) -> float:
+        if self._end is not None:
+            return self._end
+        return float(self._max_t or 1.0)
+
+    def mean_occupancy(self) -> float:
+        if not self._steps:
+            return 0.0
+        end = self.duration_s
+        if end <= 0.0:
+            raise ValueError("t_end must exceed t_start")
+        return (self._area + self._level * (end - self._prev_t)) / end
+
+    def render(self, summary: dict[str, float]) -> str:
+        """report.txt, with `summary` the run's telemetry.Aggregator summary."""
+        meta, counts = self.meta, self.counts
+        config = meta.get("config", {})
+        mean_occ = self.mean_occupancy()
+        lines = [
+            "parksim run report",
+            "==================",
+            f"rng: {meta.get('rng', 'unknown')} seed={config.get('seed', '?')} "
+            f"streams={','.join(meta.get('rng_streams', []))}",
+            f"duration_s: {_g(self.duration_s)}   slots: {config.get('facility.total_slots', '?')}",
+            "",
+            "traffic",
+            f"  arrivals:   {counts.get('car_arrives', 0)} "
+            f"(admitted {counts.get('car_admitted', 0)}, rejected {counts.get('car_rejected', 0)})",
+            f"  departures: {counts.get('car_departs', 0)}",
+            f"  mean occupancy (parked): {_g(mean_occ)}",
+            "",
+            "environment",
+            f"  env samples: {counts.get('env_sample', 0)}"
+            f"   gas samples: {counts.get('gas_sample', 0)}",
+            f"  fan on/off events: {counts.get('fan', 0)}   anomalies: {counts.get('anomaly', 0)}",
+            "",
+            "mqtt telemetry",
+            f"  publishes accepted: {counts.get('publish', 0)}"
+            f"   deliveries: {counts.get('deliver', 0)}   drops: {counts.get('drop', 0)}",
+            f"  bytes total: {_g(summary['bytes_total'])}   "
+            f"data rate: {_g(summary['data_rate_bytes_per_s'])} bytes/s",
+        ]
+        if "delay_mean_s" in summary:
+            lines.append(
+                f"  delay s (mean/min/max): {_g(summary['delay_mean_s'])}"
+                f"/{_g(summary['delay_min_s'])}/{_g(summary['delay_max_s'])}"
+            )
+        lines.append(
+            f"  EC (modeled): {_g(summary['ec_modeled'])} "
+            f"(corrected {int(summary['errors_corrected'])},"
+            f" uncorrected {int(summary['errors_uncorrected'])})"
+        )
+        lines.append("")
+        return "\n".join(lines)
+
+
 def render_report(records: list[dict[str, Any]],
                   aggregator: telemetry.Aggregator | None = None) -> str:
     """Human-readable run summary regenerable from the event log alone;
     `aggregator` is the run's own aggregation of `records`, if at hand."""
-    meta = records[0] if records and records[0].get("kind") == "meta" else {}
-    config = meta.get("config", {})
-    duration = float(config.get("duration_s", max((r["t"] for r in records), default=1.0) or 1.0))
-    total_slots = config.get("facility.total_slots", "?")
-
-    counts: dict[str, int] = {}
-    for record in records:
-        counts[record["kind"]] = counts.get(record["kind"], 0) + 1
-
-    series = occupancy_timeseries(records)
-    mean_occ = time_weighted_mean(series, duration) if series else 0.0
-
+    tally = ReportTally()
+    tally.add_records(records)
     if aggregator is None:
-        aggregator = telemetry.Aggregator(duration_s=duration)
+        aggregator = telemetry.Aggregator(duration_s=tally.duration_s)
         aggregator.add_records(records)
-    summary = aggregator.summary()
-
-    lines = [
-        "parksim run report",
-        "==================",
-        f"rng: {meta.get('rng', 'unknown')} seed={config.get('seed', '?')} "
-        f"streams={','.join(meta.get('rng_streams', []))}",
-        f"duration_s: {_g(duration)}   slots: {total_slots}",
-        "",
-        "traffic",
-        f"  arrivals:   {counts.get('car_arrives', 0)} "
-        f"(admitted {counts.get('car_admitted', 0)}, rejected {counts.get('car_rejected', 0)})",
-        f"  departures: {counts.get('car_departs', 0)}",
-        f"  mean occupancy (parked): {_g(mean_occ)}",
-        "",
-        "environment",
-        f"  env samples: {counts.get('env_sample', 0)}   gas samples: {counts.get('gas_sample', 0)}",
-        f"  fan on/off events: {counts.get('fan', 0)}   anomalies: {counts.get('anomaly', 0)}",
-        "",
-        "mqtt telemetry",
-        f"  publishes accepted: {counts.get('publish', 0)}   deliveries: {counts.get('deliver', 0)}"
-        f"   drops: {counts.get('drop', 0)}",
-        f"  bytes total: {_g(summary['bytes_total'])}   "
-        f"data rate: {_g(summary['data_rate_bytes_per_s'])} bytes/s",
-    ]
-    if "delay_mean_s" in summary:
-        lines.append(
-            f"  delay s (mean/min/max): {_g(summary['delay_mean_s'])}"
-            f"/{_g(summary['delay_min_s'])}/{_g(summary['delay_max_s'])}"
-        )
-    lines.append(
-        f"  EC (modeled): {_g(summary['ec_modeled'])} "
-        f"(corrected {int(summary['errors_corrected'])},"
-        f" uncorrected {int(summary['errors_uncorrected'])})"
-    )
-    lines.append("")
-    return "\n".join(lines)
+    return tally.render(aggregator.summary())
 
 
 def _g(value: float) -> str:

@@ -51,13 +51,22 @@ def _fmt(value: float) -> str:
     return format(value, ".10g")
 
 
+def _sample(record: dict, field: str) -> float:
+    value = float(record[field])
+    if value < 0:
+        raise ValueError(f"metric value must be >= 0: {field} {value}")
+    return value
+
+
 class Aggregator:
     """Windowed rollup of telemetry samples extracted from event records.
 
     `samples` keeps the records that carry samples, in the order they were
     added. rows() and summary() share one pass over them, redone only after
-    more arrive; its sums add the same values in the same order as a scan of
-    every sample per window would, so the CSV keeps its bytes.
+    more arrive. The pass keeps a running sum and count per window and a
+    running sum, count, min and max for the run, no lists of values; its
+    sums add the same values in the same order as a scan of every sample
+    per window would, so the CSV keeps its bytes.
     """
 
     def __init__(self, duration_s: float, window_s: float = 3600.0):
@@ -93,8 +102,11 @@ class Aggregator:
         duration = self.duration_s
         bounds = self._window_bounds()
         starts = [start for start, _ in bounds]
-        values: dict[str, list[float]] = {"bytes": [], "delay": []}
-        in_window = [{"bytes": [], "delay": []} for _ in bounds]
+        # running sums start at 0 and add left to right, as sum() does, so
+        # they give sum()'s floats; per window: [bytes, delay sum, delays]
+        in_window = [[0, 0, 0] for _ in bounds]
+        bytes_total = delay_total = delays = 0
+        delay_min = delay_max = 0.0
         errors = {"error_corrected": 0, "error_uncorrected": 0}
         for record in self.samples:
             kind = record["kind"]
@@ -106,24 +118,31 @@ class Aggregator:
             i = bisect.bisect_right(starts, t) - 1
             window = in_window[i] if i >= 0 and (t < bounds[i][1] or t == bounds[i][1] == duration) \
                 else None
-            for field in ("bytes", "delay") if kind == "deliver" else ("bytes",):
-                value = float(record[field])
-                if value < 0:
-                    raise ValueError(f"metric value must be >= 0: {field} {value}")
-                values[field].append(value)
+            value = _sample(record, "bytes")
+            bytes_total += value
+            if window is not None:
+                window[0] += value
+            if kind == "deliver":
+                value = _sample(record, "delay")
+                # min() and max() keep the first of equal values, as these do
+                if not delays or value < delay_min:
+                    delay_min = value
+                if not delays or value > delay_max:
+                    delay_max = value
+                delay_total += value
+                delays += 1
                 if window is not None:
-                    window[field].append(value)
+                    window[1] += value
+                    window[2] += 1
 
         per_window: list[tuple[str, float, float, float]] = []
-        for (start, end), window in zip(bounds, in_window):
-            byte_total = sum(window["bytes"])
-            if byte_total > 0:
-                per_window.append(("data_rate_bytes_per_s", start, end, data_rate(byte_total, end - start)))
-            if window["delay"]:
-                per_window.append(("delay_mean_s", start, end, sum(window["delay"]) / len(window["delay"])))
+        for (start, end), (byte_sum, delay_sum, delay_count) in zip(bounds, in_window):
+            if byte_sum > 0:
+                per_window.append(
+                    ("data_rate_bytes_per_s", start, end, data_rate(byte_sum, end - start)))
+            if delay_count:
+                per_window.append(("delay_mean_s", start, end, delay_sum / delay_count))
 
-        bytes_total = sum(values["bytes"])
-        delays = values["delay"]
         corrected, uncorrected = errors["error_corrected"], errors["error_uncorrected"]
         totals = {
             "bytes_total": bytes_total,
@@ -133,9 +152,9 @@ class Aggregator:
             "ec_modeled": error_correction_rate(corrected, corrected + uncorrected),
         }
         if delays:
-            totals["delay_mean_s"] = sum(delays) / len(delays)
-            totals["delay_min_s"] = min(delays)
-            totals["delay_max_s"] = max(delays)
+            totals["delay_mean_s"] = delay_total / delays
+            totals["delay_min_s"] = delay_min
+            totals["delay_max_s"] = delay_max
         self._rollup_of = len(self.samples)
         self._rollup = (per_window, totals)
         return self._rollup

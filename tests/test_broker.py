@@ -270,6 +270,47 @@ class TestRedelivery:
         assert core.tick(2.5) == []
 
 
+class TestPacketIds:
+    def test_wrapped_allocator_skips_ids_in_flight(self):
+        # MQTT 3.1.1 §2.3.1: an id in flight is not reused, even after a wrap
+        core, _ = TestRedelivery()._setup_inflight()  # t/x as id 1, deadline 2.0
+        core.handle("pub", Publish(topic="t/y", payload=b"q", qos=1, packet_id=2), 0.5)
+        session = core.sessions["subscriber"]
+        session.next_packet_id = 1  # where 65535 more ids would have left it
+        outputs = core.handle("pub", Publish(topic="t/z", payload=b"r", qos=1, packet_id=3), 1.0)
+        assert sends_of(outputs, Publish)[0].packet.packet_id == 3
+        assert {pid: entry.publish.topic for pid, entry in session.inflight.items()} == {
+            1: "t/x", 2: "t/y", 3: "t/z"}
+        assert core.next_deadline() == 2.0
+        assert [(o.packet.topic, o.packet.packet_id, o.packet.dup) for o in core.tick(2.0)] == [
+            ("t/x", 1, True)]
+
+    def test_allocator_wraps_from_65535_to_1(self):
+        core, _ = TestRedelivery()._setup_inflight()  # id 1 in flight
+        session = core.sessions["subscriber"]
+        session.next_packet_id = 0xFFFF
+        assert session.take_packet_id() == 0xFFFF
+        assert session.take_packet_id() == 2
+        assert session.next_packet_id == 3
+
+    def test_no_free_id_drops_the_copy_as_uncorrected(self):
+        events = []
+        core = BrokerCore(ack_timeout_s=2.0, event_sink=lambda kind, **f: events.append((kind, f)))
+        connect(core, "pub", "publisher")
+        connect(core, "sub", "subscriber")
+        core.handle("sub", Subscribe(packet_id=1, filters=(("t/#", 1),)), 0.0)
+        session = core.sessions["subscriber"]
+        template = core.handle("pub", Publish(topic="t/x", payload=b"p", qos=1, packet_id=1), 0.0)
+        entry = session.inflight[sends_of(template, Publish)[0].packet.packet_id]
+        session.inflight = {pid: entry for pid in range(1, 0x10000)}
+        outputs = core.handle("pub", Publish(topic="t/y", payload=b"q", qos=1, packet_id=2), 1.0)
+        assert sends_of(outputs, Publish) == []
+        assert sends_of(outputs, PubAck) == [Send("pub", PubAck(packet_id=2))]
+        assert core.uncorrected_errors == 1
+        assert events == [("error_uncorrected", {"client_id": "subscriber", "topic": "t/y"})]
+        assert len(session.inflight) == 0xFFFF
+
+
 class TestKeepalive:
     def test_silent_past_grace_closes(self):
         core = BrokerCore()

@@ -173,3 +173,9 @@ class TestSimulateAndReport:
         bad = tmp_path / "events.jsonl"
         bad.write_text("{}\nnot json\n", encoding="utf-8")
         assert cli.main(["report", "--in", str(bad), "--out", str(tmp_path / "r.txt")]) == 2
+
+    def test_report_on_record_without_t_exits_2(self, tmp_path, capsys):
+        log = tmp_path / "events.jsonl"
+        log.write_text('{"t": 0, "kind": "meta"}\n{"kind": "car_parks"}\n', encoding="utf-8")
+        assert cli.main(["report", "--in", str(log), "--out", str(tmp_path / "r.txt")]) == 2
+        assert "record 1: missing 't'/'kind'" in capsys.readouterr().err

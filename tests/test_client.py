@@ -1,3 +1,5 @@
+import pytest
+
 from parksim.client import ClientEngine
 from parksim.codec import ConnAck, PingResp, PubAck, Publish, SubAck
 
@@ -61,3 +63,24 @@ def test_packet_ids_distinct_across_kinds():
 def test_pingresp_ignored_quietly():
     engine = ClientEngine(client_id="w")
     assert engine.handle_packet(PingResp()) == []
+
+
+def test_wrapped_ids_skip_publishes_and_subscribes_in_flight():
+    engine = ClientEngine(client_id="w")
+    publish = engine.publish_packet("t", b"", qos=1)
+    subscribe = engine.subscribe_packet([("f", 0)])
+    assert (publish.packet_id, subscribe.packet_id) == (1, 2)
+    engine._next_packet_id = 1  # where 65535 more ids would have left it
+    assert engine.publish_packet("t", b"", qos=1).packet_id == 3
+    assert set(engine.inflight) == {1, 3}
+
+
+def test_no_free_id_raises():
+    engine = ClientEngine(client_id="w")
+    engine.pending_subscribes.update(range(1, 0x8000))
+    engine.inflight.update((pid, None) for pid in range(0x8000, 0x10000))
+    with pytest.raises(RuntimeError, match="packet ids"):
+        engine.publish_packet("t", b"", qos=1)
+    with pytest.raises(RuntimeError, match="packet ids"):
+        engine.subscribe_packet([("f", 0)])
+    assert engine.publish_packet("t", b"", qos=0).packet_id is None

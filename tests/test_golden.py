@@ -6,6 +6,7 @@ them in the same change and says why in CHANGES.md.
 """
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -63,3 +64,23 @@ def test_lossy_scenario_exercises_retries(tmp_path):
     kinds = [record["kind"] for record in sim.read_events_jsonl(paths["events"])]
     assert kinds.count("drop") > 0
     assert kinds.count("error_corrected") > 0
+
+
+def test_write_streams_the_log(tmp_path):
+    # the log goes to the file a block at a time: the stock day's 4.4 MB of
+    # events.jsonl never exists in memory as one string or bytes object
+    report = sim.run_scenario(_stock_day())
+    tracemalloc.start()
+    try:
+        report.write(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "events.jsonl").stat().st_size > 4 * 2**20
+    assert peak < 2**20, f"traced peak {peak} B in SimReport.write"
+
+
+def test_written_log_equals_events_jsonl(tmp_path):
+    report = sim.run_scenario(_lossy_six_hours())
+    paths = report.write(tmp_path)
+    assert paths["events"].read_bytes() == report.events_jsonl().encode("utf-8")

@@ -2,6 +2,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from parksim import sim
 from parksim.domain import ConfigError, FacilityConfig, derived_vacancy
@@ -179,6 +180,71 @@ class TestOccupancySeries:
         paths = report.write(tmp_path)
         records = sim.read_events_jsonl(paths["events"])
         assert records == report.records
+
+
+def _reference_tally(records):
+    """Counts per kind, duration and mean occupancy as separate passes over
+    the list, with occupancy_timeseries + time_weighted_mean."""
+    series = sim.occupancy_timeseries(records)
+    meta = records[0] if records and records[0]["kind"] == "meta" else {}
+    config = meta.get("config", {})
+    if "duration_s" in config:
+        duration = float(config["duration_s"])
+    else:
+        duration = float(max((r["t"] for r in records), default=1.0) or 1.0)
+    counts = {}
+    for record in records:
+        counts[record["kind"]] = counts.get(record["kind"], 0) + 1
+    return counts, duration, sim.time_weighted_mean(series, duration) if series else 0.0
+
+
+def _one_pass_tally(records, block):
+    tally = sim.ReportTally()
+    for i in range(0, len(records), block):
+        tally.add_records(records[i:i + block])
+    return tally.counts, tally.duration_s, tally.mean_occupancy()
+
+
+def _outcome(tally, *args):
+    try:
+        return tally(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def _event_logs(draw):
+    duration = draw(st.one_of(st.sampled_from([100.0, 3600.0, 0.0, -5.0]),
+                              st.floats(min_value=0.1, max_value=1e4)))
+    times = st.one_of(st.sampled_from([0.0, duration, -1.0]),
+                      st.integers(min_value=-5, max_value=200),
+                      st.floats(min_value=-50.0, max_value=2.0 * abs(duration) + 10.0,
+                                allow_nan=False))
+    records = []
+    header = draw(st.sampled_from(["config", "no duration", "none"]))
+    if header != "none":
+        config = {"seed": 7, "duration_s": duration} if header == "config" else {"seed": 7}
+        records.append({"t": 0.0, "kind": "meta", "config": config})
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        record = {"t": draw(times),
+                  "kind": draw(st.sampled_from(["car_parks", "car_departs", "car_parks",
+                                                "publish", "meta"]))}
+        if record["kind"] == "meta":  # only a first record is the log's header
+            record["config"] = {"duration_s": 1.0}
+        records.append(record)
+    damage = draw(st.sampled_from([None, None, None, "t", "kind", "not a dict"]))
+    if damage is not None and records:
+        i = draw(st.integers(min_value=0, max_value=len(records) - 1))
+        if damage == "not a dict":
+            records[i] = [records[i]]
+        else:
+            del records[i][damage]
+    return records
+
+
+@given(_event_logs(), st.sampled_from([1, 3, 1024]))
+def test_one_pass_tally_equals_the_list_references(records, block):
+    assert _outcome(_one_pass_tally, records, block) == _outcome(_reference_tally, records)
 
 
 class TestNetworkInjection:

@@ -109,6 +109,15 @@ class TestAggregator:
 # -- the one-pass rollup against a scan per window ------------------------------
 
 
+def _left_to_right(values):
+    """The rollup's summing contract: from 0, each value added in order.
+    (sum() is not the statement of it: Python 3.12+ compensates its float sums.)"""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def _reference_rows(records, duration_s, window_s):
     """rows() as a separate filter over every sample for each window."""
     samples = []  # (kind, value, t)
@@ -128,13 +137,13 @@ def _reference_rows(records, duration_s, window_s):
     per_window = []
     for start, end in bounds:
         in_window = [s for s in samples if start <= s[2] < end or (s[2] == end == duration_s)]
-        byte_total = sum(s[1] for s in in_window if s[0] == "bytes")
+        byte_total = _left_to_right(s[1] for s in in_window if s[0] == "bytes")
         delays = [s[1] for s in in_window if s[0] == "delay"]
         if byte_total > 0:
             per_window.append(("data_rate_bytes_per_s", start, end, data_rate(byte_total, end - start)))
         if delays:
-            per_window.append(("delay_mean_s", start, end, sum(delays) / len(delays)))
-    bytes_total = sum(s[1] for s in samples if s[0] == "bytes")
+            per_window.append(("delay_mean_s", start, end, _left_to_right(delays) / len(delays)))
+    bytes_total = _left_to_right(s[1] for s in samples if s[0] == "bytes")
     delays = [s[1] for s in samples if s[0] == "delay"]
     corrected = sum(1 for s in samples if s[0] == "error_corrected")
     uncorrected = sum(1 for s in samples if s[0] == "error_uncorrected")
@@ -148,7 +157,7 @@ def _reference_rows(records, duration_s, window_s):
         "ec_modeled": error_correction_rate(corrected, corrected + uncorrected),
     }
     if delays:
-        for name, value in (("delay_mean_s", sum(delays) / len(delays)),
+        for name, value in (("delay_mean_s", _left_to_right(delays) / len(delays)),
                             ("delay_min_s", min(delays)), ("delay_max_s", max(delays))):
             run_rows.append((name, 0.0, duration_s, value))
             summary[name] = value
