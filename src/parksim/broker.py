@@ -7,6 +7,11 @@ TCP server drives it from one `selectors` loop on one thread with the
 monotonic clock. All state transitions happen inside whichever single loop
 owns the instance, so they serialize naturally and need no lock.
 
+Send and Close are immutable `values.Value` classes, like the packets.
+handle() dispatches on the packet's exact type through one table; a
+connected session that sends a type with no entry (a packet only a server
+sends) is dropped and its connection closed as unexpected.
+
 QoS-1 bookkeeping doubles as the error-recovery model: an outbound publish
 whose first transmission times out unacknowledged counts as an error, a
 later acknowledged retry marks it corrected, and exhausting max_retries
@@ -50,6 +55,7 @@ from .codec import (
     UnsubAck,
     Unsubscribe,
 )
+from .values import Value
 
 log = logging.getLogger(__name__)
 
@@ -58,29 +64,28 @@ RETURN_UNSUPPORTED = 0x01
 RETURN_ID_REJECTED = 0x02
 
 
-@dataclass(frozen=True)
-class Send:
-    conn_id: str
-    packet: MqttPacket
+class Send(Value):
+    __slots__ = ("conn_id", "packet")
 
 
-@dataclass(frozen=True)
-class Close:
-    conn_id: str
-    client_id: str | None = None
-    reason: str = ""
+class Close(Value, defaults={"client_id": None, "reason": ""}):
+    __slots__ = ("conn_id", "client_id", "reason")
 
 
 BrokerOutput = Send | Close
 
 
-@dataclass
 class Inflight:
-    publish: Publish          # qos-1 frame as first sent (dup clear)
-    accept_t: float           # when the broker accepted the originating message
-    deadline: float           # last transmission time + ack timeout
-    retries: int = 0
-    errored: bool = False
+    """A qos-1 copy awaiting its PUBACK."""
+
+    __slots__ = ("publish", "accept_t", "deadline", "retries", "errored")
+
+    def __init__(self, publish: Publish, accept_t: float, deadline: float) -> None:
+        self.publish = publish      # qos-1 frame as first sent (dup clear)
+        self.accept_t = accept_t    # when the broker accepted the originating message
+        self.deadline = deadline    # last transmission time + ack timeout
+        self.retries = 0
+        self.errored = False
 
 
 @dataclass
@@ -227,32 +232,19 @@ class BrokerCore:
     # -- inbound ---------------------------------------------------------
 
     def handle(self, conn_id: str, packet: MqttPacket, now: float) -> list[BrokerOutput]:
-        if isinstance(packet, Connect):
+        kind = type(packet)
+        if kind is Connect:
             return self._handle_connect(conn_id, packet, now)
         client_id = self.conn_to_client.get(conn_id)
         if client_id is None:
-            return [Close(conn_id, reason="packet before CONNECT")]
+            return [Close(conn_id, None, "packet before CONNECT")]
         session = self.sessions[client_id]
         session.last_seen_t = now
-
-        if isinstance(packet, Publish):
-            return self._handle_publish(session, packet, now)
-        if isinstance(packet, Subscribe):
-            return self._handle_subscribe(session, packet, now)
-        if isinstance(packet, Unsubscribe):
-            for topic_filter in packet.filters:
-                if session.subscriptions.pop(topic_filter, None) is not None:
-                    _trie_remove(self._subscription_trie, topic_filter.split("/"), client_id)
-            return [Send(conn_id, UnsubAck(packet_id=packet.packet_id))]
-        if isinstance(packet, PubAck):
-            self._handle_puback(session, packet)
-            return []
-        if isinstance(packet, PingReq):
-            return [Send(conn_id, PingResp())]
-        if isinstance(packet, Disconnect):
-            self._drop_session(client_id)
-            return [Close(conn_id, client_id=client_id, reason="client disconnect")]
-        return [Close(conn_id, client_id=client_id, reason=f"unexpected {type(packet).__name__}")]
+        handler = _SESSION_HANDLERS.get(kind)
+        if handler is None:
+            self._drop_session(client_id)  # the Close ends it, as a DISCONNECT would
+            return [Close(conn_id, client_id, f"unexpected {kind.__name__}")]
+        return handler(self, session, packet, now)
 
     def _handle_connect(self, conn_id: str, packet: Connect, now: float) -> list[BrokerOutput]:
         if conn_id in self.conn_to_client:
@@ -274,7 +266,7 @@ class BrokerCore:
         if existing is not None:
             # session takeover: the newer connection wins
             self._drop_session(packet.client_id)
-            outputs.append(Close(existing.conn_id, client_id=packet.client_id, reason="takeover"))
+            outputs.append(Close(existing.conn_id, packet.client_id, "takeover"))
         session = Session(
             client_id=packet.client_id,
             conn_id=conn_id,
@@ -284,33 +276,27 @@ class BrokerCore:
         )
         self.sessions[packet.client_id] = session
         self.conn_to_client[conn_id] = packet.client_id
-        outputs.append(Send(conn_id, ConnAck(return_code=RETURN_ACCEPTED)))
+        outputs.append(Send(conn_id, ConnAck(RETURN_ACCEPTED)))
         return outputs
 
     def _handle_publish(self, sender: Session, packet: Publish, now: float) -> list[BrokerOutput]:
         outputs: list[BrokerOutput] = []
-        if packet.qos == 1:
-            outputs.append(Send(sender.conn_id, PubAck(packet_id=packet.packet_id)))
+        topic, payload, qos = packet.topic, packet.payload, packet.qos
+        if qos == 1:
+            outputs.append(Send(sender.conn_id, PubAck(packet.packet_id)))
         if packet.retain:
-            if not packet.payload:
-                if self.retained.pop(packet.topic, None) is not None:
-                    _trie_remove(self._retained_trie, packet.topic.split("/"), packet.topic)
+            if not payload:
+                if self.retained.pop(topic, None) is not None:
+                    _trie_remove(self._retained_trie, topic.split("/"), topic)
             else:
-                if packet.topic not in self.retained:
-                    _trie_insert(self._retained_trie, packet.topic.split("/"),
-                                 packet.topic, next(self._seq))
-                self.retained[packet.topic] = (packet.payload, packet.qos)
+                if topic not in self.retained:
+                    _trie_insert(self._retained_trie, topic.split("/"), topic, next(self._seq))
+                self.retained[topic] = (payload, qos)
         sessions = self.sessions
-        for client_id, sub_qos in self._subscribers(packet.topic).items():
-            self._outbound_publish(
-                outputs,
-                sessions[client_id],
-                topic=packet.topic,
-                payload=packet.payload,
-                qos=min(packet.qos, sub_qos),
-                retain=False,
-                now=now,
-            )
+        outbound = self._outbound_publish
+        for client_id, sub_qos in self._subscribers(topic).items():
+            outbound(outputs, sessions[client_id], topic, payload,
+                     qos if qos < sub_qos else sub_qos, False, now)
         return outputs
 
     def _handle_subscribe(self, session: Session, packet: Subscribe, now: float) -> list[BrokerOutput]:
@@ -322,22 +308,28 @@ class BrokerCore:
             session.subscriptions[topic_filter] = qos
             _trie_insert(self._subscription_trie, topic_filter.split("/"), session.client_id, qos)
             granted.append(qos)
-        outputs: list[BrokerOutput] = [
-            Send(session.conn_id, SubAck(packet_id=packet.packet_id, granted=tuple(granted)))
-        ]
+        outputs: list[BrokerOutput] = [Send(session.conn_id, SubAck(packet.packet_id, tuple(granted)))]
+        retained = self.retained
+        outbound = self._outbound_publish
         for topic_filter, qos in packet.filters:
             for topic in self._retained_matching(topic_filter):
-                payload, retained_qos = self.retained[topic]
-                self._outbound_publish(
-                    outputs,
-                    session,
-                    topic=topic,
-                    payload=payload,
-                    qos=min(retained_qos, qos),
-                    retain=True,
-                    now=now,
-                )
+                payload, retained_qos = retained[topic]
+                outbound(outputs, session, topic, payload,
+                         retained_qos if retained_qos < qos else qos, True, now)
         return outputs
+
+    def _handle_unsubscribe(self, session: Session, packet: Unsubscribe, now: float) -> list[BrokerOutput]:
+        for topic_filter in packet.filters:
+            if session.subscriptions.pop(topic_filter, None) is not None:
+                _trie_remove(self._subscription_trie, topic_filter.split("/"), session.client_id)
+        return [Send(session.conn_id, UnsubAck(packet.packet_id))]
+
+    def _handle_pingreq(self, session: Session, packet: PingReq, now: float) -> list[BrokerOutput]:
+        return [Send(session.conn_id, PingResp())]
+
+    def _handle_disconnect(self, session: Session, packet: Disconnect, now: float) -> list[BrokerOutput]:
+        self._drop_session(session.client_id)
+        return [Close(session.conn_id, session.client_id, "client disconnect")]
 
     def _subscribers(self, topic: str) -> dict[str, int]:
         """client_id -> highest qos granted by that session's filters matching
@@ -364,14 +356,14 @@ class BrokerCore:
         found.sort(key=itemgetter(1))
         return [topic for topic, _ in found]
 
-    def _handle_puback(self, session: Session, packet: PubAck) -> None:
+    def _handle_puback(self, session: Session, packet: PubAck, now: float) -> list[BrokerOutput]:
         entry = session.inflight.pop(packet.packet_id, None)
         if entry is None:
             log.debug("stray PUBACK %d from %s", packet.packet_id, session.client_id)
-            return
-        if entry.errored:
+        elif entry.errored:
             self.corrected_errors += 1
             self._emit("error_corrected", client_id=session.client_id, topic=entry.publish.topic)
+        return []
 
     def _outbound_publish(
         self, outputs: list[BrokerOutput], session: Session, topic: str, payload: bytes,
@@ -387,12 +379,9 @@ class BrokerCore:
                 self.uncorrected_errors += 1
                 self._emit("error_uncorrected", client_id=session.client_id, topic=topic)
                 return
-        publish = Publish(
-            topic=topic, payload=payload, qos=qos, retain=retain, dup=False, packet_id=packet_id
-        )
+        publish = Publish(topic, payload, qos, retain, False, packet_id)
         if qos == 1:
-            session.inflight[packet_id] = Inflight(
-                publish=publish, accept_t=now, deadline=now + self.ack_timeout_s)
+            session.inflight[packet_id] = Inflight(publish, now, now + self.ack_timeout_s)
         outputs.append(Send(session.conn_id, publish))
 
     # -- timers ----------------------------------------------------------
@@ -436,17 +425,9 @@ class BrokerCore:
                 entry.deadline = now + self.ack_timeout_s
                 entry.errored = True
                 inflight[packet_id] = entry  # back of the deadline order
-                outputs.append(Send(
-                    session.conn_id,
-                    Publish(
-                        topic=entry.publish.topic,
-                        payload=entry.publish.payload,
-                        qos=1,
-                        retain=entry.publish.retain,
-                        dup=True,
-                        packet_id=packet_id,
-                    ),
-                ))
+                first = entry.publish
+                outputs.append(Send(session.conn_id, Publish(
+                    first.topic, first.payload, 1, first.retain, True, packet_id)))
         return outputs
 
     def keepalive_sweep(self, now: float) -> list[BrokerOutput]:
@@ -458,7 +439,7 @@ class BrokerCore:
                 continue
             if now >= session.last_seen_t + 1.5 * session.keep_alive_s:
                 self._drop_session(client_id)
-                outputs.append(Close(session.conn_id, client_id=client_id, reason="keepalive timeout"))
+                outputs.append(Close(session.conn_id, client_id, "keepalive timeout"))
         return outputs
 
     # -- transport notifications -----------------------------------------
@@ -482,3 +463,15 @@ class BrokerCore:
     @property
     def total_errors(self) -> int:
         return self.corrected_errors + self.uncorrected_errors
+
+
+# BrokerCore.handle's table for packets from a connected session; a type
+# missing here closes the connection as unexpected.
+_SESSION_HANDLERS: dict[type, Callable[..., list[BrokerOutput]]] = {
+    Publish: BrokerCore._handle_publish,
+    PubAck: BrokerCore._handle_puback,
+    Subscribe: BrokerCore._handle_subscribe,
+    Unsubscribe: BrokerCore._handle_unsubscribe,
+    PingReq: BrokerCore._handle_pingreq,
+    Disconnect: BrokerCore._handle_disconnect,
+}

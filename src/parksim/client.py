@@ -63,7 +63,7 @@ class ClientEngine:
 
     def publish_packet(self, topic: str, payload: bytes, qos: int = 0, retain: bool = False) -> Publish:
         packet_id = self._take_packet_id() if qos == 1 else None
-        packet = Publish(topic=topic, payload=payload, qos=qos, retain=retain, packet_id=packet_id)
+        packet = Publish(topic, payload, qos, retain, False, packet_id)
         if qos == 1:
             self.inflight[packet_id] = packet
         return packet
@@ -77,24 +77,43 @@ class ClientEngine:
 
     def handle_packet(self, packet: MqttPacket) -> list[MqttPacket]:
         """Process one inbound packet; returns the packets to send back."""
-        if isinstance(packet, ConnAck):
-            self.connack_code = packet.return_code
-            self.connected = packet.return_code == 0
+        handler = _HANDLERS.get(type(packet))
+        if handler is None:
+            log.debug("client %s ignoring %s", self.client_id, type(packet).__name__)
             return []
-        if isinstance(packet, Publish):
-            if self.on_message is not None:
-                self.on_message(packet.topic, packet.payload, packet.retain, packet.dup)
-            if packet.qos == 1:
-                return [PubAck(packet_id=packet.packet_id)]
-            return []
-        if isinstance(packet, PubAck):
-            if self.inflight.pop(packet.packet_id, None) is None:
-                log.debug("stray PUBACK %d at client %s", packet.packet_id, self.client_id)
-            return []
-        if isinstance(packet, SubAck):
-            self.pending_subscribes.discard(packet.packet_id)
-            return []
-        if isinstance(packet, (PingResp, UnsubAck)):
-            return []
-        log.debug("client %s ignoring %s", self.client_id, type(packet).__name__)
+        return handler(self, packet)
+
+    def _on_connack(self, packet: ConnAck) -> list[MqttPacket]:
+        self.connack_code = packet.return_code
+        self.connected = packet.return_code == 0
         return []
+
+    def _on_publish(self, packet: Publish) -> list[MqttPacket]:
+        if self.on_message is not None:
+            self.on_message(packet.topic, packet.payload, packet.retain, packet.dup)
+        if packet.qos == 1:
+            return [PubAck(packet.packet_id)]
+        return []
+
+    def _on_puback(self, packet: PubAck) -> list[MqttPacket]:
+        if self.inflight.pop(packet.packet_id, None) is None:
+            log.debug("stray PUBACK %d at client %s", packet.packet_id, self.client_id)
+        return []
+
+    def _on_suback(self, packet: SubAck) -> list[MqttPacket]:
+        self.pending_subscribes.discard(packet.packet_id)
+        return []
+
+    def _on_ack(self, packet: PingResp | UnsubAck) -> list[MqttPacket]:
+        return []
+
+
+# ClientEngine.handle_packet's table; a type missing here is logged and ignored.
+_HANDLERS: dict[type, Callable[[ClientEngine, MqttPacket], list[MqttPacket]]] = {
+    ConnAck: ClientEngine._on_connack,
+    Publish: ClientEngine._on_publish,
+    PubAck: ClientEngine._on_puback,
+    SubAck: ClientEngine._on_suback,
+    PingResp: ClientEngine._on_ack,
+    UnsubAck: ClientEngine._on_ack,
+}

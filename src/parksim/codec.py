@@ -13,13 +13,20 @@ the frame body, so it can be handed a memoryview slice of a larger receive
 buffer. The remaining-length cap is enforced before any payload allocation.
 FrameSplitter turns one connection's byte stream into packets on top of it.
 frame_size() gives the length encode_packet() would produce for a PUBLISH,
-after the same checks, without building the frame.
+after the same checks, without building the frame. A QoS 0 PUBLISH must
+not set DUP (MQTT-3.3.1-2): neither side encodes one, and decoding one is a
+protocol error.
+
+Packets are immutable `values.Value` classes: slotted, built positionally
+or by keyword, read-only, equal only to a packet of the same type with the
+same fields. Decoding builds them positionally.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+
+from .values import Value
 
 # Protocol ceiling for the remaining-length varint.
 MAX_REMAINING_LENGTH = 268_435_455
@@ -39,72 +46,53 @@ class EncodeError(Exception):
     """Packet violates its invariants and cannot be serialized."""
 
 
-@dataclass(frozen=True)
-class Connect:
-    client_id: str
-    keep_alive_s: int = 0
-    clean_session: bool = True
-    # Set on decode when the frame asks for wills, auth, QoS-2 wills,
-    # a persistent session, or a protocol other than MQTT level 4.
-    requests_unsupported: bool = False
+class Connect(Value, defaults={"keep_alive_s": 0, "clean_session": True,
+                               "requests_unsupported": False}):
+    # requests_unsupported is set on decode when the frame asks for wills,
+    # auth, QoS-2 wills, a persistent session, or a protocol other than
+    # MQTT level 4.
+    __slots__ = ("client_id", "keep_alive_s", "clean_session", "requests_unsupported")
 
 
-@dataclass(frozen=True)
-class ConnAck:
-    return_code: int = 0
+class ConnAck(Value, defaults={"return_code": 0}):
+    __slots__ = ("return_code",)
 
 
-@dataclass(frozen=True)
-class Publish:
-    topic: str
-    payload: bytes = b""
-    qos: int = 0
-    retain: bool = False
-    dup: bool = False
-    packet_id: int | None = None
+class Publish(Value, defaults={"payload": b"", "qos": 0, "retain": False, "dup": False,
+                               "packet_id": None}):
+    __slots__ = ("topic", "payload", "qos", "retain", "dup", "packet_id")
 
 
-@dataclass(frozen=True)
-class PubAck:
-    packet_id: int
+class PubAck(Value):
+    __slots__ = ("packet_id",)
 
 
-@dataclass(frozen=True)
-class Subscribe:
-    packet_id: int
-    filters: tuple[tuple[str, int], ...]
+class Subscribe(Value):
+    __slots__ = ("packet_id", "filters")  # filters: ((filter, qos), ...)
 
 
-@dataclass(frozen=True)
-class SubAck:
-    packet_id: int
-    granted: tuple[int, ...]
+class SubAck(Value):
+    __slots__ = ("packet_id", "granted")  # granted: (qos, ...)
 
 
-@dataclass(frozen=True)
-class Unsubscribe:
-    packet_id: int
-    filters: tuple[str, ...]
+class Unsubscribe(Value):
+    __slots__ = ("packet_id", "filters")  # filters: (filter, ...)
 
 
-@dataclass(frozen=True)
-class UnsubAck:
-    packet_id: int
+class UnsubAck(Value):
+    __slots__ = ("packet_id",)
 
 
-@dataclass(frozen=True)
-class PingReq:
-    pass
+class PingReq(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PingResp:
-    pass
+class PingResp(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Disconnect:
-    pass
+class Disconnect(Value):
+    __slots__ = ()
 
 
 MqttPacket = (
@@ -237,6 +225,8 @@ def _check_publish(packet: Publish) -> None:
         _check_packet_id(packet.packet_id)
     elif packet.packet_id is not None:
         raise EncodeError("qos 0 publish must not carry a packet_id")
+    elif packet.dup:
+        raise EncodeError("qos 0 publish must not set DUP")  # MQTT-3.3.1-2
 
 
 def frame_size(packet: Publish) -> int:
@@ -487,12 +477,7 @@ def _decode_body(ptype: int, flags: int, body: bytes) -> MqttPacket:
             or password
             or not clean_session
         )
-        return Connect(
-            client_id=client_id,
-            keep_alive_s=keep_alive,
-            clean_session=clean_session,
-            requests_unsupported=unsupported,
-        )
+        return Connect(client_id, keep_alive, clean_session, unsupported)
 
     if ptype == _CONNACK:
         _require_flags(flags, 0, "CONNACK")
@@ -503,7 +488,7 @@ def _decode_body(ptype: int, flags: int, body: bytes) -> MqttPacket:
             raise ProtocolError(f"invalid CONNACK flags byte 0x{ack_flags:X}")
         if code > 5:
             raise ProtocolError(f"CONNACK return code {code} out of range")
-        return ConnAck(return_code=code)
+        return ConnAck(code)
 
     if ptype == _PUBLISH:
         dup = bool(flags & 0x08)
@@ -513,6 +498,8 @@ def _decode_body(ptype: int, flags: int, body: bytes) -> MqttPacket:
             raise ProtocolError("publish qos bits set to 3")
         if qos == 2:
             raise ProtocolError("qos 2 is outside the supported subset")
+        if qos == 0 and dup:
+            raise ProtocolError("qos 0 publish with DUP set")  # MQTT-3.3.1-2
         topic = cur.string()
         try:
             validate_topic(topic)
@@ -524,7 +511,7 @@ def _decode_body(ptype: int, flags: int, body: bytes) -> MqttPacket:
             if packet_id == 0:
                 raise ProtocolError("packet_id 0 is not allowed")
         payload = cur.rest()
-        return Publish(topic=topic, payload=payload, qos=qos, retain=retain, dup=dup, packet_id=packet_id)
+        return Publish(topic, payload, qos, retain, dup, packet_id)
 
     if ptype == _PUBACK:
         _require_flags(flags, 0, "PUBACK")
@@ -532,7 +519,7 @@ def _decode_body(ptype: int, flags: int, body: bytes) -> MqttPacket:
         cur.done()
         if packet_id == 0:
             raise ProtocolError("packet_id 0 is not allowed")
-        return PubAck(packet_id=packet_id)
+        return PubAck(packet_id)
 
     if ptype == _SUBSCRIBE:
         _require_flags(flags, 0x02, "SUBSCRIBE")
@@ -552,7 +539,7 @@ def _decode_body(ptype: int, flags: int, body: bytes) -> MqttPacket:
             filters.append((topic_filter, qos))
         if not filters:
             raise ProtocolError("SUBSCRIBE carries no filters")
-        return Subscribe(packet_id=packet_id, filters=tuple(filters))
+        return Subscribe(packet_id, tuple(filters))
 
     if ptype == _SUBACK:
         _require_flags(flags, 0, "SUBACK")
@@ -564,7 +551,7 @@ def _decode_body(ptype: int, flags: int, body: bytes) -> MqttPacket:
             raise ProtocolError("SUBACK carries no return codes")
         if any(code not in (0, 1) for code in granted):
             raise ProtocolError("SUBACK return code outside the supported subset")
-        return SubAck(packet_id=packet_id, granted=granted)
+        return SubAck(packet_id, granted)
 
     if ptype == _UNSUBSCRIBE:
         _require_flags(flags, 0x02, "UNSUBSCRIBE")
@@ -581,7 +568,7 @@ def _decode_body(ptype: int, flags: int, body: bytes) -> MqttPacket:
             filters.append(topic_filter)
         if not filters:
             raise ProtocolError("UNSUBSCRIBE carries no filters")
-        return Unsubscribe(packet_id=packet_id, filters=tuple(filters))
+        return Unsubscribe(packet_id, tuple(filters))
 
     if ptype == _UNSUBACK:
         _require_flags(flags, 0, "UNSUBACK")
@@ -589,7 +576,7 @@ def _decode_body(ptype: int, flags: int, body: bytes) -> MqttPacket:
         cur.done()
         if packet_id == 0:
             raise ProtocolError("packet_id 0 is not allowed")
-        return UnsubAck(packet_id=packet_id)
+        return UnsubAck(packet_id)
 
     if ptype == _PINGREQ:
         _require_flags(flags, 0, "PINGREQ")

@@ -11,7 +11,7 @@ of overflowing it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .domain import (
     BuzzerOff,
@@ -31,40 +31,31 @@ from .domain import (
     Publish,
     UpdateDisplay,
 )
+from .values import Value
 
 log = logging.getLogger(__name__)
 
 
 # Sensor-side events, timestamped in simulated seconds.
 
-@dataclass(frozen=True)
-class EntranceDetect:
-    t: float
+class EntranceDetect(Value):
+    __slots__ = ("t",)
 
 
-@dataclass(frozen=True)
-class ExitDetect:
-    t: float
+class ExitDetect(Value):
+    __slots__ = ("t",)
 
 
-@dataclass(frozen=True)
-class SlotUpdate:
-    t: float
-    slot_id: int
-    occupied: int
+class SlotUpdate(Value):
+    __slots__ = ("t", "slot_id", "occupied")
 
 
-@dataclass(frozen=True)
-class EnvReading:
-    t: float
-    temp_c: float
-    humidity_pct: float
+class EnvReading(Value):
+    __slots__ = ("t", "temp_c", "humidity_pct")
 
 
-@dataclass(frozen=True)
-class GasReading:
-    t: float
-    ppm: float
+class GasReading(Value):
+    __slots__ = ("t", "ppm")
 
 
 ControllerEvent = EntranceDetect | ExitDetect | SlotUpdate | EnvReading | GasReading
@@ -99,12 +90,8 @@ def _check(state: FacilityState) -> FacilityState:
 
 def render_display(state: FacilityState) -> DisplayFrame:
     """Pure projection of what the entrance panel shows."""
-    return DisplayFrame(
-        temp_c=state.last_temp_c,
-        humidity_pct=state.last_humidity_pct,
-        total_vacant=state.total_vacant,
-        total_slots=state.total_slots,
-    )
+    return DisplayFrame(state.last_temp_c, state.last_humidity_pct,
+                        state.total_vacant, state.total_slots)
 
 
 def handle_entrance(
@@ -255,29 +242,32 @@ class Controller:
         return initial_actions(self.state, self.cfg)
 
     def handle(self, event: ControllerEvent) -> list[ControlAction]:
-        if isinstance(event, EntranceDetect):
-            self.state, actions = handle_entrance(self.state, self.cfg)
-        elif isinstance(event, ExitDetect):
-            if self.state.total_vacant >= self.state.total_slots:
-                self.anomalies.append((event.t, "ghost exit detection at empty lot"))
-            self.state, actions = handle_exit(self.state, self.cfg)
-        elif isinstance(event, SlotUpdate):
-            self.state, actions = handle_slot_update(
-                self.state, self.cfg, event.slot_id, event.occupied
-            )
-        elif isinstance(event, EnvReading):
-            if not 0.0 <= event.humidity_pct <= 100.0:
-                self.anomalies.append((event.t, f"humidity reading {event.humidity_pct} rejected"))
-            self.state, actions = handle_env(
-                self.state, self.cfg, event.temp_c, event.humidity_pct
-            )
-        elif isinstance(event, GasReading):
-            if event.ppm < 0:
-                self.anomalies.append((event.t, f"negative gas reading {event.ppm} rejected"))
-            self.state, actions = handle_gas(self.state, self.cfg, event.ppm)
-        else:
+        on_event = _EVENT_HANDLERS.get(type(event))
+        if on_event is None:
             raise TypeError(f"unknown controller event: {event!r}")
+        self.state, actions = on_event(self, event)
         return actions
+
+    def _on_entrance(self, event: EntranceDetect) -> tuple[FacilityState, list[ControlAction]]:
+        return handle_entrance(self.state, self.cfg)
+
+    def _on_exit(self, event: ExitDetect) -> tuple[FacilityState, list[ControlAction]]:
+        if self.state.total_vacant >= self.state.total_slots:
+            self.anomalies.append((event.t, "ghost exit detection at empty lot"))
+        return handle_exit(self.state, self.cfg)
+
+    def _on_slot(self, event: SlotUpdate) -> tuple[FacilityState, list[ControlAction]]:
+        return handle_slot_update(self.state, self.cfg, event.slot_id, event.occupied)
+
+    def _on_env(self, event: EnvReading) -> tuple[FacilityState, list[ControlAction]]:
+        if not 0.0 <= event.humidity_pct <= 100.0:
+            self.anomalies.append((event.t, f"humidity reading {event.humidity_pct} rejected"))
+        return handle_env(self.state, self.cfg, event.temp_c, event.humidity_pct)
+
+    def _on_gas(self, event: GasReading) -> tuple[FacilityState, list[ControlAction]]:
+        if event.ppm < 0:
+            self.anomalies.append((event.t, f"negative gas reading {event.ppm} rejected"))
+        return handle_gas(self.state, self.cfg, event.ppm)
 
     def close_entrance(self) -> list[ControlAction]:
         self.state, actions = close_entrance_gate(self.state, self.cfg)
@@ -286,3 +276,13 @@ class Controller:
     def close_exit(self) -> list[ControlAction]:
         self.state, actions = close_exit_gate(self.state, self.cfg)
         return actions
+
+
+# Controller.handle's table; any other event type is a TypeError.
+_EVENT_HANDLERS = {
+    EntranceDetect: Controller._on_entrance,
+    ExitDetect: Controller._on_exit,
+    SlotUpdate: Controller._on_slot,
+    EnvReading: Controller._on_env,
+    GasReading: Controller._on_gas,
+}

@@ -1,9 +1,15 @@
-"""Core facility types shared by the controller, simulator, and broker glue."""
+"""Core facility types shared by the controller, simulator, and broker glue.
+
+The display frame and the control actions are `values.Value` classes:
+immutable, slotted and cheap to build, one set per controller event.
+"""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
+from .values import Value
 
 
 class ConfigError(Exception):
@@ -70,14 +76,10 @@ class FacilityState:
         return len(self.slots)
 
 
-@dataclass(frozen=True)
-class DisplayFrame:
-    temp_c: float
-    humidity_pct: float
-    total_vacant: int
-    total_slots: int
+class DisplayFrame(Value):
+    __slots__ = ("temp_c", "humidity_pct", "total_vacant", "total_slots")
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not 0 <= self.total_vacant <= self.total_slots:
             raise ValueError(f"total_vacant {self.total_vacant} outside [0, {self.total_slots}]")
 
@@ -85,59 +87,48 @@ class DisplayFrame:
 # Control actions emitted by the controller. The runtime (simulator or live
 # loop) is responsible for actually driving actuators and the MQTT client.
 
-@dataclass(frozen=True)
-class OpenEntranceGate:
-    pass
+class OpenEntranceGate(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CloseEntranceGate:
-    pass
+class CloseEntranceGate(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OpenExitGate:
-    pass
+class OpenExitGate(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CloseExitGate:
-    pass
+class CloseExitGate(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BuzzerOn:
-    pass
+class BuzzerOn(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BuzzerOff:
-    pass
+class BuzzerOff(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FanOn:
-    pass
+class FanOn(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FanOff:
-    pass
+class FanOff(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UpdateDisplay:
-    frame: DisplayFrame
+class UpdateDisplay(Value):
+    __slots__ = ("frame",)
 
 
-@dataclass(frozen=True)
-class Publish:
-    topic: str
-    payload: bytes
-    retained: bool = False
+class Publish(Value, defaults={"retained": False}):
+    __slots__ = ("topic", "payload", "retained")
 
-    def __post_init__(self) -> None:
-        if not self.topic or any(c in self.topic for c in "+#"):
+    def _validate(self) -> None:
+        topic = self.topic
+        if not topic or "+" in topic or "#" in topic:
             raise ValueError(f"publish topic must be non-empty and wildcard-free: {self.topic!r}")
 
 

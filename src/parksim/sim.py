@@ -15,6 +15,10 @@ can additionally be dropped with a configured probability, which the qos-1
 retry machinery then has to repair. The broker's timer is one heap event at
 a time: a BrokerTimer at the core's next_deadline(), re-armed after each
 tick.
+
+Event payloads are immutable `values.Value` classes. The loop dispatches
+each one on its exact type through the `handlers` table, and the
+controller's actions go the same way through `action_handlers`.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import heapq
 import json
 import logging
 from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -32,6 +37,7 @@ from . import codec, controller as ctrl, domain, sensors, stochastic, telemetry
 from .broker import BrokerCore, Close, Send
 from .client import ClientEngine
 from .scenario import ScenarioConfig, to_flat_dict
+from .values import Value
 
 log = logging.getLogger(__name__)
 
@@ -50,49 +56,37 @@ _BLOCK_RECORDS = 1024  # events.jsonl is encoded and written this many lines at 
 
 # -- event payloads ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CarArrives:
-    car_id: int
+class CarArrives(Value):
+    __slots__ = ("car_id",)
 
 
-@dataclass(frozen=True)
-class CarParks:
-    car_id: int
+class CarParks(Value):
+    __slots__ = ("car_id",)
 
 
-@dataclass(frozen=True)
-class CarDeparts:
-    car_id: int
-    slot: int
+class CarDeparts(Value):
+    __slots__ = ("car_id", "slot")
 
 
-@dataclass(frozen=True)
-class SensorSample:
-    kind: str  # "env" or "gas"
+class SensorSample(Value):
+    __slots__ = ("kind",)  # "env" or "gas"
 
 
-@dataclass(frozen=True)
-class PacketDelivery:
-    destination: str
-    source: str
-    packet: codec.MqttPacket
-    accept_t: float | None = None  # broker accept time, for delay measurement
+class PacketDelivery(Value, defaults={"accept_t": None}):
+    # accept_t: broker accept time, for delay measurement
+    __slots__ = ("destination", "source", "packet", "accept_t")
 
 
-@dataclass(frozen=True)
-class GasInjectionEvent:
-    gas: str
-    ppm: float
+class GasInjectionEvent(Value):
+    __slots__ = ("gas", "ppm")
 
 
-@dataclass(frozen=True)
-class GateTimer:
-    gate: str  # "entrance" or "exit"
+class GateTimer(Value):
+    __slots__ = ("gate",)  # "entrance" or "exit"
 
 
-@dataclass(frozen=True)
-class BrokerTimer:
-    pass
+class BrokerTimer(Value):
+    __slots__ = ()
 
 
 SimPayload = (
@@ -188,8 +182,25 @@ class SimReport:
 
 
 def _encoded_blocks(records: list[dict[str, Any]]):
-    """(records, their events.jsonl lines as one string), _BLOCK_RECORDS at a time."""
-    encode = _RECORD_ENCODER.encode
+    """(records, their events.jsonl lines as one string), _BLOCK_RECORDS at a time.
+
+    _RECORD_ENCODER.encode would build a new C encoder for every record; one
+    built here with the same settings serves them all. Its markers dict
+    keeps the circular-reference check, and is empty again after each
+    record.
+    """
+    enc = _RECORD_ENCODER
+    if c_make_encoder is None:
+        encode = enc.encode
+    else:
+        iterencode = c_make_encoder(
+            {} if enc.check_circular else None, enc.default,
+            encode_basestring_ascii if enc.ensure_ascii else encode_basestring, enc.indent,
+            enc.key_separator, enc.item_separator, enc.sort_keys, enc.skipkeys, enc.allow_nan)
+
+        def encode(record):
+            return "".join(iterencode(record, 0))
+
     for i in range(0, len(records), _BLOCK_RECORDS):
         block = records[i:i + _BLOCK_RECORDS]
         yield block, "".join([encode(r) + "\n" for r in block])
@@ -230,6 +241,14 @@ class Simulation:
             CarDeparts: self._on_car_departs, SensorSample: self._on_sensor_sample,
             PacketDelivery: self._on_packet_delivery, GasInjectionEvent: self._on_gas_injection,
             GateTimer: self._on_gate_timer, BrokerTimer: self._on_broker_timer,
+        }
+        self.action_handlers = {
+            domain.Publish: self._do_publish, domain.UpdateDisplay: self._do_update_display,
+            domain.OpenEntranceGate: self._do_open_entrance, domain.OpenExitGate: self._do_open_exit,
+            domain.CloseEntranceGate: self._do_close_entrance,
+            domain.CloseExitGate: self._do_close_exit,
+            domain.BuzzerOn: self._do_buzzer_on, domain.BuzzerOff: self._do_buzzer_off,
+            domain.FanOn: self._do_fan_on, domain.FanOff: self._do_fan_off,
         }
 
         self.records: list[dict[str, Any]] = []
@@ -275,7 +294,7 @@ class Simulation:
 
     def _dispatch_broker_outputs(self, outputs: list[Send | Close]) -> None:
         for output in outputs:
-            if isinstance(output, Close):
+            if type(output) is Close:
                 self._record("conn_close", client_id=output.client_id or output.conn_id,
                              reason=output.reason)
                 continue
@@ -315,40 +334,54 @@ class Simulation:
     # -- controller actions -----------------------------------------------
 
     def _apply_actions(self, actions: list[domain.ControlAction]) -> None:
+        handlers = self.action_handlers
         for action in actions:
-            if isinstance(action, domain.Publish):
-                packet = self.controller_client.publish_packet(
-                    action.topic, action.payload,
-                    qos=self.cfg.mqtt.publish_qos, retain=action.retained,
-                )
-                self._send_to_broker(CONTROLLER_CONN, packet)
-            elif isinstance(action, domain.UpdateDisplay):
-                frame = action.frame
-                self._record("display", temp_c=frame.temp_c, humidity_pct=frame.humidity_pct,
-                             total_vacant=frame.total_vacant, total_slots=frame.total_slots)
-            elif isinstance(action, domain.OpenEntranceGate):
-                self._record("gate", gate="entrance", state="open")
-                self._push(self.now + self.cfg.facility.gate_open_s, GateTimer("entrance"))
-            elif isinstance(action, domain.OpenExitGate):
-                self._record("gate", gate="exit", state="open")
-                self._push(self.now + self.cfg.facility.gate_open_s, GateTimer("exit"))
-            elif isinstance(action, domain.CloseEntranceGate):
-                self._record("gate", gate="entrance", state="closed")
-            elif isinstance(action, domain.CloseExitGate):
-                self._record("gate", gate="exit", state="closed")
-            elif isinstance(action, domain.BuzzerOn):
-                self._record("buzzer", state="on")
-            elif isinstance(action, domain.BuzzerOff):
-                self._record("buzzer", state="off")
-            elif isinstance(action, domain.FanOn):
-                self.counters["fan_on_events"] += 1
-                self.gas_field.set_fan(self.now, True)
-                self._record("fan", state="on")
-            elif isinstance(action, domain.FanOff):
-                self.counters["fan_off_events"] += 1
-                self.gas_field.set_fan(self.now, False)
-                self._record("fan", state="off")
+            handler = handlers.get(type(action))
+            if handler is not None:  # an action the simulator does not model is skipped
+                handler(action)
         self._drain_anomalies()
+
+    def _do_publish(self, action: domain.Publish) -> None:
+        packet = self.controller_client.publish_packet(
+            action.topic, action.payload,
+            qos=self.cfg.mqtt.publish_qos, retain=action.retained,
+        )
+        self._send_to_broker(CONTROLLER_CONN, packet)
+
+    def _do_update_display(self, action: domain.UpdateDisplay) -> None:
+        frame = action.frame
+        self._record("display", temp_c=frame.temp_c, humidity_pct=frame.humidity_pct,
+                     total_vacant=frame.total_vacant, total_slots=frame.total_slots)
+
+    def _do_open_entrance(self, action: domain.OpenEntranceGate) -> None:
+        self._record("gate", gate="entrance", state="open")
+        self._push(self.now + self.cfg.facility.gate_open_s, GateTimer("entrance"))
+
+    def _do_open_exit(self, action: domain.OpenExitGate) -> None:
+        self._record("gate", gate="exit", state="open")
+        self._push(self.now + self.cfg.facility.gate_open_s, GateTimer("exit"))
+
+    def _do_close_entrance(self, action: domain.CloseEntranceGate) -> None:
+        self._record("gate", gate="entrance", state="closed")
+
+    def _do_close_exit(self, action: domain.CloseExitGate) -> None:
+        self._record("gate", gate="exit", state="closed")
+
+    def _do_buzzer_on(self, action: domain.BuzzerOn) -> None:
+        self._record("buzzer", state="on")
+
+    def _do_buzzer_off(self, action: domain.BuzzerOff) -> None:
+        self._record("buzzer", state="off")
+
+    def _do_fan_on(self, action: domain.FanOn) -> None:
+        self.counters["fan_on_events"] += 1
+        self.gas_field.set_fan(self.now, True)
+        self._record("fan", state="on")
+
+    def _do_fan_off(self, action: domain.FanOff) -> None:
+        self.counters["fan_off_events"] += 1
+        self.gas_field.set_fan(self.now, False)
+        self._record("fan", state="off")
 
     # -- event handlers -----------------------------------------------------
 

@@ -1,6 +1,7 @@
 
 import copy
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from parksim.broker import BrokerCore, Close, Send
@@ -14,6 +15,7 @@ from parksim.codec import (
     Publish,
     SubAck,
     Subscribe,
+    UnsubAck,
     Unsubscribe,
     topic_matches,
 )
@@ -68,6 +70,21 @@ class TestHandshake:
         outputs = core.handle("c1", Disconnect(), 1.0)
         assert any(isinstance(o, Close) for o in outputs)
         assert "alpha" not in core.sessions
+
+    @pytest.mark.parametrize("packet", [ConnAck(0), SubAck(1, (0,)), UnsubAck(1), PingResp()],
+                             ids=lambda packet: type(packet).__name__)
+    def test_server_to_client_packet_closes_as_unexpected(self, packet):
+        core = BrokerCore()
+        connect(core, "c1", "alpha")
+        outputs = core.handle("c1", packet, 1.0)
+        assert outputs == [Close("c1", client_id="alpha", reason=f"unexpected {type(packet).__name__}")]
+        assert core.sessions == {} and core.conn_to_client == {}
+
+    def test_puback_for_unknown_id_is_ignored(self):
+        core = BrokerCore()
+        connect(core, "c1", "alpha")
+        assert core.handle("c1", PubAck(packet_id=42), 1.0) == []
+        assert core.total_errors == 0 and "alpha" in core.sessions
 
 
 class TestRouting:

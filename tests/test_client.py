@@ -1,7 +1,7 @@
 import pytest
 
 from parksim.client import ClientEngine
-from parksim.codec import ConnAck, PingResp, PubAck, Publish, SubAck
+from parksim.codec import ConnAck, Connect, PingResp, PubAck, Publish, SubAck, Subscribe, UnsubAck
 
 
 def test_connect_handshake_state():
@@ -63,6 +63,16 @@ def test_packet_ids_distinct_across_kinds():
 def test_pingresp_ignored_quietly():
     engine = ClientEngine(client_id="w")
     assert engine.handle_packet(PingResp()) == []
+
+
+@pytest.mark.parametrize(
+    "packet", [Subscribe(1, (("a/#", 0),)), Connect("other"), UnsubAck(3)],
+    ids=lambda packet: type(packet).__name__,
+)
+def test_packets_a_client_never_answers_get_no_response(packet):
+    engine = ClientEngine(client_id="w", on_message=lambda *args: pytest.fail("no message"))
+    assert engine.handle_packet(packet) == []
+    assert not engine.connected and engine.inflight == {} and engine.pending_subscribes == set()
 
 
 def test_wrapped_ids_skip_publishes_and_subscribes_in_flight():

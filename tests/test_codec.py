@@ -65,6 +65,24 @@ def test_publish_qos1_needs_packet_id():
         encode_packet(Publish(topic="a/b", payload=b"x", qos=1, packet_id=None))
 
 
+def test_qos0_publish_with_dup_refused_on_encode():
+    # MQTT-3.3.1-2: DUP must be 0 for every QoS 0 message
+    packet = Publish(topic="a/b", payload=b"x", qos=0, dup=True)
+    with pytest.raises(EncodeError, match="DUP"):
+        encode_packet(packet)
+    with pytest.raises(EncodeError, match="DUP"):
+        codec.frame_size(packet)
+    assert encode_packet(Publish(topic="a/b", payload=b"x", qos=1, dup=True, packet_id=1))
+
+
+def test_qos0_publish_with_dup_is_protocol_error_on_decode():
+    assert decode_packet(b"0\x06\x00\x03a/bx") == (Publish(topic="a/b", payload=b"x"), 8)
+    with pytest.raises(ProtocolError, match="DUP"):
+        decode_packet(b"8\x06\x00\x03a/bx")  # the same frame with DUP (0x08) set
+    packet, _ = decode_packet(b":\x08\x00\x03a/b\x00\x01x")  # qos 1 with DUP is fine
+    assert packet == Publish(topic="a/b", payload=b"x", qos=1, dup=True, packet_id=1)
+
+
 @pytest.mark.parametrize(
     "value,expected",
     [

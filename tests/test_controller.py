@@ -254,6 +254,14 @@ class TestControllerWrapper:
         controller.handle(GasReading(t=3.0, ppm=-4.0))
         assert len(controller.anomalies) == 3
 
+    @pytest.mark.parametrize("event", [object(), FanOn(), (0.0,)], ids=["object", "action", "tuple"])
+    def test_unknown_event_type_raises_and_leaves_state(self, event):
+        cfg, state = facility(2)
+        controller = Controller(cfg, state)
+        with pytest.raises(TypeError, match="unknown controller event"):
+            controller.handle(event)
+        assert controller.state is state and controller.anomalies == []
+
     def test_startup_publishes_every_slot(self):
         cfg, state = facility(5)
         controller = Controller(cfg, state)

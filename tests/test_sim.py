@@ -1,5 +1,7 @@
+import json
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -245,6 +247,57 @@ def _event_logs(draw):
 @given(_event_logs(), st.sampled_from([1, 3, 1024]))
 def test_one_pass_tally_equals_the_list_references(records, block):
     assert _outcome(_one_pass_tally, records, block) == _outcome(_reference_tally, records)
+
+
+_JSON_SCALARS = st.one_of(
+    st.text(),  # any code point, control characters and non-ASCII included
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 1e-300, float("nan"), float("inf"), float("-inf")]),
+    st.booleans(),
+    st.none(),
+)
+
+
+@st.composite
+def _json_records(draw):
+    records = []
+    if draw(st.booleans()):
+        records.append({
+            "t": 0.0, "kind": "meta", "rng": draw(st.text()),
+            "rng_streams": draw(st.lists(st.text(), max_size=6)),
+            "config": draw(st.dictionaries(st.text(), _JSON_SCALARS, max_size=8)),
+        })
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        record = {"t": draw(st.floats(allow_nan=False)), "kind": draw(st.text(max_size=12))}
+        record.update(draw(st.dictionaries(st.text(max_size=8), _JSON_SCALARS, max_size=6)))
+        records.append(record)
+    return records
+
+
+@given(_json_records(), st.sampled_from([1, 3, 1024]), st.booleans())
+def test_encoded_lines_equal_json_dumps(records, block, c_encoder):
+    """Every events.jsonl line is json.dumps of its record, in order and in
+    blocks, through the reused C encoder and through the fallback."""
+    patches = {"_BLOCK_RECORDS": block}
+    if not c_encoder:
+        patches["c_make_encoder"] = None
+    with mock.patch.multiple(sim, **patches):
+        blocks = list(sim._encoded_blocks(records))
+    assert [r for chunk, _ in blocks for r in chunk] == records
+    for chunk, text in blocks:
+        assert len(chunk) <= block
+        assert text == "".join(json.dumps(r, separators=(", ", ": ")) + "\n" for r in chunk)
+
+
+@pytest.mark.parametrize("c_encoder", [True, False])
+def test_encoder_still_refuses_circular_records(c_encoder):
+    looped = {"t": 1.0, "kind": "loop", "list": []}
+    looped["list"].append(looped)
+    records = [{"t": 0.0, "kind": "ok"}, looped]
+    with mock.patch.object(sim, "c_make_encoder", sim.c_make_encoder if c_encoder else None):
+        with pytest.raises(ValueError, match="[Cc]ircular"):
+            list(sim._encoded_blocks(records))
 
 
 class TestNetworkInjection:
