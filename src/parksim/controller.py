@@ -1,10 +1,11 @@
 """Facility controller: sensor events in, actuator commands and publishes out.
 
 Each handler is a pure transition (state, config, reading) -> (new state,
-actions); the wrapper class below serializes events for the simulator and
-keeps the anomaly log. The entrance check is check-then-decrement, so the
+actions); the wrapper class below serializes events for the simulator. A
+handler that refuses a reading says so with an `Anomaly` action, always the
+last of its list. The entrance check is check-then-decrement, so the
 vacancy counter can never go transiently negative; ghost exit detections at
-a fully vacant lot clamp the counter and are recorded as anomalies instead
+a fully vacant lot clamp the counter and are reported as anomalies instead
 of overflowing it.
 """
 
@@ -14,21 +15,17 @@ import logging
 from dataclasses import replace
 
 from .domain import (
-    BuzzerOff,
-    BuzzerOn,
-    CloseEntranceGate,
-    CloseExitGate,
+    Anomaly,
     ControlAction,
     DisplayFrame,
     FacilityConfig,
     FacilityState,
-    FanOff,
-    FanOn,
     GateState,
-    OpenEntranceGate,
-    OpenExitGate,
     Power,
     Publish,
+    SetBuzzer,
+    SetFan,
+    SetGate,
     UpdateDisplay,
 )
 from .values import Value
@@ -107,8 +104,8 @@ def handle_entrance(
         buzzer=Power.ON,
     ))
     actions: list[ControlAction] = [
-        OpenEntranceGate(),
-        BuzzerOn(),
+        SetGate("entrance", GateState.OPEN),
+        SetBuzzer(Power.ON),
         UpdateDisplay(render_display(state)),
         _summary_publish(state, cfg),
         _gate_publish(cfg, "entrance", GateState.OPEN),
@@ -120,18 +117,21 @@ def handle_exit(
     state: FacilityState, cfg: FacilityConfig
 ) -> tuple[FacilityState, list[ControlAction]]:
     """Car at the exit: open the gate and bump the vacancy counter (clamped)."""
-    if state.total_vacant >= state.total_slots:
+    ghost = state.total_vacant >= state.total_slots
+    if ghost:
         log.warning("exit detected with no cars in the lot (sensor ghost); counter clamped")
         vacant = state.total_vacant
     else:
         vacant = state.total_vacant + 1
     state = _check(replace(state, total_vacant=vacant, exit_gate=GateState.OPEN))
     actions: list[ControlAction] = [
-        OpenExitGate(),
+        SetGate("exit", GateState.OPEN),
         UpdateDisplay(render_display(state)),
         _summary_publish(state, cfg),
         _gate_publish(cfg, "exit", GateState.OPEN),
     ]
+    if ghost:
+        actions.append(Anomaly("ghost exit detection at empty lot"))
     return state, actions
 
 
@@ -154,7 +154,7 @@ def handle_env(
     """Cache a temperature/humidity reading, refresh the display, publish both."""
     if not 0.0 <= humidity_pct <= 100.0:
         log.warning("rejecting impossible humidity reading %.1f%%", humidity_pct)
-        return state, []
+        return state, [Anomaly(f"humidity reading {humidity_pct} rejected")]
     state = replace(state, last_temp_c=temp_c, last_humidity_pct=humidity_pct)
     actions: list[ControlAction] = [
         UpdateDisplay(render_display(state)),
@@ -170,17 +170,17 @@ def handle_gas(
     """Gas reading: fan on above the threshold, off below threshold - hysteresis."""
     if ppm < 0:
         log.warning("rejecting negative gas reading %.2f ppm", ppm)
-        return state, []
+        return state, [Anomaly(f"negative gas reading {ppm} rejected")]
     actions: list[ControlAction] = [
         Publish(f"{cfg.topic_prefix}/gas/ppm", f"{ppm:.2f}".encode(), retained=True),
     ]
     fan = state.fan
     if fan is Power.OFF and ppm > cfg.gas_threshold_ppm:
         fan = Power.ON
-        actions += [FanOn(), _fan_publish(cfg, fan)]
     elif fan is Power.ON and ppm <= cfg.gas_threshold_ppm - cfg.gas_hysteresis_ppm:
         fan = Power.OFF
-        actions += [FanOff(), _fan_publish(cfg, fan)]
+    if fan is not state.fan:
+        actions += [SetFan(fan), _fan_publish(cfg, fan)]
     state = replace(state, last_gas_ppm=ppm, fan=fan)
     return state, actions
 
@@ -193,8 +193,8 @@ def close_entrance_gate(
         return state, []
     state = replace(state, entrance_gate=GateState.CLOSED, buzzer=Power.OFF)
     return state, [
-        CloseEntranceGate(),
-        BuzzerOff(),
+        SetGate("entrance", GateState.CLOSED),
+        SetBuzzer(Power.OFF),
         _gate_publish(cfg, "entrance", GateState.CLOSED),
     ]
 
@@ -205,7 +205,7 @@ def close_exit_gate(
     if state.exit_gate is GateState.CLOSED:
         return state, []
     state = replace(state, exit_gate=GateState.CLOSED)
-    return state, [CloseExitGate(), _gate_publish(cfg, "exit", GateState.CLOSED)]
+    return state, [SetGate("exit", GateState.CLOSED), _gate_publish(cfg, "exit", GateState.CLOSED)]
 
 
 def initial_actions(state: FacilityState, cfg: FacilityConfig) -> list[ControlAction]:
@@ -227,16 +227,13 @@ def initial_actions(state: FacilityState, cfg: FacilityConfig) -> list[ControlAc
 class Controller:
     """Event-serialized wrapper around the pure handlers.
 
-    One event in, one action list out; all mutation happens here. Rejected
-    readings and ghost detections are appended to `anomalies` so the
-    simulator can put them in the run log.
+    One event in, one action list out; all mutation happens here.
     """
 
     def __init__(self, cfg: FacilityConfig, state: FacilityState):
         cfg.validate()
         self.cfg = cfg
         self.state = state
-        self.anomalies: list[tuple[float, str]] = []
 
     def startup(self) -> list[ControlAction]:
         return initial_actions(self.state, self.cfg)
@@ -245,29 +242,8 @@ class Controller:
         on_event = _EVENT_HANDLERS.get(type(event))
         if on_event is None:
             raise TypeError(f"unknown controller event: {event!r}")
-        self.state, actions = on_event(self, event)
+        self.state, actions = on_event(self.state, self.cfg, event)
         return actions
-
-    def _on_entrance(self, event: EntranceDetect) -> tuple[FacilityState, list[ControlAction]]:
-        return handle_entrance(self.state, self.cfg)
-
-    def _on_exit(self, event: ExitDetect) -> tuple[FacilityState, list[ControlAction]]:
-        if self.state.total_vacant >= self.state.total_slots:
-            self.anomalies.append((event.t, "ghost exit detection at empty lot"))
-        return handle_exit(self.state, self.cfg)
-
-    def _on_slot(self, event: SlotUpdate) -> tuple[FacilityState, list[ControlAction]]:
-        return handle_slot_update(self.state, self.cfg, event.slot_id, event.occupied)
-
-    def _on_env(self, event: EnvReading) -> tuple[FacilityState, list[ControlAction]]:
-        if not 0.0 <= event.humidity_pct <= 100.0:
-            self.anomalies.append((event.t, f"humidity reading {event.humidity_pct} rejected"))
-        return handle_env(self.state, self.cfg, event.temp_c, event.humidity_pct)
-
-    def _on_gas(self, event: GasReading) -> tuple[FacilityState, list[ControlAction]]:
-        if event.ppm < 0:
-            self.anomalies.append((event.t, f"negative gas reading {event.ppm} rejected"))
-        return handle_gas(self.state, self.cfg, event.ppm)
 
     def close_entrance(self) -> list[ControlAction]:
         self.state, actions = close_entrance_gate(self.state, self.cfg)
@@ -278,11 +254,12 @@ class Controller:
         return actions
 
 
-# Controller.handle's table; any other event type is a TypeError.
+# Controller.handle's table, (state, cfg, event) -> (new state, actions);
+# any other event type is a TypeError.
 _EVENT_HANDLERS = {
-    EntranceDetect: Controller._on_entrance,
-    ExitDetect: Controller._on_exit,
-    SlotUpdate: Controller._on_slot,
-    EnvReading: Controller._on_env,
-    GasReading: Controller._on_gas,
+    EntranceDetect: lambda state, cfg, event: handle_entrance(state, cfg),
+    ExitDetect: lambda state, cfg, event: handle_exit(state, cfg),
+    SlotUpdate: lambda state, cfg, event: handle_slot_update(state, cfg, event.slot_id, event.occupied),
+    EnvReading: lambda state, cfg, event: handle_env(state, cfg, event.temp_c, event.humidity_pct),
+    GasReading: lambda state, cfg, event: handle_gas(state, cfg, event.ppm),
 }

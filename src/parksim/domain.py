@@ -1,7 +1,10 @@
 """Core facility types shared by the controller, simulator, and broker glue.
 
 The display frame and the control actions are `values.Value` classes:
-immutable, slotted and cheap to build, one set per controller event.
+immutable, slotted and cheap to build, one set per controller event. An
+actuator action names the state it sets (`GateState`, `Power`), and a
+refused reading comes back as an `Anomaly` action, so one action list is
+everything a controller event asks of the runtime.
 """
 
 from __future__ import annotations
@@ -86,37 +89,18 @@ class DisplayFrame(Value):
 
 # Control actions emitted by the controller. The runtime (simulator or live
 # loop) is responsible for actually driving actuators and the MQTT client.
+# An actuator action carries the state to drive its actuator to.
 
-class OpenEntranceGate(Value):
-    __slots__ = ()
-
-
-class CloseEntranceGate(Value):
-    __slots__ = ()
+class SetGate(Value):
+    __slots__ = ("gate", "state")  # gate: "entrance" or "exit"
 
 
-class OpenExitGate(Value):
-    __slots__ = ()
+class SetBuzzer(Value):
+    __slots__ = ("state",)
 
 
-class CloseExitGate(Value):
-    __slots__ = ()
-
-
-class BuzzerOn(Value):
-    __slots__ = ()
-
-
-class BuzzerOff(Value):
-    __slots__ = ()
-
-
-class FanOn(Value):
-    __slots__ = ()
-
-
-class FanOff(Value):
-    __slots__ = ()
+class SetFan(Value):
+    __slots__ = ("state",)
 
 
 class UpdateDisplay(Value):
@@ -132,10 +116,13 @@ class Publish(Value, defaults={"retained": False}):
             raise ValueError(f"publish topic must be non-empty and wildcard-free: {self.topic!r}")
 
 
-ControlAction = (
-    OpenEntranceGate | CloseEntranceGate | OpenExitGate | CloseExitGate
-    | BuzzerOn | BuzzerOff | FanOn | FanOff | UpdateDisplay | Publish
-)
+class Anomaly(Value):
+    """A reading or detection the controller refused; the runtime logs it."""
+
+    __slots__ = ("reason",)
+
+
+ControlAction = SetGate | SetBuzzer | SetFan | UpdateDisplay | Publish | Anomaly
 
 
 def new_facility(config: FacilityConfig) -> FacilityState:

@@ -96,6 +96,9 @@ class ScenarioConfig:
         for injection in self.injections:
             if injection.t < 0 or injection.ppm < 0:
                 raise ConfigError(f"bad gas injection: {injection}")
+            if injection.gas not in self.mq2.sensitivities:
+                raise ConfigError(
+                    f"gas injection {injection}: no MQ-2 sensitivity configured for {injection.gas!r}")
 
 
 def default_scenario() -> ScenarioConfig:
@@ -142,7 +145,8 @@ def _parse_injections(raw: str) -> tuple[GasInjection, ...]:
     return tuple(out)
 
 
-# key -> (section attribute or None for top level, field name, parser)
+# key -> (section attribute or None for top level, field name, parser[, index
+# of the key's item in a tuple-valued field]). The order is the meta record's.
 _KEYS = {
     "facility.total_slots": ("facility", "total_slots", int),
     "facility.gas_threshold_ppm": ("facility", "gas_threshold_ppm", float),
@@ -158,8 +162,8 @@ _KEYS = {
     "sensors.env.base_temp_c": ("env", "base_temp_c", float),
     "sensors.env.base_humidity_pct": ("env", "base_humidity_pct", float),
     "sensors.env.relax_tau_s": ("env", "relax_tau_s", float),
-    "sensors.env.noise_sd_temp_c": ("env", "noise_sd", "temp_sd"),
-    "sensors.env.noise_sd_humidity_pct": ("env", "noise_sd", "humidity_sd"),
+    "sensors.env.noise_sd_temp_c": ("env", "noise_sd", float, 0),
+    "sensors.env.noise_sd_humidity_pct": ("env", "noise_sd", float, 1),
     "sensors.mq2.sensitivities": ("mq2", "sensitivities", _parse_sensitivities),
     "sensors.mq2.noise_sd_ppm": ("mq2", "noise_sd_ppm", float),
     "network.latency_s": ("network", "latency_s", float),
@@ -207,18 +211,15 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioConfig:
         if key in seen:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} (first on line {seen[key]})")
         seen[key] = lineno
-        section, name, parser = _KEYS[key]
+        section, name, parser, *index = _KEYS[key]
         try:
-            if parser == "temp_sd":
-                value = (float(raw_value), cfg.env.noise_sd[1])
-                name = "noise_sd"
-            elif parser == "humidity_sd":
-                value = (cfg.env.noise_sd[0], float(raw_value))
-                name = "noise_sd"
-            else:
-                value = parser(raw_value)
+            value = parser(raw_value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
+        if index:
+            items = list(getattr(cfg if section is None else getattr(cfg, section), name))
+            items[index[0]] = value
+            value = tuple(items)
         if section is None:
             cfg = replace(cfg, **{name: value})
         else:
@@ -236,39 +237,22 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     return parse_scenario(text, source=str(path))
 
 
+# the JSON form of a field whose parser does not give a plain scalar
+_JSON_FORMS = {
+    _parse_rates: list,
+    _parse_sensitivities: dict,
+    _parse_injections: lambda injections: [f"{i.t}:{i.gas}:{i.ppm}" for i in injections],
+}
+
+
 def to_flat_dict(cfg: ScenarioConfig) -> dict[str, object]:
-    """Flatten for the run-log meta record; values are JSON-friendly."""
-    return {
-        "facility.total_slots": cfg.facility.total_slots,
-        "facility.gas_threshold_ppm": cfg.facility.gas_threshold_ppm,
-        "facility.gas_hysteresis_ppm": cfg.facility.gas_hysteresis_ppm,
-        "facility.lux_max": cfg.facility.lux_max,
-        "facility.topic_prefix": cfg.facility.topic_prefix,
-        "facility.gate_open_s": cfg.facility.gate_open_s,
-        "traffic.hourly_rates": list(cfg.traffic.hourly_rates),
-        "traffic.dwell_mean_s": cfg.traffic.dwell_mean_s,
-        "sensors.ir.acc_low_lux": cfg.ir.acc_low_lux,
-        "sensors.ir.acc_high_lux": cfg.ir.acc_high_lux,
-        "sensors.ir.lux_max": cfg.ir.lux_max,
-        "sensors.env.base_temp_c": cfg.env.base_temp_c,
-        "sensors.env.base_humidity_pct": cfg.env.base_humidity_pct,
-        "sensors.env.relax_tau_s": cfg.env.relax_tau_s,
-        "sensors.env.noise_sd_temp_c": cfg.env.noise_sd[0],
-        "sensors.env.noise_sd_humidity_pct": cfg.env.noise_sd[1],
-        "sensors.mq2.sensitivities": dict(cfg.mq2.sensitivities),
-        "sensors.mq2.noise_sd_ppm": cfg.mq2.noise_sd_ppm,
-        "network.latency_s": cfg.network.latency_s,
-        "network.drop_prob": cfg.network.drop_prob,
-        "mqtt.publish_qos": cfg.mqtt.publish_qos,
-        "mqtt.ack_timeout_s": cfg.mqtt.ack_timeout_s,
-        "mqtt.max_retries": cfg.mqtt.max_retries,
-        "dashboard.enabled": cfg.dashboard.enabled,
-        "dashboard.qos": cfg.dashboard.qos,
-        "duration_s": cfg.duration_s,
-        "seed": cfg.seed,
-        "gate_to_slot_travel_s": cfg.gate_to_slot_travel_s,
-        "env_sample_period_s": cfg.env_sample_period_s,
-        "gas_sample_period_s": cfg.gas_sample_period_s,
-        "gas_decay_ppm_per_s": cfg.gas_decay_ppm_per_s,
-        "injections": [f"{i.t}:{i.gas}:{i.ppm}" for i in cfg.injections],
-    }
+    """Flatten for the run-log meta record, one entry per scenario key in
+    `_KEYS` order; values are JSON-friendly."""
+    flat: dict[str, object] = {}
+    for key, (section, name, parser, *index) in _KEYS.items():
+        value = getattr(cfg if section is None else getattr(cfg, section), name)
+        if index:
+            value = value[index[0]]
+        form = _JSON_FORMS.get(parser)
+        flat[key] = value if form is None else form(value)
+    return flat

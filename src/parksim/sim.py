@@ -18,7 +18,10 @@ tick.
 
 Event payloads are immutable `values.Value` classes. The loop dispatches
 each one on its exact type through the `handlers` table, and the
-controller's actions go the same way through `action_handlers`.
+controller's actions go the same way through `action_handlers`, which has
+one entry per `domain.ControlAction` member: gate, buzzer and fan actions
+carry their state, and an `Anomaly` action becomes an `anomaly` record
+after the records of the actions before it.
 """
 
 from __future__ import annotations
@@ -230,7 +233,7 @@ class Simulation:
         self.broker = BrokerCore(
             ack_timeout_s=cfg.mqtt.ack_timeout_s,
             max_retries=cfg.mqtt.max_retries,
-            event_sink=self._broker_event,
+            event_sink=self._record,
         )
         self.controller_client = ClientEngine(client_id="facility-controller")
         self.dashboard_client = ClientEngine(client_id="dashboard")
@@ -244,11 +247,8 @@ class Simulation:
         }
         self.action_handlers = {
             domain.Publish: self._do_publish, domain.UpdateDisplay: self._do_update_display,
-            domain.OpenEntranceGate: self._do_open_entrance, domain.OpenExitGate: self._do_open_exit,
-            domain.CloseEntranceGate: self._do_close_entrance,
-            domain.CloseExitGate: self._do_close_exit,
-            domain.BuzzerOn: self._do_buzzer_on, domain.BuzzerOff: self._do_buzzer_off,
-            domain.FanOn: self._do_fan_on, domain.FanOff: self._do_fan_off,
+            domain.SetGate: self._do_set_gate, domain.SetBuzzer: self._do_set_buzzer,
+            domain.SetFan: self._do_set_fan, domain.Anomaly: self._do_anomaly,
         }
 
         self.records: list[dict[str, Any]] = []
@@ -256,7 +256,6 @@ class Simulation:
         self.free_slots = list(range(cfg.facility.total_slots))  # physical truth
         self.car_slot: dict[int, int] = {}
         self.next_car_id = 1
-        self.anomaly_cursor = 0
         self.counters = {
             "arrivals": 0,
             "admitted": 0,
@@ -277,15 +276,6 @@ class Simulation:
         record: dict[str, Any] = {"t": self.now, "kind": kind}
         record.update(fields)
         self.records.append(record)
-
-    def _broker_event(self, kind: str, **fields: Any) -> None:
-        self._record(kind, **fields)
-
-    def _drain_anomalies(self) -> None:
-        while self.anomaly_cursor < len(self.controller.anomalies):
-            t, reason = self.controller.anomalies[self.anomaly_cursor]
-            self.anomaly_cursor += 1
-            self._record("anomaly", reason=reason)
 
     # -- transport --------------------------------------------------------
 
@@ -336,10 +326,7 @@ class Simulation:
     def _apply_actions(self, actions: list[domain.ControlAction]) -> None:
         handlers = self.action_handlers
         for action in actions:
-            handler = handlers.get(type(action))
-            if handler is not None:  # an action the simulator does not model is skipped
-                handler(action)
-        self._drain_anomalies()
+            handlers[type(action)](action)
 
     def _do_publish(self, action: domain.Publish) -> None:
         packet = self.controller_client.publish_packet(
@@ -353,35 +340,22 @@ class Simulation:
         self._record("display", temp_c=frame.temp_c, humidity_pct=frame.humidity_pct,
                      total_vacant=frame.total_vacant, total_slots=frame.total_slots)
 
-    def _do_open_entrance(self, action: domain.OpenEntranceGate) -> None:
-        self._record("gate", gate="entrance", state="open")
-        self._push(self.now + self.cfg.facility.gate_open_s, GateTimer("entrance"))
+    def _do_set_gate(self, action: domain.SetGate) -> None:
+        self._record("gate", gate=action.gate, state=action.state.value)
+        if action.state is domain.GateState.OPEN:
+            self._push(self.now + self.cfg.facility.gate_open_s, GateTimer(action.gate))
 
-    def _do_open_exit(self, action: domain.OpenExitGate) -> None:
-        self._record("gate", gate="exit", state="open")
-        self._push(self.now + self.cfg.facility.gate_open_s, GateTimer("exit"))
+    def _do_set_buzzer(self, action: domain.SetBuzzer) -> None:
+        self._record("buzzer", state=action.state.value)
 
-    def _do_close_entrance(self, action: domain.CloseEntranceGate) -> None:
-        self._record("gate", gate="entrance", state="closed")
+    def _do_set_fan(self, action: domain.SetFan) -> None:
+        on = action.state is domain.Power.ON
+        self.counters["fan_on_events" if on else "fan_off_events"] += 1
+        self.gas_field.set_fan(self.now, on)
+        self._record("fan", state=action.state.value)
 
-    def _do_close_exit(self, action: domain.CloseExitGate) -> None:
-        self._record("gate", gate="exit", state="closed")
-
-    def _do_buzzer_on(self, action: domain.BuzzerOn) -> None:
-        self._record("buzzer", state="on")
-
-    def _do_buzzer_off(self, action: domain.BuzzerOff) -> None:
-        self._record("buzzer", state="off")
-
-    def _do_fan_on(self, action: domain.FanOn) -> None:
-        self.counters["fan_on_events"] += 1
-        self.gas_field.set_fan(self.now, True)
-        self._record("fan", state="on")
-
-    def _do_fan_off(self, action: domain.FanOff) -> None:
-        self.counters["fan_off_events"] += 1
-        self.gas_field.set_fan(self.now, False)
-        self._record("fan", state="off")
+    def _do_anomaly(self, action: domain.Anomaly) -> None:
+        self._record("anomaly", reason=action.reason)
 
     # -- event handlers -----------------------------------------------------
 
@@ -389,10 +363,8 @@ class Simulation:
         self.counters["arrivals"] += 1
         vacant_before = self.controller.state.total_vacant
         self._record("car_arrives", car_id=event.car_id, vacant_before=vacant_before)
-        actions = self.controller.handle(ctrl.EntranceDetect(t=self.now))
-        admitted = any(isinstance(a, domain.OpenEntranceGate) for a in actions)
-        self._apply_actions(actions)
-        if admitted:
+        self._apply_actions(self.controller.handle(ctrl.EntranceDetect(t=self.now)))
+        if self.controller.state.total_vacant < vacant_before:
             self.counters["admitted"] += 1
             self._record("car_admitted", car_id=event.car_id)
             self.bumps.append(self.cfg.env.entry_bump_at(self.now))

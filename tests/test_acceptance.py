@@ -23,7 +23,7 @@ from parksim.controller import (
     GasReading,
     SlotUpdate,
 )
-from parksim.domain import FacilityConfig, OpenEntranceGate, Power, new_facility
+from parksim.domain import FacilityConfig, GateState, Power, SetGate, new_facility
 from parksim.domain import Publish as PublishAction
 from parksim.scenario import (
     DashboardConfig,
@@ -184,7 +184,7 @@ def test_criterion_6_controller_invariant_fuzz():
             vacant_before = controller.state.total_vacant
             if kind == 0:
                 actions = controller.handle(EntranceDetect(t=float(i)))
-                opened = any(isinstance(a, OpenEntranceGate) for a in actions)
+                opened = SetGate("entrance", GateState.OPEN) in actions
                 assert opened == (vacant_before > 0)
             elif kind == 1:
                 controller.handle(ExitDetect(t=float(i)))

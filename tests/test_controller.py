@@ -17,15 +17,14 @@ from parksim.controller import (
     render_display,
 )
 from parksim.domain import (
-    BuzzerOn,
+    Anomaly,
     FacilityConfig,
-    FanOff,
-    FanOn,
     GateState,
-    OpenEntranceGate,
-    OpenExitGate,
     Power,
     Publish,
+    SetBuzzer,
+    SetFan,
+    SetGate,
     UpdateDisplay,
     new_facility,
 )
@@ -46,7 +45,7 @@ class TestEntrance:
         state, _ = handle_entrance(state, cfg)
         state, actions = handle_entrance(state, cfg)  # vacant 3 -> 2
         assert state.total_vacant == 2
-        assert {OpenEntranceGate, BuzzerOn} <= action_types(actions)
+        assert {SetGate("entrance", GateState.OPEN), SetBuzzer(Power.ON)} <= set(actions)
         assert state.entrance_gate is GateState.OPEN
 
     def test_full_lot_only_refreshes_display(self):
@@ -65,7 +64,7 @@ class TestEntrance:
         assert state.total_vacant == 1
         state, actions = handle_entrance(state, cfg)
         assert state.total_vacant == 0
-        assert OpenEntranceGate in action_types(actions)
+        assert SetGate("entrance", GateState.OPEN) in actions
 
     def test_summary_published_on_admit(self):
         cfg, state = facility(4)
@@ -82,14 +81,16 @@ class TestExit:
         state, _ = handle_entrance(state, cfg)
         state, actions = handle_exit(state, cfg)
         assert state.total_vacant == 3
-        assert OpenExitGate in action_types(actions)
+        assert SetGate("exit", GateState.OPEN) in actions
+        assert Anomaly not in action_types(actions)
 
     def test_ghost_exit_clamps_and_logs(self, caplog):
         cfg, state = facility(4)
         with caplog.at_level("WARNING", logger="parksim.controller"):
             state, actions = handle_exit(state, cfg)
         assert state.total_vacant == 4
-        assert OpenExitGate in action_types(actions)
+        assert SetGate("exit", GateState.OPEN) in actions
+        assert actions[-1] == Anomaly("ghost exit detection at empty lot")
         assert any("ghost" in record.message for record in caplog.records)
 
     def test_exit_from_full_lot(self):
@@ -154,7 +155,7 @@ class TestEnv:
         with caplog.at_level("WARNING", logger="parksim.controller"):
             new_state, actions = handle_env(state, cfg, 30.0, 150.0)
         assert new_state == state
-        assert actions == []
+        assert actions == [Anomaly("humidity reading 150.0 rejected")]
         assert any("humidity" in record.message for record in caplog.records)
 
     def test_topics_published(self):
@@ -170,21 +171,21 @@ class TestGas:
         cfg, state = facility(4, gas_threshold_ppm=10.0)
         state, actions = handle_gas(state, cfg, 15.0)
         assert state.fan is Power.ON
-        assert FanOn in action_types(actions)
+        assert SetFan(Power.ON) in actions
 
     def test_hysteresis_holds_fan_on(self):
         cfg, state = facility(4, gas_threshold_ppm=10.0, gas_hysteresis_ppm=2.0)
         state, _ = handle_gas(state, cfg, 15.0)
         state, actions = handle_gas(state, cfg, 9.0)  # 9 > 10 - 2
         assert state.fan is Power.ON
-        assert FanOff not in action_types(actions)
+        assert SetFan not in action_types(actions)
 
     def test_below_hysteresis_turns_fan_off(self):
         cfg, state = facility(4, gas_threshold_ppm=10.0, gas_hysteresis_ppm=2.0)
         state, _ = handle_gas(state, cfg, 15.0)
         state, actions = handle_gas(state, cfg, 7.9)
         assert state.fan is Power.OFF
-        assert FanOff in action_types(actions)
+        assert SetFan(Power.OFF) in actions
 
     def test_exactly_threshold_does_not_trigger(self):
         cfg, state = facility(4, gas_threshold_ppm=10.0)
@@ -195,7 +196,7 @@ class TestGas:
         cfg, state = facility(4)
         new_state, actions = handle_gas(state, cfg, -1.0)
         assert new_state == state
-        assert actions == []
+        assert actions == [Anomaly("negative gas reading -1.0 rejected")]
 
     def test_raising_threshold_never_turns_fan_on_earlier(self):
         rng = np.random.Generator(np.random.PCG64(0))
@@ -238,29 +239,36 @@ class TestControllerWrapper:
     def test_dispatch_matches_pure_functions(self):
         cfg, state = facility(4)
         controller = Controller(cfg, state)
-        controller.handle(EntranceDetect(t=0.0))
-        controller.handle(SlotUpdate(t=30.0, slot_id=0, occupied=1))
-        controller.handle(EnvReading(t=60.0, temp_c=28.0, humidity_pct=70.0))
-        controller.handle(GasReading(t=61.0, ppm=2.0))
+        actions = controller.handle(EntranceDetect(t=0.0))
+        actions += controller.handle(SlotUpdate(t=30.0, slot_id=0, occupied=1))
+        actions += controller.handle(EnvReading(t=60.0, temp_c=28.0, humidity_pct=70.0))
+        actions += controller.handle(GasReading(t=61.0, ppm=2.0))
         assert controller.state.total_vacant == 3
         assert controller.state.slots == (1, 0, 0, 0)
-        assert controller.anomalies == []
+        assert Anomaly not in action_types(actions)
 
     def test_anomalies_recorded(self):
         cfg, state = facility(2)
         controller = Controller(cfg, state)
-        controller.handle(ExitDetect(t=1.0))
-        controller.handle(EnvReading(t=2.0, temp_c=30.0, humidity_pct=120.0))
-        controller.handle(GasReading(t=3.0, ppm=-4.0))
-        assert len(controller.anomalies) == 3
+        ghost = controller.handle(ExitDetect(t=1.0))
+        humid = controller.handle(EnvReading(t=2.0, temp_c=30.0, humidity_pct=120.0))
+        gas = controller.handle(GasReading(t=3.0, ppm=-4.0))
+        assert ghost[-1] == Anomaly("ghost exit detection at empty lot")
+        assert Anomaly not in action_types(ghost[:-1])
+        assert humid == [Anomaly("humidity reading 120.0 rejected")]
+        assert gas == [Anomaly("negative gas reading -4.0 rejected")]
+        assert controller.state.total_vacant == 2
+        assert controller.state.last_humidity_pct == 0.0
+        assert controller.state.last_gas_ppm == 0.0
 
-    @pytest.mark.parametrize("event", [object(), FanOn(), (0.0,)], ids=["object", "action", "tuple"])
+    @pytest.mark.parametrize("event", [object(), SetFan(Power.ON), (0.0,)],
+                             ids=["object", "action", "tuple"])
     def test_unknown_event_type_raises_and_leaves_state(self, event):
         cfg, state = facility(2)
         controller = Controller(cfg, state)
         with pytest.raises(TypeError, match="unknown controller event"):
             controller.handle(event)
-        assert controller.state is state and controller.anomalies == []
+        assert controller.state is state
 
     def test_startup_publishes_every_slot(self):
         cfg, state = facility(5)
@@ -296,7 +304,7 @@ def test_invariants_under_random_event_soup(kinds, seed):
         vacant_before = controller.state.total_vacant
         if kind == "entrance":
             actions = controller.handle(EntranceDetect(t=float(i)))
-            opened = any(isinstance(a, OpenEntranceGate) for a in actions)
+            opened = SetGate("entrance", GateState.OPEN) in actions
             assert opened == (vacant_before > 0)
         elif kind == "exit":
             controller.handle(ExitDetect(t=float(i)))

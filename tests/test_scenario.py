@@ -2,8 +2,8 @@ import pytest
 
 from parksim.domain import ConfigError
 from parksim.scenario import (
+    _KEYS,
     GasInjection,
-
     default_scenario,
     load_scenario,
     parse_scenario,
@@ -96,6 +96,7 @@ def test_load_scenario_roundtrip(tmp_path):
 
 def test_flat_dict_covers_every_key():
     flat = to_flat_dict(default_scenario())
+    assert list(flat) == list(_KEYS)
     assert flat["facility.total_slots"] == 8
     assert len(flat["traffic.hourly_rates"]) == 24
     assert flat["seed"] == 42
@@ -106,3 +107,33 @@ def test_env_noise_keys():
         "sensors.env.noise_sd_temp_c = 0\nsensors.env.noise_sd_humidity_pct = 0\n"
     )
     assert cfg.env.noise_sd == (0.0, 0.0)
+    # each key sets its own item and leaves the other at its default
+    default_sd = default_scenario().env.noise_sd
+    assert parse_scenario("sensors.env.noise_sd_humidity_pct = 2\n").env.noise_sd == (default_sd[0], 2.0)
+    assert parse_scenario("sensors.env.noise_sd_temp_c = 0.3\n").env.noise_sd == (0.3, default_sd[1])
+
+
+def _as_scenario_text(flat):
+    lines = []
+    for key, value in flat.items():
+        if isinstance(value, dict):
+            value = ",".join(f"{gas}:{coeff}" for gas, coeff in value.items())
+        elif isinstance(value, list):
+            if not value:
+                continue  # no injections: the key's default
+            value = ",".join(str(item) for item in value)
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text", ["", SAMPLE], ids=["defaults", "sample"])
+def test_flat_dict_parses_back_to_the_same_config(text):
+    cfg = parse_scenario(text)
+    assert parse_scenario(_as_scenario_text(to_flat_dict(cfg))) == cfg
+
+
+def test_injection_of_a_gas_without_sensitivity_rejected():
+    with pytest.raises(ConfigError, match="methane"):
+        parse_scenario("duration_s = 7200\ninjections = 3600:methane:5\n")
+    with pytest.raises(ConfigError, match="'co'"):
+        parse_scenario("sensors.mq2.sensitivities = butane:0.9\ninjections = 10:co:5\n")

@@ -1,4 +1,5 @@
 import json
+import typing
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -6,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from parksim import sim
+from parksim import domain, sim
 from parksim.domain import ConfigError, FacilityConfig, derived_vacancy
 from parksim.scenario import (
     DashboardConfig,
@@ -383,6 +384,32 @@ class TestBrokerTimer:
         report = Watched(cfg).run()
         assert most == 1
         assert fired > 0 and report.counters["drops"] > 0
+
+
+class TestAnomalies:
+    def test_rejected_humidity_logged_right_after_its_sample(self):
+        # humidity noise pushes readings past 100 %, which the controller refuses
+        day = load_scenario(DAY_CFG)
+        cfg = replace(
+            day, duration_s=6 * 3600.0,
+            network=replace(day.network, drop_prob=0.1),
+            env=replace(day.env, base_humidity_pct=99.5, humidity_range=(63.0, 150.0),
+                        noise_sd=(day.env.noise_sd[0], 2.0)),
+        )
+        records = sim.run_scenario(cfg).records
+        anomalies = [i for i, r in enumerate(records) if r["kind"] == "anomaly"]
+        rejected = [i for i, r in enumerate(records)
+                    if r["kind"] == "env_sample" and r["humidity_pct"] > 100.0]
+        assert len(anomalies) > 10
+        assert anomalies == [i + 1 for i in rejected]
+        for i in rejected:
+            sample, anomaly = records[i], records[i + 1]
+            assert anomaly["t"] == sample["t"]
+            assert anomaly["reason"] == f"humidity reading {sample['humidity_pct']} rejected"
+
+    def test_every_control_action_has_a_handler(self):
+        handlers = sim.Simulation(quiet_scenario()).action_handlers
+        assert set(handlers) == set(typing.get_args(domain.ControlAction))
 
 
 class TestValidation:

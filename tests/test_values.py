@@ -7,13 +7,14 @@ import pickle
 import pytest
 
 from parksim import broker, codec, controller, domain, sim
+from parksim.domain import GateState, Power
 from parksim.values import Value
 
 _FRAME = domain.DisplayFrame(21.5, 40.0, 3, 8)
 _PUBLISH = codec.Publish("parking/summary", b"3/8", 1, True, False, 7)
 
 # class -> (required fields, today's defaults of the other fields)
-CASES = {
+_CLASS_CASES = {
     codec.Connect: ({"client_id": "c"},
                     {"keep_alive_s": 0, "clean_session": True, "requests_unsupported": False}),
     codec.ConnAck: ({}, {"return_code": 0}),
@@ -40,33 +41,41 @@ CASES = {
     sim.BrokerTimer: ({}, {}),
     domain.DisplayFrame: ({"temp_c": 21.5, "humidity_pct": 40.0, "total_vacant": 3,
                            "total_slots": 8}, {}),
-    domain.OpenEntranceGate: ({}, {}),
-    domain.CloseEntranceGate: ({}, {}),
-    domain.OpenExitGate: ({}, {}),
-    domain.CloseExitGate: ({}, {}),
-    domain.BuzzerOn: ({}, {}),
-    domain.BuzzerOff: ({}, {}),
-    domain.FanOn: ({}, {}),
-    domain.FanOff: ({}, {}),
     domain.UpdateDisplay: ({"frame": _FRAME}, {}),
     domain.Publish: ({"topic": "parking/summary", "payload": b"3/8"}, {"retained": False}),
+    domain.Anomaly: ({"reason": "humidity reading 120.0 rejected"}, {}),
     controller.EntranceDetect: ({"t": 1.5}, {}),
     controller.ExitDetect: ({"t": 1.5}, {}),
     controller.SlotUpdate: ({"t": 1.5, "slot_id": 2, "occupied": 1}, {}),
     controller.EnvReading: ({"t": 1.5, "temp_c": 21.5, "humidity_pct": 40.0}, {}),
     controller.GasReading: ({"t": 1.5, "ppm": 3.25}, {}),
 }
-CLASSES = sorted(CASES, key=lambda cls: f"{cls.__module__}.{cls.__qualname__}")
-ids = [f"{cls.__module__.rpartition('.')[2]}.{cls.__name__}" for cls in CLASSES]
+# case name -> (class, required fields, defaults): one case per class, named
+# "module.Class", and one per actuator action, named after the action
+CASES = {
+    f"{cls.__module__.rpartition('.')[2]}.{cls.__name__}": (cls, required, defaults)
+    for cls, (required, defaults) in _CLASS_CASES.items()
+}
+CASES.update({
+    "domain.OpenEntranceGate": (domain.SetGate, {"gate": "entrance", "state": GateState.OPEN}, {}),
+    "domain.CloseEntranceGate": (domain.SetGate, {"gate": "entrance", "state": GateState.CLOSED}, {}),
+    "domain.OpenExitGate": (domain.SetGate, {"gate": "exit", "state": GateState.OPEN}, {}),
+    "domain.CloseExitGate": (domain.SetGate, {"gate": "exit", "state": GateState.CLOSED}, {}),
+    "domain.BuzzerOn": (domain.SetBuzzer, {"state": Power.ON}, {}),
+    "domain.BuzzerOff": (domain.SetBuzzer, {"state": Power.OFF}, {}),
+    "domain.FanOn": (domain.SetFan, {"state": Power.ON}, {}),
+    "domain.FanOff": (domain.SetFan, {"state": Power.OFF}, {}),
+})
+NAMES = sorted(CASES)
 
 
-def fields_of(cls) -> dict:
-    required, defaults = CASES[cls]
+def fields_of(case) -> dict:
+    _, required, defaults = CASES[case]
     return {**required, **defaults}
 
 
-def make(cls):
-    return cls(**fields_of(cls))
+def make(case):
+    return CASES[case][0](**fields_of(case))
 
 
 def test_every_value_class_is_covered():
@@ -75,13 +84,13 @@ def test_every_value_class_is_covered():
         for obj in vars(module).values()
         if isinstance(obj, type) and issubclass(obj, Value) and obj is not Value
     }
-    assert found == set(CASES)
+    assert found == {cls for cls, _, _ in CASES.values()}
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=ids)
-def test_positional_keyword_and_default_construction_agree(cls):
-    required, defaults = CASES[cls]
-    full = fields_of(cls)
+@pytest.mark.parametrize("case", NAMES)
+def test_positional_keyword_and_default_construction_agree(case):
+    cls, required, _ = CASES[case]
+    full = fields_of(case)
     assert list(full) == list(cls.__slots__)
     by_keyword = cls(**full)
     assert cls(*full.values()) == by_keyword
@@ -91,28 +100,29 @@ def test_positional_keyword_and_default_construction_agree(cls):
         assert getattr(by_keyword, name) == value
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=ids)
-def test_constructor_refuses_missing_and_unknown_fields(cls):
-    required, _ = CASES[cls]
+@pytest.mark.parametrize("case", NAMES)
+def test_constructor_refuses_missing_and_unknown_fields(case):
+    cls, required, _ = CASES[case]
     with pytest.raises(TypeError):
-        cls(**fields_of(cls), no_such_field=1)
+        cls(**fields_of(case), no_such_field=1)
     if required:
         with pytest.raises(TypeError):
             cls()
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=ids)
-def test_equality_needs_same_type_and_fields(cls):
-    value = make(cls)
-    assert value == make(cls)
-    assert not value != make(cls)
-    assert value != tuple(fields_of(cls).values())
+@pytest.mark.parametrize("case", NAMES)
+def test_equality_needs_same_type_and_fields(case):
+    cls = CASES[case][0]
+    value = make(case)
+    assert value == make(case)
+    assert not value != make(case)
+    assert value != tuple(fields_of(case).values())
     assert value != ()
     assert value != object()
     # another value for each field; these three must still pass validation
     others = {"topic": "other/topic", "total_vacant": 2, "total_slots": 9}
     for name in cls.__slots__:
-        changed = dict(fields_of(cls), **{name: others.get(name, ("other", name))})
+        changed = dict(fields_of(case), **{name: others.get(name, ("other", name))})
         assert cls(**changed) != value
 
 
@@ -124,7 +134,7 @@ def test_equality_needs_same_type_and_fields(cls):
         (codec.PubAck(5), codec.UnsubAck(5)),
         (sim.CarArrives(1), sim.CarParks(1)),
         (controller.EntranceDetect(1.0), controller.ExitDetect(1.0)),
-        (domain.FanOn(), domain.FanOff()),
+        (domain.SetBuzzer(Power.ON), domain.SetFan(Power.ON)),
     ],
 )
 def test_different_types_with_equal_fields_are_unequal(a, b):
@@ -132,28 +142,29 @@ def test_different_types_with_equal_fields_are_unequal(a, b):
     assert not a == b
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=ids)
-def test_equal_objects_hash_equal(cls):
-    assert hash(make(cls)) == hash(make(cls))
-    assert len({make(cls), make(cls)}) == 1
+@pytest.mark.parametrize("case", NAMES)
+def test_equal_objects_hash_equal(case):
+    assert hash(make(case)) == hash(make(case))
+    assert len({make(case), make(case)}) == 1
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=ids)
-def test_attributes_are_read_only(cls):
-    value = make(cls)
-    for name in cls.__slots__:
+@pytest.mark.parametrize("case", NAMES)
+def test_attributes_are_read_only(case):
+    value = make(case)
+    for name in CASES[case][0].__slots__:
         with pytest.raises(AttributeError):
             setattr(value, name, getattr(value, name))
         with pytest.raises(AttributeError):
             delattr(value, name)
     with pytest.raises(AttributeError):
         value.no_such_field = 1
-    assert value == make(cls)
+    assert value == make(case)
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=ids)
-def test_repr_copy_and_pickle(cls):
-    value = make(cls)
+@pytest.mark.parametrize("case", NAMES)
+def test_repr_copy_and_pickle(case):
+    cls = CASES[case][0]
+    value = make(case)
     fields = ", ".join(f"{name}={getattr(value, name)!r}" for name in cls.__slots__)
     assert repr(value) == f"{cls.__qualname__}({fields})"
     assert copy.copy(value) == value
