@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import logging
 import os
-import queue
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -229,24 +228,19 @@ def _run_watch(cmd: WatchCmd) -> int:
     conn.subscribe(cmd.topic_filter, qos=1)
     is_tty = sys.stdout.isatty()
     try:
-        while True:
-            try:
-                topic, payload, _retain = conn.messages.get(timeout=0.5)
-            except queue.Empty:
-                if conn.closed:
-                    print(f"parksim: connection to {cmd.broker_addr} lost", file=sys.stderr)
-                    return EXIT_NETWORK
+        while conn.poll(0.5):
+            if not conn.messages:
                 continue
-            view.feed(topic, payload)
-            # drain whatever else arrived before redrawing
-            while not conn.messages.empty():
-                topic, payload, _retain = conn.messages.get_nowait()
+            for topic, payload, _retain in conn.messages:
                 view.feed(topic, payload)
+            conn.messages.clear()
             lines = view.render_lines(color=use_color)
             if is_tty:
                 sys.stdout.write("\x1b[H\x1b[2J" if use_color else "\n")
             sys.stdout.write("\n".join(lines) + "\n")
             sys.stdout.flush()
+        print(f"parksim: connection to {cmd.broker_addr} lost", file=sys.stderr)
+        return EXIT_NETWORK
     except KeyboardInterrupt:
         return EXIT_OK
     finally:

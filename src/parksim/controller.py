@@ -33,26 +33,26 @@ from .values import Value
 log = logging.getLogger(__name__)
 
 
-# Sensor-side events, timestamped in simulated seconds.
+# Sensor-side events; the simulator stamps each record with its own clock.
 
 class EntranceDetect(Value):
-    __slots__ = ("t",)
+    __slots__ = ()
 
 
 class ExitDetect(Value):
-    __slots__ = ("t",)
+    __slots__ = ()
 
 
 class SlotUpdate(Value):
-    __slots__ = ("t", "slot_id", "occupied")
+    __slots__ = ("slot_id", "occupied")
 
 
 class EnvReading(Value):
-    __slots__ = ("t", "temp_c", "humidity_pct")
+    __slots__ = ("temp_c", "humidity_pct")
 
 
 class GasReading(Value):
-    __slots__ = ("t", "ppm")
+    __slots__ = ("ppm",)
 
 
 ControllerEvent = EntranceDetect | ExitDetect | SlotUpdate | EnvReading | GasReading
@@ -119,7 +119,7 @@ def handle_exit(
     """Car at the exit: open the gate and bump the vacancy counter (clamped)."""
     ghost = state.total_vacant >= state.total_slots
     if ghost:
-        log.warning("exit detected with no cars in the lot (sensor ghost); counter clamped")
+        log.debug("exit detected with no cars in the lot (sensor ghost); counter clamped")
         vacant = state.total_vacant
     else:
         vacant = state.total_vacant + 1
@@ -153,7 +153,7 @@ def handle_env(
 ) -> tuple[FacilityState, list[ControlAction]]:
     """Cache a temperature/humidity reading, refresh the display, publish both."""
     if not 0.0 <= humidity_pct <= 100.0:
-        log.warning("rejecting impossible humidity reading %.1f%%", humidity_pct)
+        log.debug("rejecting impossible humidity reading %.1f%%", humidity_pct)
         return state, [Anomaly(f"humidity reading {humidity_pct} rejected")]
     state = replace(state, last_temp_c=temp_c, last_humidity_pct=humidity_pct)
     actions: list[ControlAction] = [
@@ -169,7 +169,7 @@ def handle_gas(
 ) -> tuple[FacilityState, list[ControlAction]]:
     """Gas reading: fan on above the threshold, off below threshold - hysteresis."""
     if ppm < 0:
-        log.warning("rejecting negative gas reading %.2f ppm", ppm)
+        log.debug("rejecting negative gas reading %.2f ppm", ppm)
         return state, [Anomaly(f"negative gas reading {ppm} rejected")]
     actions: list[ControlAction] = [
         Publish(f"{cfg.topic_prefix}/gas/ppm", f"{ppm:.2f}".encode(), retained=True),

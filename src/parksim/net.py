@@ -1,4 +1,4 @@
-"""TCP transport for the broker core and a blocking MQTT client.
+"""TCP transport for the broker core, and a blocking MQTT client.
 
 BrokerServer drives the sans-IO BrokerCore from one `selectors` loop on one
 daemon thread. The listener, every connection and a wake-up socketpair are
@@ -21,12 +21,17 @@ core and no lock is needed. Sockets are non-blocking:
 
 stop() may be called from any thread: it wakes the loop through the
 socketpair and waits for it to close every socket.
+
+MqttConnection starts no thread: the thread that owns a connection drives
+it. publish() sends at once; poll() waits on the socket, answers what came
+in (PUBACK for qos 1), collects messages in a list, and sends a PINGREQ once
+max(keep_alive_s / 2, 1) s have passed since the last send.
 """
 
 from __future__ import annotations
 
 import logging
-import queue
+import math
 import selectors
 import socket
 import threading
@@ -254,42 +259,43 @@ class ConnectionError_(Exception):
 
 
 class MqttConnection:
-    """Blocking MQTT client over TCP; received messages land in `messages`."""
+    """Blocking MQTT client over TCP, driven by its owner's thread through
+    poll(); received messages land in `messages` as (topic, payload, retain)."""
 
     def __init__(self, host: str, port: int, client_id: str,
                  keep_alive_s: int = 30, connect_timeout_s: float = 5.0):
         self.engine = ClientEngine(client_id=client_id, keep_alive_s=keep_alive_s,
                                    on_message=self._on_message)
-        self.messages: queue.Queue = queue.Queue()
-        self._closed = threading.Event()
-        self._connack = threading.Event()
+        self.messages: list[tuple[str, bytes, bool]] = []
+        self.closed = False  # close() ran, or poll() found the broker side gone
+        self._ping_every = max(keep_alive_s / 2.0, 1.0) if keep_alive_s > 0 else math.inf
+        self._frames = codec.FrameSplitter()
         try:
+            # sends keep this timeout; poll() waits in the selector instead
             self._sock = socket.create_connection((host, port), timeout=connect_timeout_s)
         except OSError as exc:
             raise ConnectionError_(f"cannot connect to {host}:{port}: {exc}") from exc
-        self._sock.settimeout(0.5)
-        self._send_lock = threading.Lock()
-        self._reader = threading.Thread(target=self._read_loop, name="mqtt-client-read", daemon=True)
-        self._reader.start()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._sock, _READ)
         try:
             self._send(self.engine.connect_packet())
         except OSError as exc:  # the broker already closed the socket
             self.close()
             raise ConnectionError_(f"lost {host}:{port} before CONNECT: {exc}") from exc
-        # the reader sets _connack on a CONNACK and also when it exits
-        if not self._connack.wait(connect_timeout_s) or self.engine.connack_code is None:
+        deadline = time.monotonic() + connect_timeout_s
+        while self.engine.connack_code is None and time.monotonic() < deadline:
+            if not self.poll(deadline - time.monotonic()):
+                break
+        if self.engine.connack_code is None:
             self.close()
             raise ConnectionError_(f"no CONNACK from {host}:{port}")
         if not self.engine.connected:
             code = self.engine.connack_code
             self.close()
             raise ConnectionError_(f"broker refused connection (code {code})")
-        if keep_alive_s > 0:
-            pinger = threading.Thread(target=self._ping_loop, name="mqtt-client-ping", daemon=True)
-            pinger.start()
 
     def _on_message(self, topic: str, payload: bytes, retain: bool, dup: bool) -> None:
-        self.messages.put((topic, payload, retain))
+        self.messages.append((topic, payload, retain))
 
     def subscribe(self, topic_filter: str, qos: int = 0) -> None:
         self._send(self.engine.subscribe_packet([(topic_filter, qos)]))
@@ -297,65 +303,52 @@ class MqttConnection:
     def publish(self, topic: str, payload: bytes, qos: int = 0, retain: bool = False) -> None:
         self._send(self.engine.publish_packet(topic, payload, qos=qos, retain=retain))
 
-    def close(self) -> None:
-        if not self._closed.is_set():
-            self._closed.set()
-            if self.engine.connected:
-                try:
-                    self._send(self.engine.disconnect_packet())
-                except OSError:
-                    pass
-            _quiet_close(self._sock)
-
-    def _send(self, packet: codec.MqttPacket) -> None:
-        data = codec.encode_packet(packet)
-        with self._send_lock:
-            self._sock.sendall(data)
-
-    def _ping_loop(self) -> None:
-        interval = max(self.engine.keep_alive_s / 2.0, 1.0)
-        while not self._closed.wait(interval):
-            try:
-                self._send(self.engine.ping_packet())
-            except OSError:
-                return
-
-    @property
-    def closed(self) -> bool:
-        """True once close() ran or the broker side of the socket went away."""
-        return self._closed.is_set()
-
-    def _read_loop(self) -> None:
+    def poll(self, timeout: float = 0.0) -> bool:
+        """Wait up to `timeout` seconds for bytes from the broker and handle
+        them, sending a PINGREQ whenever one falls due meanwhile. Returns
+        after the first read, or once `timeout` has passed; False once the
+        connection is closed."""
+        deadline = time.monotonic() + timeout
         try:
-            self._read_until_closed()
-        finally:
+            while not self.closed:
+                now = time.monotonic()
+                ping_at = self._last_send + self._ping_every
+                if now >= ping_at:
+                    self._send(self.engine.ping_packet())
+                elif self._selector.select(min(deadline, ping_at) - now):
+                    self._read()
+                    break
+                elif time.monotonic() >= deadline:
+                    break
+        except OSError:
             # the broker hung up or the socket failed: no DISCONNECT can follow
             self.engine.connected = False
             self.close()
-            self._connack.set()  # wakes a constructor still waiting for CONNACK
+        return not self.closed
 
-    def _read_until_closed(self) -> None:
-        frames = codec.FrameSplitter()
-        while not self._closed.is_set():
+    def close(self) -> None:
+        if self.closed:
+            return
+        self.closed = True
+        if self.engine.connected:
             try:
-                chunk = self._sock.recv(READ_CHUNK)
-            except socket.timeout:
-                continue
+                self._send(self.engine.disconnect_packet())
             except OSError:
-                return
-            if not chunk:
-                return
-            for packet in frames.feed(chunk):
-                if isinstance(packet, codec.ConnAck):
-                    self.engine.handle_packet(packet)
-                    self._connack.set()
-                    continue
-                for response in self.engine.handle_packet(packet):
-                    try:
-                        self._send(response)
-                    except OSError:
-                        return
-            if frames.error is not None:
-                log.warning("client: protocol error from broker: %s", frames.error)
-                self.close()
-                return
+                pass
+        self._selector.close()
+        _quiet_close(self._sock)
+
+    def _send(self, packet: codec.MqttPacket) -> None:
+        self._sock.sendall(codec.encode_packet(packet))
+        self._last_send = time.monotonic()
+
+    def _read(self) -> None:
+        chunk = self._sock.recv(READ_CHUNK)
+        if not chunk:
+            raise ConnectionResetError("the broker closed the connection")
+        for packet in self._frames.feed(chunk):
+            for response in self.engine.handle_packet(packet):
+                self._send(response)
+        if self._frames.error is not None:
+            log.warning("client: protocol error from broker: %s", self._frames.error)
+            self.close()

@@ -363,7 +363,7 @@ class Simulation:
         self.counters["arrivals"] += 1
         vacant_before = self.controller.state.total_vacant
         self._record("car_arrives", car_id=event.car_id, vacant_before=vacant_before)
-        self._apply_actions(self.controller.handle(ctrl.EntranceDetect(t=self.now)))
+        self._apply_actions(self.controller.handle(ctrl.EntranceDetect()))
         if self.controller.state.total_vacant < vacant_before:
             self.counters["admitted"] += 1
             self._record("car_admitted", car_id=event.car_id)
@@ -383,7 +383,7 @@ class Simulation:
         slot = heapq.heappop(self.free_slots)
         self.car_slot[event.car_id] = slot
         self._record("car_parks", car_id=event.car_id, slot=slot)
-        self._apply_actions(self.controller.handle(ctrl.SlotUpdate(self.now, slot, 1)))
+        self._apply_actions(self.controller.handle(ctrl.SlotUpdate(slot, 1)))
         dwell = stochastic.exponential_gap(1.0 / self.cfg.traffic.dwell_mean_s, self.rng["dwell"])
         self._push(self.now + dwell, CarDeparts(event.car_id, slot))
 
@@ -392,9 +392,9 @@ class Simulation:
         del self.car_slot[event.car_id]
         heapq.heappush(self.free_slots, event.slot)
         self._record("car_departs", car_id=event.car_id, slot=event.slot)
-        self._apply_actions(self.controller.handle(ctrl.SlotUpdate(self.now, event.slot, 0)))
+        self._apply_actions(self.controller.handle(ctrl.SlotUpdate(event.slot, 0)))
         self.bumps.append(self.cfg.env.exit_bump_at(self.now))
-        self._apply_actions(self.controller.handle(ctrl.ExitDetect(t=self.now)))
+        self._apply_actions(self.controller.handle(ctrl.ExitDetect()))
 
     def _on_sensor_sample(self, event: SensorSample) -> None:
         if event.kind == "env":
@@ -403,14 +403,14 @@ class Simulation:
                 self.cfg.env, self.now, self.bumps, self.rng["env"]
             )
             self._record("env_sample", temp_c=temp_c, humidity_pct=humidity_pct)
-            self._apply_actions(self.controller.handle(ctrl.EnvReading(self.now, temp_c, humidity_pct)))
+            self._apply_actions(self.controller.handle(ctrl.EnvReading(temp_c, humidity_pct)))
             period = self.cfg.env_sample_period_s
         else:
             reading = sensors.sample_mq2(
                 self.cfg.mq2, self.gas_field.levels(self.now), self.rng["mq2"]
             )
             self._record("gas_sample", ppm=reading)
-            self._apply_actions(self.controller.handle(ctrl.GasReading(self.now, reading)))
+            self._apply_actions(self.controller.handle(ctrl.GasReading(reading)))
             period = self.cfg.gas_sample_period_s
         if period > 0:
             self._push(self.now + period, SensorSample(event.kind))

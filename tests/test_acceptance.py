@@ -148,7 +148,7 @@ def test_criterion_5_retained_state_consistency():
         rng = random.Random(20240817)
         for _ in range(100):
             slot = rng.randrange(n)
-            forward(controller.handle(SlotUpdate(t=1.0, slot_id=slot,
+            forward(controller.handle(SlotUpdate(slot_id=slot,
                                                  occupied=rng.randint(0, 1))))
 
         core.handle("fresh", codec.Connect(client_id="fresh-subscriber"), 2.0)
@@ -183,20 +183,20 @@ def test_criterion_6_controller_invariant_fuzz():
             kind = kinds[i]
             vacant_before = controller.state.total_vacant
             if kind == 0:
-                actions = controller.handle(EntranceDetect(t=float(i)))
+                actions = controller.handle(EntranceDetect())
                 opened = SetGate("entrance", GateState.OPEN) in actions
                 assert opened == (vacant_before > 0)
             elif kind == 1:
-                controller.handle(ExitDetect(t=float(i)))
+                controller.handle(ExitDetect())
             elif kind == 2:
-                controller.handle(SlotUpdate(t=float(i), slot_id=int(slots[i]),
+                controller.handle(SlotUpdate(slot_id=int(slots[i]),
                                              occupied=int(flags[i])))
             elif kind == 3:
-                controller.handle(EnvReading(t=float(i), temp_c=float(temps[i]),
+                controller.handle(EnvReading(temp_c=float(temps[i]),
                                              humidity_pct=float(hums[i])))
             else:
                 ppm = float(ppms[i])
-                controller.handle(GasReading(t=float(i), ppm=ppm))
+                controller.handle(GasReading(ppm=ppm))
                 if fan_reference is Power.OFF and ppm > cfg.gas_threshold_ppm:
                     fan_reference = Power.ON
                 elif fan_reference is Power.ON and \

@@ -86,7 +86,7 @@ class TestExit:
 
     def test_ghost_exit_clamps_and_logs(self, caplog):
         cfg, state = facility(4)
-        with caplog.at_level("WARNING", logger="parksim.controller"):
+        with caplog.at_level("DEBUG", logger="parksim.controller"):
             state, actions = handle_exit(state, cfg)
         assert state.total_vacant == 4
         assert SetGate("exit", GateState.OPEN) in actions
@@ -152,7 +152,7 @@ class TestEnv:
 
     def test_impossible_humidity_rejected(self, caplog):
         cfg, state = facility(4)
-        with caplog.at_level("WARNING", logger="parksim.controller"):
+        with caplog.at_level("DEBUG", logger="parksim.controller"):
             new_state, actions = handle_env(state, cfg, 30.0, 150.0)
         assert new_state == state
         assert actions == [Anomaly("humidity reading 150.0 rejected")]
@@ -239,10 +239,10 @@ class TestControllerWrapper:
     def test_dispatch_matches_pure_functions(self):
         cfg, state = facility(4)
         controller = Controller(cfg, state)
-        actions = controller.handle(EntranceDetect(t=0.0))
-        actions += controller.handle(SlotUpdate(t=30.0, slot_id=0, occupied=1))
-        actions += controller.handle(EnvReading(t=60.0, temp_c=28.0, humidity_pct=70.0))
-        actions += controller.handle(GasReading(t=61.0, ppm=2.0))
+        actions = controller.handle(EntranceDetect())
+        actions += controller.handle(SlotUpdate(slot_id=0, occupied=1))
+        actions += controller.handle(EnvReading(temp_c=28.0, humidity_pct=70.0))
+        actions += controller.handle(GasReading(ppm=2.0))
         assert controller.state.total_vacant == 3
         assert controller.state.slots == (1, 0, 0, 0)
         assert Anomaly not in action_types(actions)
@@ -250,9 +250,9 @@ class TestControllerWrapper:
     def test_anomalies_recorded(self):
         cfg, state = facility(2)
         controller = Controller(cfg, state)
-        ghost = controller.handle(ExitDetect(t=1.0))
-        humid = controller.handle(EnvReading(t=2.0, temp_c=30.0, humidity_pct=120.0))
-        gas = controller.handle(GasReading(t=3.0, ppm=-4.0))
+        ghost = controller.handle(ExitDetect())
+        humid = controller.handle(EnvReading(temp_c=30.0, humidity_pct=120.0))
+        gas = controller.handle(GasReading(ppm=-4.0))
         assert ghost[-1] == Anomaly("ghost exit detection at empty lot")
         assert Anomaly not in action_types(ghost[:-1])
         assert humid == [Anomaly("humidity reading 120.0 rejected")]
@@ -281,7 +281,7 @@ class TestControllerWrapper:
     def test_gate_close_cycle(self):
         cfg, state = facility(4)
         controller = Controller(cfg, state)
-        controller.handle(EntranceDetect(t=0.0))
+        controller.handle(EntranceDetect())
         assert controller.state.entrance_gate is GateState.OPEN
         actions = controller.close_entrance()
         assert controller.state.entrance_gate is GateState.CLOSED
@@ -303,20 +303,20 @@ def test_invariants_under_random_event_soup(kinds, seed):
     for i, kind in enumerate(kinds):
         vacant_before = controller.state.total_vacant
         if kind == "entrance":
-            actions = controller.handle(EntranceDetect(t=float(i)))
+            actions = controller.handle(EntranceDetect())
             opened = SetGate("entrance", GateState.OPEN) in actions
             assert opened == (vacant_before > 0)
         elif kind == "exit":
-            controller.handle(ExitDetect(t=float(i)))
+            controller.handle(ExitDetect())
         elif kind == "slot":
-            controller.handle(SlotUpdate(t=float(i), slot_id=int(rng.integers(0, 5)),
+            controller.handle(SlotUpdate(slot_id=int(rng.integers(0, 5)),
                                          occupied=int(rng.integers(0, 2))))
         elif kind == "env":
-            controller.handle(EnvReading(t=float(i), temp_c=float(rng.uniform(20, 40)),
+            controller.handle(EnvReading(temp_c=float(rng.uniform(20, 40)),
                                          humidity_pct=float(rng.uniform(0, 100))))
         else:
             ppm = float(rng.uniform(0, 25))
-            controller.handle(GasReading(t=float(i), ppm=ppm))
+            controller.handle(GasReading(ppm=ppm))
             if fan_reference is Power.OFF and ppm > cfg.gas_threshold_ppm:
                 fan_reference = Power.ON
             elif fan_reference is Power.ON and ppm <= cfg.gas_threshold_ppm - cfg.gas_hysteresis_ppm:

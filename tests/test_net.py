@@ -1,6 +1,5 @@
 """End-to-end checks of the TCP broker and client over localhost."""
 
-import queue
 import socket
 import threading
 import time
@@ -20,25 +19,53 @@ def server():
     broker.stop()
 
 
-def drain(q, timeout=2.0):
-    items = []
-    deadline = time.time() + timeout
-    while time.time() < deadline:
-        try:
-            items.append(q.get(timeout=0.1))
-        except queue.Empty:
-            if items:
-                return items
+def drain(conn, timeout=2.0):
+    """Poll `conn` until 0.1 s pass without a new message after the first
+    one, or `timeout` seconds pass; takes and returns its messages."""
+    deadline = time.monotonic() + timeout
+    last_new = None
+    while time.monotonic() < deadline:
+        count = len(conn.messages)
+        if not conn.poll(0.1):
+            break
+        if len(conn.messages) > count:
+            last_new = time.monotonic()
+        elif last_new is not None and time.monotonic() - last_new >= 0.1:
+            break
+    items = list(conn.messages)
+    conn.messages.clear()
     return items
 
 
-def wait_until(predicate, timeout=5.0):
-    """Poll `predicate` until it holds or `timeout` seconds pass."""
+def next_message(conn, timeout=5.0):
+    """Poll `conn` until a message is in and take the oldest."""
+    deadline = time.monotonic() + timeout
+    while not conn.messages:
+        assert time.monotonic() < deadline, "no message"
+        assert conn.poll(0.1), "connection closed"
+    return conn.messages.pop(0)
+
+
+def wait_closed(conn, timeout=5.0):
+    """Poll `conn` until it is closed; False if `timeout` seconds pass first."""
+    deadline = time.monotonic() + timeout
+    while conn.poll(0.1):
+        if time.monotonic() > deadline:
+            return False
+    return True
+
+
+def wait_until(predicate, timeout=5.0, polling=()):
+    """Check `predicate` until it holds or `timeout` seconds pass, polling
+    the connections in `polling` between checks."""
     deadline = time.monotonic() + timeout
     while not predicate():
         if time.monotonic() > deadline:
             return False
-        time.sleep(0.01)
+        for conn in polling:
+            conn.poll(0.01)
+        if not polling:
+            time.sleep(0.01)
     return True
 
 
@@ -49,9 +76,10 @@ class TestTcpBroker:
         pub = MqttConnection(host, port, client_id="pub-1")
         try:
             sub.subscribe("parking/#", qos=0)
-            assert wait_until(lambda: not sub.engine.pending_subscribes)  # SUBACK in
+            # SUBACK in
+            assert wait_until(lambda: not sub.engine.pending_subscribes, polling=[sub])
             pub.publish("parking/slot/1/status", b"1")
-            messages = drain(sub.messages)
+            messages = drain(sub)
             assert ("parking/slot/1/status", b"1", False) in messages
         finally:
             sub.close()
@@ -67,7 +95,7 @@ class TestTcpBroker:
             late = MqttConnection(host, port, client_id="late-2")
             try:
                 late.subscribe("parking/slot/+/status", qos=0)
-                messages = drain(late.messages)
+                messages = drain(late)
                 assert sorted(messages) == [
                     ("parking/slot/1/status", b"1", True),
                     ("parking/slot/2/status", b"0", True),
@@ -83,11 +111,13 @@ class TestTcpBroker:
         pub = MqttConnection(host, port, client_id="pub-3")
         try:
             sub.subscribe("t/#", qos=1)
-            assert wait_until(lambda: not sub.engine.pending_subscribes)  # SUBACK in
+            # SUBACK in
+            assert wait_until(lambda: not sub.engine.pending_subscribes, polling=[sub])
             pub.publish("t/x", b"payload", qos=1)
-            messages = drain(sub.messages)
+            messages = drain(sub)
             assert ("t/x", b"payload", False) in messages
-            assert wait_until(lambda: pub.engine.inflight == {})  # broker PUBACK arrived
+            # broker PUBACK arrived
+            assert wait_until(lambda: pub.engine.inflight == {}, polling=[pub])
             session = server.core.sessions.get("sub-3")
             assert session is not None
             assert wait_until(lambda: session.inflight == {})
@@ -147,7 +177,7 @@ class TestTcpBroker:
                 conn = MqttConnection(host, port, client_id="watch-tool")
                 try:
                     conn.subscribe("parking/#", qos=0)
-                    for topic, payload, _retain in drain(conn.messages):
+                    for topic, payload, _retain in drain(conn):
                         view.feed(topic, payload)
                 finally:
                     conn.close()
@@ -203,13 +233,13 @@ class TestSelectorLoop:
                     pub.publish("load/x", b"%d:" % sent + payload)
                     sent += 1
                 for expected in range(sent - 32, sent):
-                    topic, data, _ = fast.messages.get(timeout=5.0)
+                    topic, data, _ = next_message(fast)
                     assert (topic, data.split(b":", 1)[0]) == ("load/x", b"%d" % expected)
             assert server.slow_consumer_closes == 1
             assert wait_until(lambda: "slow" not in server.core.sessions)
 
             pub.publish("load/after", b"still flowing")
-            assert fast.messages.get(timeout=5.0) == ("load/after", b"still flowing", False)
+            assert next_message(fast) == ("load/after", b"still flowing", False)
             assert "fast" in server.core.sessions
         finally:
             slow.close()
@@ -240,7 +270,7 @@ class TestSelectorLoop:
             assert not flipper.is_alive()
             last = None
             while True:
-                topic, payload, _ = sub.messages.get(timeout=5.0)
+                topic, payload, _ = next_message(sub)
                 if topic == "lot/marker":
                     break
                 last = payload
@@ -307,6 +337,43 @@ class TestSelectorLoop:
             conn.close()
 
 
+class TestClientDrivenByItsOwner:
+    """The thread that owns a connection drives it through poll()."""
+
+    def test_client_starts_no_thread(self, server):
+        before = threading.active_count()
+        conn = MqttConnection(*server.address, client_id="one-thread")
+        try:
+            conn.subscribe("t/#", qos=1)
+            assert wait_until(lambda: not conn.engine.pending_subscribes, polling=[conn])
+            assert conn.poll(0.1)
+            assert threading.active_count() == before
+        finally:
+            conn.close()
+        assert threading.active_count() == before
+
+    def test_polling_keeps_a_short_keep_alive_session(self, server):
+        conn = MqttConnection(*server.address, client_id="pinger", keep_alive_s=1)
+        try:
+            # the broker expires a silent session after 1.5 s
+            until = time.monotonic() + 2.5
+            while time.monotonic() < until:
+                assert conn.poll(until - time.monotonic())
+            assert "pinger" in server.core.sessions
+        finally:
+            conn.close()
+
+    def test_a_client_that_never_polls_is_closed_by_the_broker(self, server):
+        conn = MqttConnection(*server.address, client_id="silent", keep_alive_s=1)
+        try:
+            assert wait_until(lambda: "silent" not in server.core.sessions)
+            assert not conn.poll(5.0)
+            assert conn.closed
+            assert not conn.engine.connected
+        finally:
+            conn.close()
+
+
 class TestClientNoticesClose:
     """The client marks itself closed when the broker side goes away."""
 
@@ -315,7 +382,7 @@ class TestClientNoticesClose:
         first = MqttConnection(host, port, client_id="dup")
         second = MqttConnection(host, port, client_id="dup")
         try:
-            assert first._closed.wait(5.0)
+            assert wait_closed(first)
             assert first.closed
             assert not first.engine.connected
             assert not second.closed

@@ -44,11 +44,11 @@ _CLASS_CASES = {
     domain.UpdateDisplay: ({"frame": _FRAME}, {}),
     domain.Publish: ({"topic": "parking/summary", "payload": b"3/8"}, {"retained": False}),
     domain.Anomaly: ({"reason": "humidity reading 120.0 rejected"}, {}),
-    controller.EntranceDetect: ({"t": 1.5}, {}),
-    controller.ExitDetect: ({"t": 1.5}, {}),
-    controller.SlotUpdate: ({"t": 1.5, "slot_id": 2, "occupied": 1}, {}),
-    controller.EnvReading: ({"t": 1.5, "temp_c": 21.5, "humidity_pct": 40.0}, {}),
-    controller.GasReading: ({"t": 1.5, "ppm": 3.25}, {}),
+    controller.EntranceDetect: ({}, {}),
+    controller.ExitDetect: ({}, {}),
+    controller.SlotUpdate: ({"slot_id": 2, "occupied": 1}, {}),
+    controller.EnvReading: ({"temp_c": 21.5, "humidity_pct": 40.0}, {}),
+    controller.GasReading: ({"ppm": 3.25}, {}),
 }
 # case name -> (class, required fields, defaults): one case per class, named
 # "module.Class", and one per actuator action, named after the action
@@ -133,7 +133,7 @@ def test_equality_needs_same_type_and_fields(case):
         (codec.PingReq(), codec.Disconnect()),
         (codec.PubAck(5), codec.UnsubAck(5)),
         (sim.CarArrives(1), sim.CarParks(1)),
-        (controller.EntranceDetect(1.0), controller.ExitDetect(1.0)),
+        (controller.EntranceDetect(), controller.ExitDetect()),
         (domain.SetBuzzer(Power.ON), domain.SetFan(Power.ON)),
     ],
 )
