@@ -1,5 +1,8 @@
 """Operator entry point: broker, simulate, watch, analyze, report.
 
+The argparse parser dispatches (each subcommand sets its runner as `run`) and
+checks every input, so a bad flag exits 1 with one line before a runner starts.
+
 Exit codes: 0 success, 1 usage, 2 configuration, 3 network, 4 protocol.
 PARKSIM_LOG (error|warn|info|debug) sets log verbosity on stderr.
 """
@@ -11,7 +14,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import codec, net, sim, stochastic
@@ -29,46 +32,6 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
 
-@dataclass(frozen=True)
-class BrokerCmd:
-    bind: str
-
-
-@dataclass(frozen=True)
-class SimulateCmd:
-    scenario_path: str
-    seed_override: int | None
-    out_dir: str
-    broker_addr: str | None
-
-
-@dataclass(frozen=True)
-class WatchCmd:
-    broker_addr: str
-    topic_filter: str
-    retries: int
-    color: str  # auto|always|never
-
-
-@dataclass(frozen=True)
-class AnalyzeCmd:
-    lam: float
-    n: int
-    t_avg_hours: float | None
-    delta_g_ppm: float
-    rate_ppm_per_s: float
-    lambda_unit: str  # per-hour|per-dwell
-
-
-@dataclass(frozen=True)
-class ReportCmd:
-    in_path: str
-    out_path: str
-
-
-Command = BrokerCmd | SimulateCmd | WatchCmd | AnalyzeCmd | ReportCmd
-
-
 class UsageError(Exception):
     pass
 
@@ -79,28 +42,48 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _address(text: str) -> tuple[str, int]:
+    """HOST:PORT as (host, port); an empty host means every interface."""
+    host, sep, port = text.rpartition(":")
+    if not sep or not (port.isascii() and port.isdigit()) or int(port) > 0xFFFF:
+        raise argparse.ArgumentTypeError(f"address must look like HOST:PORT, got {text!r}")
+    return host or "0.0.0.0", int(port)
+
+
+def _topic_filter(text: str) -> str:
+    try:
+        codec.validate_filter(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return text
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="parksim", description="smart parking controller, broker, and simulator")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     broker = sub.add_parser("broker", help="run the MQTT broker on TCP")
-    broker.add_argument("--bind", default="0.0.0.0:1883", metavar="HOST:PORT")
+    broker.set_defaults(run=_run_broker)
+    broker.add_argument("--bind", type=_address, default="0.0.0.0:1883", metavar="HOST:PORT")
 
     simulate = sub.add_parser("simulate", help="run a scenario through the simulator")
+    simulate.set_defaults(run=_run_simulate)
     simulate.add_argument("--scenario", required=True, metavar="FILE")
     simulate.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     simulate.add_argument("--out", default="out", metavar="DIR",
                           help="directory for events.jsonl, metrics.csv, report.txt")
-    simulate.add_argument("--broker", default=None, metavar="HOST:PORT",
+    simulate.add_argument("--broker", type=_address, default=None, metavar="HOST:PORT",
                           help="mirror publishes to a live broker instead of staying in-process")
 
     watch = sub.add_parser("watch", help="live slot board fed from a broker")
-    watch.add_argument("--broker", default="127.0.0.1:1883", metavar="HOST:PORT")
-    watch.add_argument("--filter", default="parking/#", dest="topic_filter")
+    watch.set_defaults(run=_run_watch)
+    watch.add_argument("--broker", type=_address, default="127.0.0.1:1883", metavar="HOST:PORT")
+    watch.add_argument("--filter", type=_topic_filter, default="parking/#", dest="topic_filter")
     watch.add_argument("--retries", type=int, default=3, help="connection attempts before giving up")
     watch.add_argument("--color", choices=("auto", "always", "never"), default="auto")
 
     analyze = sub.add_parser("analyze", help="queueing and ventilation figures as CSV")
+    analyze.set_defaults(run=_run_analyze)
     analyze.add_argument("--lambda", dest="lam", type=float, required=True,
                          help="arrival rate (see --lambda-unit)")
     analyze.add_argument("--slots", dest="n", type=int, required=True)
@@ -114,51 +97,30 @@ def build_parser() -> _Parser:
                          help="ventilation reduction rate, ppm/s")
 
     report = sub.add_parser("report", help="regenerate a text report from an event log")
+    report.set_defaults(run=_run_report)
     report.add_argument("--in", dest="in_path", required=True, metavar="EVENTS_JSONL")
     report.add_argument("--out", dest="out_path", required=True, metavar="REPORT_TXT")
     return parser
 
 
-def parse_args(argv: list[str]) -> Command:
-    """Map argv to exactly one command; raises UsageError otherwise."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Checked flags of exactly one command, its runner as `run`; raises UsageError otherwise."""
+    args = build_parser().parse_args(argv)
     if args.command is None:
         raise UsageError("a subcommand is required (broker/simulate/watch/analyze/report)")
-    if args.command == "broker":
-        return BrokerCmd(bind=args.bind)
-    if args.command == "simulate":
-        return SimulateCmd(scenario_path=args.scenario, seed_override=args.seed,
-                           out_dir=args.out, broker_addr=args.broker)
-    if args.command == "watch":
-        if args.retries < 1:
-            raise UsageError("--retries must be >= 1")
-        return WatchCmd(broker_addr=args.broker, topic_filter=args.topic_filter,
-                        retries=args.retries, color=args.color)
-    if args.command == "analyze":
-        if args.lambda_unit == "per-hour" and args.t_avg is None:
-            raise UsageError("--lambda-unit per-hour requires --t-avg (hours)")
-        return AnalyzeCmd(lam=args.lam, n=args.n, t_avg_hours=args.t_avg,
-                          delta_g_ppm=args.delta_g, rate_ppm_per_s=args.rate,
-                          lambda_unit=args.lambda_unit)
-    if args.command == "report":
-        return ReportCmd(in_path=args.in_path, out_path=args.out_path)
-    raise UsageError(f"unknown command {args.command!r}")
+    if args.command == "analyze" and args.lambda_unit == "per-hour" and args.t_avg is None:
+        raise UsageError("--lambda-unit per-hour requires --t-avg (hours)")
+    if args.command == "watch" and args.retries < 1:
+        raise UsageError("--retries must be >= 1")
+    return args
 
 
-def _split_addr(addr: str) -> tuple[str, int]:
-    host, sep, port = addr.rpartition(":")
-    if not sep or not port.isdigit():
-        raise UsageError(f"address must look like HOST:PORT, got {addr!r}")
-    return host or "0.0.0.0", int(port)
-
-
-def _run_broker(cmd: BrokerCmd) -> int:
-    host, port = _split_addr(cmd.bind)
+def _run_broker(args: argparse.Namespace) -> int:
+    host, port = args.bind
     try:
         server = net.BrokerServer(host=host, port=port)
     except OSError as exc:
-        print(f"parksim: cannot bind {cmd.bind}: {exc}", file=sys.stderr)
+        print(f"parksim: cannot bind {host}:{port}: {exc}", file=sys.stderr)
         return EXIT_NETWORK
     try:
         print(f"broker listening on {server.address[0]}:{server.address[1]}", file=sys.stderr)
@@ -169,15 +131,16 @@ def _run_broker(cmd: BrokerCmd) -> int:
     return EXIT_OK
 
 
-def _run_simulate(cmd: SimulateCmd) -> int:
-    cfg = load_scenario(cmd.scenario_path)
-    if cmd.seed_override is not None:
-        cfg = replace(cfg, seed=cmd.seed_override)
+def _run_simulate(args: argparse.Namespace) -> int:
+    cfg = load_scenario(args.scenario)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     live = None
-    if cmd.broker_addr is not None:
-        host, port = _split_addr(cmd.broker_addr)
+    if args.broker is not None:
+        host, port = args.broker
         try:
-            live = net.MqttConnection(host, port, client_id="parksim-sim-mirror")
+            # per process, so a second mirror does not take over this one's session
+            live = net.MqttConnection(host, port, client_id=f"parksim-sim-mirror-{os.getpid()}")
         except net.ConnectionError_ as exc:
             print(f"parksim: {exc}", file=sys.stderr)
             return EXIT_NETWORK
@@ -190,7 +153,7 @@ def _run_simulate(cmd: SimulateCmd) -> int:
     finally:
         if live is not None:
             live.close()
-    paths = report.write(cmd.out_dir)
+    paths = report.write(args.out)
     state = report.final_state
     print(f"wrote {paths['events']}, {paths['metrics']}, {paths['report']}")
     print(
@@ -202,30 +165,26 @@ def _run_simulate(cmd: SimulateCmd) -> int:
     return EXIT_OK
 
 
-def _run_watch(cmd: WatchCmd) -> int:
-    host, port = _split_addr(cmd.broker_addr)
-    try:
-        codec.validate_filter(cmd.topic_filter)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _run_watch(args: argparse.Namespace) -> int:
+    host, port = args.broker
     conn = None
-    for attempt in range(cmd.retries):
+    for attempt in range(args.retries):
         try:
             conn = net.MqttConnection(host, port, client_id=f"parksim-watch-{os.getpid()}")
             break
         except net.ConnectionError_ as exc:
-            if attempt + 1 == cmd.retries:
+            if attempt + 1 == args.retries:
                 print(f"parksim: {exc}", file=sys.stderr)
                 return EXIT_NETWORK
             time.sleep(1.0)
     use_color = {"always": True, "never": False}.get(
-        cmd.color, sys.stdout.isatty() and os.environ.get("TERM", "") != "dumb"
+        args.color, sys.stdout.isatty() and os.environ.get("TERM", "") != "dumb"
     )
-    prefix = cmd.topic_filter.split("/")[0]
+    prefix = args.topic_filter.split("/")[0]
     if prefix in ("#", "+", ""):
         prefix = "parking"
     view = WatchView(topic_prefix=prefix)
-    conn.subscribe(cmd.topic_filter, qos=1)
+    conn.subscribe(args.topic_filter, qos=1)
     is_tty = sys.stdout.isatty()
     try:
         while conn.poll(0.5):
@@ -239,7 +198,7 @@ def _run_watch(cmd: WatchCmd) -> int:
                 sys.stdout.write("\x1b[H\x1b[2J" if use_color else "\n")
             sys.stdout.write("\n".join(lines) + "\n")
             sys.stdout.flush()
-        print(f"parksim: connection to {cmd.broker_addr} lost", file=sys.stderr)
+        print(f"parksim: connection to {host}:{port} lost", file=sys.stderr)
         return EXIT_NETWORK
     except KeyboardInterrupt:
         return EXIT_OK
@@ -247,21 +206,21 @@ def _run_watch(cmd: WatchCmd) -> int:
         conn.close()
 
 
-def _run_analyze(cmd: AnalyzeCmd) -> int:
+def _run_analyze(args: argparse.Namespace) -> int:
     try:
         queue_report = stochastic.analyze(
-            lam=cmd.lam,
-            n=cmd.n,
-            t_avg_hours=cmd.t_avg_hours,
-            delta_g_ppm=cmd.delta_g_ppm,
-            reduction_rate_ppm_per_s=cmd.rate_ppm_per_s,
-            lam_is_per_hour=cmd.lambda_unit == "per-hour",
+            lam=args.lam,
+            n=args.n,
+            t_avg_hours=args.t_avg,
+            delta_g_ppm=args.delta_g,
+            reduction_rate_ppm_per_s=args.rate,
+            lam_is_per_hour=args.lambda_unit == "per-hour",
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     print("lambda,n,p_full,L,t_response")
     print(
-        f"{format(cmd.lam, '.10g')},{cmd.n},"
+        f"{format(args.lam, '.10g')},{args.n},"
         f"{format(queue_report.p_full, '.10g')},"
         f"{format(queue_report.expected_occupancy, '.10g')},"
         f"{format(queue_report.vent_response_s, '.10g')}"
@@ -269,16 +228,16 @@ def _run_analyze(cmd: AnalyzeCmd) -> int:
     return EXIT_OK
 
 
-def _run_report(cmd: ReportCmd) -> int:
+def _run_report(args: argparse.Namespace) -> int:
     try:
-        text = sim.render_report(sim.read_events_jsonl(cmd.in_path))
+        text = sim.render_report(sim.read_events_jsonl(args.in_path))
     except OSError as exc:
-        raise ConfigError(f"cannot read {cmd.in_path}: {exc}") from exc
+        raise ConfigError(f"cannot read {args.in_path}: {exc}") from exc
     except ValueError as exc:  # malformed line, or a record without 't'/'kind'
         raise ConfigError(str(exc)) from exc
-    Path(cmd.out_path).parent.mkdir(parents=True, exist_ok=True)
-    Path(cmd.out_path).write_text(text, encoding="utf-8")
-    print(f"wrote {cmd.out_path}")
+    Path(args.out_path).parent.mkdir(parents=True, exist_ok=True)
+    Path(args.out_path).write_text(text, encoding="utf-8")
+    print(f"wrote {args.out_path}")
     return EXIT_OK
 
 
@@ -288,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     argv = sys.argv[1:] if argv is None else argv
     try:
-        command = parse_args(argv)
+        args = parse_args(argv)
     except UsageError as exc:
         print(f"parksim: {exc}", file=sys.stderr)
         print("try: parksim --help", file=sys.stderr)
@@ -297,15 +256,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        if isinstance(command, BrokerCmd):
-            return _run_broker(command)
-        if isinstance(command, SimulateCmd):
-            return _run_simulate(command)
-        if isinstance(command, WatchCmd):
-            return _run_watch(command)
-        if isinstance(command, AnalyzeCmd):
-            return _run_analyze(command)
-        return _run_report(command)
+        return args.run(args)
     except ConfigError as exc:
         print(f"parksim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

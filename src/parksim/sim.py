@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import logging
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
 from pathlib import Path
@@ -41,8 +40,6 @@ from .broker import BrokerCore, Close, Send
 from .client import ClientEngine
 from .scenario import ScenarioConfig, to_flat_dict
 from .values import Value
-
-log = logging.getLogger(__name__)
 
 RNG_ALGORITHM = "numpy-PCG64"
 # Stream order is part of the reproducibility contract; append only.
@@ -154,7 +151,6 @@ class SimReport:
     final_state: domain.FacilityState
     counters: dict[str, int]
     aggregator: telemetry.Aggregator  # the run's one aggregation, for both files
-    duration_s: float
 
     @property
     def metrics_csv(self) -> str:
@@ -431,10 +427,6 @@ class Simulation:
             self._dispatch_broker_outputs(outputs)
             return
 
-        engine = self.engines.get(event.destination)
-        if engine is None:
-            log.debug("delivery to unknown destination %s dropped", event.destination)
-            return
         if isinstance(event.packet, codec.Publish):
             self._record(
                 "deliver",
@@ -444,7 +436,7 @@ class Simulation:
                 delay=telemetry.delay(event.accept_t if event.accept_t is not None else self.now,
                                       self.now),
             )
-        for response in engine.handle_packet(event.packet):
+        for response in self.engines[event.destination].handle_packet(event.packet):
             self._send_to_broker(event.destination, response)
 
     def _on_gas_injection(self, event: GasInjectionEvent) -> None:
@@ -526,7 +518,6 @@ class Simulation:
             final_state=state,
             counters=dict(self.counters),
             aggregator=aggregator,
-            duration_s=duration,
         )
 
 
@@ -706,15 +697,12 @@ class ReportTally:
         return "\n".join(lines)
 
 
-def render_report(records: list[dict[str, Any]],
-                  aggregator: telemetry.Aggregator | None = None) -> str:
-    """Human-readable run summary regenerable from the event log alone;
-    `aggregator` is the run's own aggregation of `records`, if at hand."""
+def render_report(records: list[dict[str, Any]]) -> str:
+    """Human-readable run summary regenerable from the event log alone."""
     tally = ReportTally()
     tally.add_records(records)
-    if aggregator is None:
-        aggregator = telemetry.Aggregator(duration_s=tally.duration_s)
-        aggregator.add_records(records)
+    aggregator = telemetry.Aggregator(duration_s=tally.duration_s)
+    aggregator.add_records(records)
     return tally.render(aggregator.summary())
 
 

@@ -1,16 +1,11 @@
+import argparse
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from parksim import cli, net
-from parksim.cli import (
-    AnalyzeCmd,
-    BrokerCmd,
-    ReportCmd,
-    SimulateCmd,
-    UsageError,
-    WatchCmd,
-    parse_args,
-)
+from parksim.cli import UsageError, parse_args
 
 DAY_CFG = """
 facility.total_slots = 4
@@ -22,19 +17,26 @@ gas_sample_period_s = 0
 seed = 9
 """
 
+RUNNERS = (cli._run_broker, cli._run_simulate, cli._run_watch, cli._run_analyze, cli._run_report)
+
+
+def fields(args, *names):
+    return {name: getattr(args, name) for name in names}
+
 
 class TestParseArgs:
     def test_analyze_maps_flags(self):
-        cmd = parse_args(
+        args = parse_args(
             ["analyze", "--lambda", "4", "--slots", "4", "--lambda-unit", "per-dwell"]
         )
-        assert cmd == AnalyzeCmd(lam=4.0, n=4, t_avg_hours=None, delta_g_ppm=0.0,
-                                 rate_ppm_per_s=1.0, lambda_unit="per-dwell")
+        assert fields(args, "run", "lam", "n", "t_avg", "delta_g", "rate", "lambda_unit") == dict(
+            run=cli._run_analyze, lam=4.0, n=4, t_avg=None, delta_g=0.0, rate=1.0,
+            lambda_unit="per-dwell")
 
     def test_simulate_maps_flags(self):
-        cmd = parse_args(["simulate", "--scenario", "day.cfg", "--seed", "7"])
-        assert cmd == SimulateCmd(scenario_path="day.cfg", seed_override=7,
-                                  out_dir="out", broker_addr=None)
+        args = parse_args(["simulate", "--scenario", "day.cfg", "--seed", "7"])
+        assert fields(args, "run", "scenario", "seed", "out", "broker") == dict(
+            run=cli._run_simulate, scenario="day.cfg", seed=7, out="out", broker=None)
 
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(UsageError):
@@ -54,24 +56,28 @@ class TestParseArgs:
                         "--lambda-unit", "per-hour"])
 
     def test_watch_and_broker_and_report(self):
-        assert parse_args(["broker", "--bind", "127.0.0.1:2883"]) == BrokerCmd("127.0.0.1:2883")
+        broker = parse_args(["broker", "--bind", "127.0.0.1:2883"])
+        assert fields(broker, "run", "bind") == dict(run=cli._run_broker, bind=("127.0.0.1", 2883))
         watch = parse_args(["watch", "--broker", "10.0.0.2:1883", "--filter", "lot/#"])
-        assert watch == WatchCmd(broker_addr="10.0.0.2:1883", topic_filter="lot/#",
-                                 retries=3, color="auto")
+        assert fields(watch, "run", "broker", "topic_filter", "retries", "color") == dict(
+            run=cli._run_watch, broker=("10.0.0.2", 1883), topic_filter="lot/#",
+            retries=3, color="auto")
         report = parse_args(["report", "--in", "e.jsonl", "--out", "r.txt"])
-        assert report == ReportCmd(in_path="e.jsonl", out_path="r.txt")
+        assert fields(report, "run", "in_path", "out_path") == dict(
+            run=cli._run_report, in_path="e.jsonl", out_path="r.txt")
 
     @given(st.lists(st.text(min_size=0, max_size=12), max_size=6))
     @settings(max_examples=150)
     def test_total_every_argv_parses_or_usage_errors(self, argv):
         try:
-            command = parse_args(argv)
+            args = parse_args(argv)
         except UsageError:
             return
         except SystemExit as exc:  # --help / -h
             assert exc.code in (0, None)
             return
-        assert isinstance(command, (BrokerCmd, SimulateCmd, WatchCmd, AnalyzeCmd, ReportCmd))
+        assert isinstance(args, argparse.Namespace)
+        assert args.run in RUNNERS
 
 
 class TestExitCodes:
@@ -94,6 +100,36 @@ class TestExitCodes:
 
     def test_watch_unreachable_exits_3(self, capsys):
         assert cli.main(["watch", "--broker", "127.0.0.1:1", "--retries", "1"]) == 3
+
+
+class TestUsageErrors:
+    """A bad input exits 1 with one `parksim:` line, before any runner starts."""
+
+    @pytest.mark.parametrize("argv", [
+        ["broker", "--bind", "nonsense"],
+        ["broker", "--bind", "127.0.0.1:65536"],
+        ["watch", "--filter", "a/#/b"],
+        ["watch", "--broker", "127.0.0.1"],
+        ["watch", "--retries", "0"],
+    ])
+    def test_bad_input_exits_1_with_one_line(self, capsys, argv):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        message, hint = err.splitlines()
+        assert message.startswith("parksim: ") and hint == "try: parksim --help"
+
+    def test_simulate_with_bad_broker_address_exits_1(self, tmp_path, capsys):
+        scenario = tmp_path / "day.cfg"
+        scenario.write_text(DAY_CFG, encoding="utf-8")
+        out_dir = tmp_path / "out"
+        argv = ["simulate", "--scenario", str(scenario), "--out", str(out_dir),
+                "--broker", "nohost"]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("parksim: ") and "HOST:PORT" in err
+        assert not out_dir.exists()
 
 
 class TestBrokerInterrupt:
@@ -147,6 +183,36 @@ class TestSimulateAndReport:
         assert (out_dir / "metrics.csv").exists()
         assert (out_dir / "report.txt").exists()
         assert "final vacancy" in capsys.readouterr().out
+
+    def test_mirror_leaves_a_session_of_the_old_fixed_id_alone(self, tmp_path, capsys):
+        server = net.BrokerServer(host="127.0.0.1", port=0)
+        server.start()
+        host, port = server.address
+        held = net.MqttConnection(host, port, client_id="parksim-sim-mirror")
+        try:
+            held_conn = server.core.sessions["parksim-sim-mirror"].conn_id
+            scenario = tmp_path / "day.cfg"
+            scenario.write_text(DAY_CFG, encoding="utf-8")
+            out_dir = tmp_path / "out"
+            code = cli.main(["simulate", "--scenario", str(scenario), "--out", str(out_dir),
+                             "--broker", f"{host}:{port}"])
+            assert code == cli.EXIT_OK
+            assert (out_dir / "report.txt").exists()
+            # the mirror's CONNECT was handled before main returned: a takeover
+            # would already have replaced or dropped the held session
+            session = server.core.sessions.get("parksim-sim-mirror")
+            assert session is not None and session.conn_id == held_conn
+            # and the held connection still makes a round trip
+            held.subscribe("probe/#")
+            held.publish("probe/x", b"1")
+            deadline = time.monotonic() + 5.0
+            while not held.messages:
+                assert held.poll(0.1), "held connection closed"
+                assert time.monotonic() < deadline, "no message"
+            assert held.messages == [("probe/x", b"1", False)]
+        finally:
+            held.close()
+            server.stop()
 
     def test_seed_override_changes_events(self, tmp_path):
         scenario = tmp_path / "day.cfg"

@@ -413,9 +413,9 @@ class TestClientNoticesClose:
         done = threading.Event()
 
         def watch():
-            cmd = cli.WatchCmd(broker_addr=f"{host}:{port}", topic_filter="parking/#",
-                               retries=1, color="never")
-            result["code"] = cli._run_watch(cmd)
+            result["code"] = cli.main(["watch", "--broker", f"{host}:{port}",
+                                       "--filter", "parking/#", "--retries", "1",
+                                       "--color", "never"])
             done.set()
 
         pub = MqttConnection(host, port, client_id="facility")
