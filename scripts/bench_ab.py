@@ -20,6 +20,12 @@ absolute difference of the medians), plus every pair's raw values. With
 --trace-seed, one `--trace 1` run per side adds its per-layer metrics. The
 entry is merged into --out, so one file can hold several workloads.
 Nothing under perfbench/ is changed.
+
+With --claim METRIC, `claimed` in --out also holds the verdict, which is
+printed too: the claim is met when the change wins at least nine tenths of
+the pairs (ties count for neither side), its median is the better one and
+differs from the parent's by more than the parent's IQR, and no more
+operations failed than on the parent side.
 """
 
 from __future__ import annotations
@@ -103,6 +109,19 @@ def summarize(runs: list[dict], declared: list[dict]) -> dict:
     return metrics
 
 
+def claim_verdict(metric: dict, pairs: int, failed: dict[str, int]) -> dict:
+    """Whether the change's gain on one metric counts (see the module docstring)."""
+    lower = metric["better"] == "lower"
+    parent, change = metric["parent"]["median"], metric["change"]["median"]
+    checks = {
+        "wins": metric["change_wins"] * 10 >= pairs * 9,
+        "better_median": change < parent if lower else change > parent,
+        "gap_over_iqr": metric["median_gap"] > metric["parent_iqr"],
+        "no_more_failures": failed["change"] <= failed["parent"],
+    }
+    return {"met": all(checks.values()), **checks}
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(prog="scripts/bench_ab.py", description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent side")
@@ -124,6 +143,10 @@ def main(argv: list[str]) -> int:
         return 2
     with open("BENCHMARK.json", encoding="utf-8") as handle:
         declared = json.load(handle)["end_to_end"]
+    if args.claim and args.claim not in {spec["name"] for spec in declared}:
+        print(f"bench_ab: --claim {args.claim!r} is no end-to-end metric of BENCHMARK.json",
+              file=sys.stderr)
+        return 2
 
     seeds = [args.first_seed + i for i in range(args.pairs)]
     runs, traced = [], {}
@@ -177,8 +200,10 @@ def main(argv: list[str]) -> int:
                        "change_wins counts pairs the change won")
     bench["environment"] = {"python": platform.python_version(), "numpy": numpy_version,
                             "nproc": os.cpu_count(), "machine": platform.machine()}
+    verdict = None
     if args.claim:
-        bench["claimed"] = {"workload": args.workload, "metric": args.claim}
+        verdict = claim_verdict(entry["metrics"][args.claim], entry["pairs"], entry["failed"])
+        bench["claimed"] = {"workload": args.workload, "metric": args.claim, **verdict}
     bench.setdefault("workloads", {})[args.workload] = entry
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(bench, handle, indent=2)
@@ -191,6 +216,11 @@ def main(argv: list[str]) -> int:
               f"{ratio if ratio is not None else float('nan'):>8.3f}{m['change_wins']:>6}"
               f"{m['parent_iqr']:>10.4g}{m['median_gap']:>10.4g}")
     print(f"correct {entry['correct']}, failed {entry['failed']}; wrote {args.out}")
+    if verdict is not None:
+        m = entry["metrics"][args.claim]
+        print(f"claim {args.claim} on {args.workload}: {'met' if verdict['met'] else 'NOT met'} "
+              f"(wins {m['change_wins']}/{entry['pairs']}, median gap {m['median_gap']:.4g} "
+              f"vs parent IQR {m['parent_iqr']:.4g}, failed {entry['failed']})")
     return 0
 
 

@@ -145,9 +145,19 @@ def _run_simulate(args: argparse.Namespace) -> int:
             print(f"parksim: {exc}", file=sys.stderr)
             return EXIT_NETWORK
     hook = None
+    mirror_error: OSError | None = None
     if live is not None:
         def hook(topic: str, payload: bytes, retain: bool) -> None:
-            live.publish(topic, payload, qos=0, retain=retain)
+            nonlocal mirror_error
+            if mirror_error is not None:
+                return
+            try:
+                live.publish(topic, payload, qos=0, retain=retain)
+            except OSError as exc:
+                # the run needs no broker: finish it without the mirror, exit 3 after
+                mirror_error = exc
+                print(f"parksim: warning: mirror to {host}:{port} lost ({exc}); "
+                      "the run goes on without it", file=sys.stderr)
     try:
         report = sim.run_scenario(cfg, publish_hook=hook)
     finally:
@@ -162,7 +172,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
         f"departures {report.counters['departures']}, "
         f"final vacancy {state.total_vacant}/{state.total_slots}"
     )
-    return EXIT_OK
+    return EXIT_OK if mirror_error is None else EXIT_NETWORK
 
 
 def _run_watch(args: argparse.Namespace) -> int:

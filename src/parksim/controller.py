@@ -2,17 +2,17 @@
 
 Each handler is a pure transition (state, config, reading) -> (new state,
 actions); the wrapper class below serializes events for the simulator. A
-handler that refuses a reading says so with an `Anomaly` action, always the
-last of its list. The entrance check is check-then-decrement, so the
-vacancy counter can never go transiently negative; ghost exit detections at
-a fully vacant lot clamp the counter and are reported as anomalies instead
-of overflowing it.
+handler builds its new `FacilityState` positionally, every field in slot
+order, copying the ones it does not set. A handler that refuses a reading
+says so with an `Anomaly` action, always the last of its list. The entrance
+check is check-then-decrement, so the vacancy counter can never go
+transiently negative; ghost exit detections at a fully vacant lot clamp the
+counter and are reported as anomalies instead of overflowing it.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import replace
 
 from .domain import (
     Anomaly,
@@ -97,11 +97,9 @@ def handle_entrance(
     """Car at the entrance: admit it if any slot is free, otherwise stay shut."""
     if state.total_vacant <= 0:
         return state, [UpdateDisplay(render_display(state))]
-    state = _check(replace(
-        state,
-        total_vacant=state.total_vacant - 1,
-        entrance_gate=GateState.OPEN,
-        buzzer=Power.ON,
+    state = _check(FacilityState(
+        state.slots, state.total_vacant - 1, GateState.OPEN, state.exit_gate, Power.ON,
+        state.fan, state.last_temp_c, state.last_humidity_pct, state.last_gas_ppm,
     ))
     actions: list[ControlAction] = [
         SetGate("entrance", GateState.OPEN),
@@ -123,7 +121,10 @@ def handle_exit(
         vacant = state.total_vacant
     else:
         vacant = state.total_vacant + 1
-    state = _check(replace(state, total_vacant=vacant, exit_gate=GateState.OPEN))
+    state = _check(FacilityState(
+        state.slots, vacant, state.entrance_gate, GateState.OPEN, state.buzzer,
+        state.fan, state.last_temp_c, state.last_humidity_pct, state.last_gas_ppm,
+    ))
     actions: list[ControlAction] = [
         SetGate("exit", GateState.OPEN),
         UpdateDisplay(render_display(state)),
@@ -141,9 +142,12 @@ def handle_slot_update(
     """A slot sensor changed: record it and publish the retained slot status."""
     if not 0 <= slot_id < state.total_slots:
         raise ValueError(f"slot_id {slot_id} outside 0..{state.total_slots - 1}")
-    occupied = 1 if occupied else 0
-    slots = state.slots[:slot_id] + (occupied,) + state.slots[slot_id + 1 :]
-    state = _check(replace(state, slots=slots))
+    flag = b"\x01" if occupied else b"\x00"
+    slots = state.slots[:slot_id] + flag + state.slots[slot_id + 1 :]
+    state = _check(FacilityState(
+        slots, state.total_vacant, state.entrance_gate, state.exit_gate, state.buzzer,
+        state.fan, state.last_temp_c, state.last_humidity_pct, state.last_gas_ppm,
+    ))
     payload = b"1" if occupied else b"0"
     return state, [Publish(slot_topic(cfg, slot_id), payload, retained=True)]
 
@@ -155,7 +159,10 @@ def handle_env(
     if not 0.0 <= humidity_pct <= 100.0:
         log.debug("rejecting impossible humidity reading %.1f%%", humidity_pct)
         return state, [Anomaly(f"humidity reading {humidity_pct} rejected")]
-    state = replace(state, last_temp_c=temp_c, last_humidity_pct=humidity_pct)
+    state = FacilityState(
+        state.slots, state.total_vacant, state.entrance_gate, state.exit_gate, state.buzzer,
+        state.fan, temp_c, humidity_pct, state.last_gas_ppm,
+    )
     actions: list[ControlAction] = [
         UpdateDisplay(render_display(state)),
         Publish(f"{cfg.topic_prefix}/env/temperature", f"{temp_c:.1f}".encode(), retained=True),
@@ -181,7 +188,10 @@ def handle_gas(
         fan = Power.OFF
     if fan is not state.fan:
         actions += [SetFan(fan), _fan_publish(cfg, fan)]
-    state = replace(state, last_gas_ppm=ppm, fan=fan)
+    state = FacilityState(
+        state.slots, state.total_vacant, state.entrance_gate, state.exit_gate, state.buzzer,
+        fan, state.last_temp_c, state.last_humidity_pct, ppm,
+    )
     return state, actions
 
 
@@ -191,7 +201,10 @@ def close_entrance_gate(
     """Auto-close timer fired; buzzer stops with the gate."""
     if state.entrance_gate is GateState.CLOSED:
         return state, []
-    state = replace(state, entrance_gate=GateState.CLOSED, buzzer=Power.OFF)
+    state = FacilityState(
+        state.slots, state.total_vacant, GateState.CLOSED, state.exit_gate, Power.OFF,
+        state.fan, state.last_temp_c, state.last_humidity_pct, state.last_gas_ppm,
+    )
     return state, [
         SetGate("entrance", GateState.CLOSED),
         SetBuzzer(Power.OFF),
@@ -204,7 +217,10 @@ def close_exit_gate(
 ) -> tuple[FacilityState, list[ControlAction]]:
     if state.exit_gate is GateState.CLOSED:
         return state, []
-    state = replace(state, exit_gate=GateState.CLOSED)
+    state = FacilityState(
+        state.slots, state.total_vacant, state.entrance_gate, GateState.CLOSED, state.buzzer,
+        state.fan, state.last_temp_c, state.last_humidity_pct, state.last_gas_ppm,
+    )
     return state, [SetGate("exit", GateState.CLOSED), _gate_publish(cfg, "exit", GateState.CLOSED)]
 
 

@@ -1,10 +1,12 @@
 """Core facility types shared by the controller, simulator, and broker glue.
 
-The display frame and the control actions are `values.Value` classes:
-immutable, slotted and cheap to build, one set per controller event. An
-actuator action names the state it sets (`GateState`, `Power`), and a
-refused reading comes back as an `Anomaly` action, so one action list is
-everything a controller event asks of the runtime.
+The facility state, the display frame and the control actions are
+`values.Value` classes: immutable, slotted and cheap to build, one set per
+controller event. The state keeps its per-slot sensor flags as `bytes`, so a
+slot update copies one buffer instead of a tuple of ints. An actuator action
+names the state it sets (`GateState`, `Power`), and a refused reading comes
+back as an `Anomaly` action, so one action list is everything a controller
+event asks of the runtime.
 """
 
 from __future__ import annotations
@@ -55,24 +57,29 @@ class FacilityConfig:
             raise ConfigError("gate_open_s must be > 0")
 
 
-@dataclass(frozen=True)
-class FacilityState:
-    """Snapshot of the whole facility.
+class FacilityState(
+    Value,
+    defaults={
+        "entrance_gate": GateState.CLOSED,
+        "exit_gate": GateState.CLOSED,
+        "buzzer": Power.OFF,
+        "fan": Power.OFF,
+        "last_temp_c": 0.0,
+        "last_humidity_pct": 0.0,
+        "last_gas_ppm": 0.0,
+    },
+):
+    """Snapshot of the whole facility, one new value per transition.
 
     `total_vacant` is the gate-derived counter; `slots` holds the per-slot
-    sensor flags (1 = occupied). The two may diverge while a car is driving
-    from the gate to its slot, so consistency is only checked at quiescence.
+    sensor flags as `bytes`, one byte per slot (1 = occupied). `len`,
+    indexing, iteration and `sum` read it as they would a tuple of ints. The
+    counter and the flags may diverge while a car is driving from the gate to
+    its slot, so consistency is only checked at quiescence.
     """
 
-    slots: tuple[int, ...]
-    total_vacant: int
-    entrance_gate: GateState = GateState.CLOSED
-    exit_gate: GateState = GateState.CLOSED
-    buzzer: Power = Power.OFF
-    fan: Power = Power.OFF
-    last_temp_c: float = 0.0
-    last_humidity_pct: float = 0.0
-    last_gas_ppm: float = 0.0
+    __slots__ = ("slots", "total_vacant", "entrance_gate", "exit_gate", "buzzer", "fan",
+                 "last_temp_c", "last_humidity_pct", "last_gas_ppm")
 
     @property
     def total_slots(self) -> int:
@@ -129,9 +136,9 @@ def new_facility(config: FacilityConfig) -> FacilityState:
     """All slots vacant, gates closed, buzzer and fan off."""
     config.validate()
     n = config.total_slots
-    return FacilityState(slots=(0,) * n, total_vacant=n)
+    return FacilityState(bytes(n), n)
 
 
 def derived_vacancy(state: FacilityState) -> int:
     """Vacancy recomputed from the slot sensor flags (consistency check)."""
-    return len(state.slots) - sum(state.slots)
+    return len(state.slots) - state.slots.count(1)

@@ -111,10 +111,13 @@ class GasField:
         self.last_t = 0.0
 
     def _weighted_level(self) -> float:
-        return sum(
-            self.model.sensitivities.get(gas, 0.0) * ppm
-            for gas, ppm in sorted(self.concentrations.items())
-        )
+        # left to right, as sensors.sample_mq2 adds: sum() compensates float
+        # additions from Python 3.12 on, so its total depends on the version
+        sensitivities = self.model.sensitivities
+        level = 0.0
+        for gas, ppm in sorted(self.concentrations.items()):
+            level += sensitivities.get(gas, 0.0) * ppm
+        return level
 
     def advance(self, t: float) -> None:
         dt = t - self.last_t

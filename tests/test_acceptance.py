@@ -163,7 +163,7 @@ def test_criterion_5_retained_state_consistency():
             assert publish.retain
             slot_no = int(publish.topic.split("/")[2])
             reconstructed[slot_no - 1] = int(publish.payload)
-        assert tuple(reconstructed) == controller.state.slots
+        assert bytes(reconstructed) == controller.state.slots
 
 
 def test_criterion_6_controller_invariant_fuzz():

@@ -1,5 +1,7 @@
 import argparse
+import hashlib
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,14 @@ env_sample_period_s = 300
 gas_sample_period_s = 0
 seed = 9
 """
+
+STOCK_DAY = Path(__file__).resolve().parent.parent / "scenarios" / "day.cfg"
+# the stock day's pinned output digests, as in tests/test_golden.py
+STOCK_DAY_SHA256 = {
+    "events.jsonl": "48784504f3fa706e9fdd3a1e5ca217711c07a975cae9c6e4e5b03c4429415689",
+    "metrics.csv": "f21ed2e3273c5c1917170a1da0a3e2e867e778d3ef8bfa8c1454820bc19e7059",
+    "report.txt": "f6d132dc71581fef2e94119175bb8eb804f65bd08ced7a079a3eb02e688adc09",
+}
 
 RUNNERS = (cli._run_broker, cli._run_simulate, cli._run_watch, cli._run_analyze, cli._run_report)
 
@@ -213,6 +223,33 @@ class TestSimulateAndReport:
         finally:
             held.close()
             server.stop()
+
+    def test_losing_the_mirror_keeps_the_run(self, tmp_path, capsys, monkeypatch):
+        server = net.BrokerServer(host="127.0.0.1", port=0)
+        server.start()
+        host, port = server.address
+        publish = net.MqttConnection.publish
+        publishes = 0
+
+        def publish_then_stop_the_broker(self, *args, **kwargs):
+            nonlocal publishes
+            publishes += 1
+            publish(self, *args, **kwargs)
+            if publishes == 100:
+                server.stop()
+
+        monkeypatch.setattr(net.MqttConnection, "publish", publish_then_stop_the_broker)
+        out_dir = tmp_path / "out"
+        try:
+            code = cli.main(["simulate", "--scenario", str(STOCK_DAY), "--out", str(out_dir),
+                             "--broker", f"{host}:{port}"])
+        finally:
+            server.stop()
+        assert code == cli.EXIT_NETWORK
+        assert publishes > 100  # a send after the stop failed, and none followed it
+        assert capsys.readouterr().err.count("warning: mirror to") == 1
+        for name, sha256 in STOCK_DAY_SHA256.items():
+            assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == sha256, name
 
     def test_seed_override_changes_events(self, tmp_path):
         scenario = tmp_path / "day.cfg"

@@ -9,6 +9,8 @@ from parksim.controller import (
     ExitDetect,
     GasReading,
     SlotUpdate,
+    close_entrance_gate,
+    close_exit_gate,
     handle_entrance,
     handle_env,
     handle_exit,
@@ -19,6 +21,7 @@ from parksim.controller import (
 from parksim.domain import (
     Anomaly,
     FacilityConfig,
+    FacilityState,
     GateState,
     Power,
     Publish,
@@ -26,6 +29,7 @@ from parksim.domain import (
     SetFan,
     SetGate,
     UpdateDisplay,
+    derived_vacancy,
     new_facility,
 )
 
@@ -106,7 +110,7 @@ class TestSlotUpdate:
     def test_occupy_publishes_retained_one(self):
         cfg, state = facility(4)
         state, actions = handle_slot_update(state, cfg, 0, 1)
-        assert state.slots == (1, 0, 0, 0)
+        assert state.slots == bytes((1, 0, 0, 0))
         publishes = [a for a in actions if isinstance(a, Publish)]
         assert len(publishes) == 1
         assert publishes[0].topic == "parking/slot/1/status"
@@ -117,7 +121,7 @@ class TestSlotUpdate:
         cfg, state = facility(4)
         state, _ = handle_slot_update(state, cfg, 0, 1)
         state, actions = handle_slot_update(state, cfg, 0, 0)
-        assert state.slots == (0, 0, 0, 0)
+        assert state.slots == bytes((0, 0, 0, 0))
         publish = next(a for a in actions if isinstance(a, Publish))
         assert publish.payload == b"0"
 
@@ -244,7 +248,7 @@ class TestControllerWrapper:
         actions += controller.handle(EnvReading(temp_c=28.0, humidity_pct=70.0))
         actions += controller.handle(GasReading(ppm=2.0))
         assert controller.state.total_vacant == 3
-        assert controller.state.slots == (1, 0, 0, 0)
+        assert controller.state.slots == bytes((1, 0, 0, 0))
         assert Anomaly not in action_types(actions)
 
     def test_anomalies_recorded(self):
@@ -323,3 +327,69 @@ def test_invariants_under_random_event_soup(kinds, seed):
                 fan_reference = Power.OFF
             assert controller.state.fan is fan_reference
         assert 0 <= controller.state.total_vacant <= 5
+
+
+HANDLER_EVENTS = st.one_of(
+    st.just(("entrance",)),
+    st.just(("exit",)),
+    st.tuples(st.just("slot"), st.integers(0, 5), st.integers(0, 1)),
+    st.tuples(st.just("env"), st.floats(-20.0, 60.0), st.floats(-10.0, 110.0)),
+    st.tuples(st.just("gas"), st.floats(-5.0, 30.0)),
+    st.just(("close_entrance",)),
+    st.just(("close_exit",)),
+)
+
+
+def state_fields(state):
+    return {name: getattr(state, name) for name in FacilityState.__slots__}
+
+
+@given(events=st.lists(HANDLER_EVENTS, max_size=80))
+@settings(max_examples=200)
+def test_each_handler_changes_only_the_fields_it_sets(events):
+    # The handlers build the next state positionally; this reference names
+    # every field it changes, so two fields swapped in a constructor show up
+    # even where no record reads them (last_gas_ppm, buzzer, ...).
+    cfg, state = facility(6, gas_threshold_ppm=10.0, gas_hysteresis_ppm=2.0)
+    for kind, *args in events:
+        changes = {}
+        if kind == "entrance":
+            after, _ = handle_entrance(state, cfg)
+            if state.total_vacant > 0:
+                changes = {"total_vacant": state.total_vacant - 1,
+                           "entrance_gate": GateState.OPEN, "buzzer": Power.ON}
+        elif kind == "exit":
+            after, _ = handle_exit(state, cfg)
+            changes = {"total_vacant": min(state.total_vacant + 1, len(state.slots)),
+                       "exit_gate": GateState.OPEN}
+        elif kind == "slot":
+            slot_id, occupied = args
+            after, _ = handle_slot_update(state, cfg, slot_id, occupied)
+            flags = list(state.slots)
+            flags[slot_id] = occupied
+            changes = {"slots": bytes(flags)}
+        elif kind == "env":
+            temp_c, humidity_pct = args
+            after, _ = handle_env(state, cfg, temp_c, humidity_pct)
+            if 0.0 <= humidity_pct <= 100.0:
+                changes = {"last_temp_c": temp_c, "last_humidity_pct": humidity_pct}
+        elif kind == "gas":
+            (ppm,) = args
+            after, _ = handle_gas(state, cfg, ppm)
+            if ppm >= 0:
+                fan = state.fan
+                if fan is Power.OFF and ppm > cfg.gas_threshold_ppm:
+                    fan = Power.ON
+                elif fan is Power.ON and ppm <= cfg.gas_threshold_ppm - cfg.gas_hysteresis_ppm:
+                    fan = Power.OFF
+                changes = {"last_gas_ppm": ppm, "fan": fan}
+        elif kind == "close_entrance":
+            after, _ = close_entrance_gate(state, cfg)
+            changes = {"entrance_gate": GateState.CLOSED, "buzzer": Power.OFF}
+        else:
+            after, _ = close_exit_gate(state, cfg)
+            changes = {"exit_gate": GateState.CLOSED}
+        assert state_fields(after) == {**state_fields(state), **changes}, kind
+        assert type(after.slots) is bytes
+        assert derived_vacancy(after) == len(after.slots) - sum(after.slots)
+        state = after

@@ -15,7 +15,7 @@ from parksim.domain import (
 
 def test_new_facility_all_vacant():
     state = new_facility(FacilityConfig(total_slots=4))
-    assert state.slots == (0, 0, 0, 0)
+    assert state.slots == bytes((0, 0, 0, 0))
     assert state.total_vacant == 4
     assert state.entrance_gate is GateState.CLOSED
     assert state.exit_gate is GateState.CLOSED
@@ -25,7 +25,7 @@ def test_new_facility_all_vacant():
 
 def test_new_facility_single_slot():
     state = new_facility(FacilityConfig(total_slots=1))
-    assert state.slots == (0,)
+    assert state.slots == bytes((0,))
     assert state.total_vacant == 1
 
 

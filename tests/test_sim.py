@@ -1,4 +1,5 @@
 import json
+import math
 import typing
 from dataclasses import replace
 from pathlib import Path
@@ -52,7 +53,7 @@ class TestSingleCarTrace:
             fan_on_events=0, fan_off_events=0, drops=0,
         )
         assert report.final_state.total_vacant == 3
-        assert report.final_state.slots == (1, 0, 0, 0)
+        assert report.final_state.slots == bytes((1, 0, 0, 0))
         assert simulation.broker.retained["parking/slot/1/status"][0] == b"1"
         assert simulation.broker.retained["parking/summary"][0] == b"3/4"
         park = kinds(report.records, "car_parks")[0]
@@ -85,6 +86,19 @@ class TestVentilationScenario:
             r["ppm"] for r in kinds(report.records, "gas_sample") if r["t"] >= 10.0
         )
         assert first_reading == pytest.approx(18.4)
+
+    def test_weighted_level_adds_left_to_right(self):
+        field = sim.GasField(Mq2Model(sensitivities={"a": 1.0, "b": 1.0, "c": 1.0}), 2.0)
+        field.inject(0.0, "c", 0.3)
+        field.inject(0.0, "a", 0.1)
+        field.inject(0.0, "b", 0.2)
+        terms = [1.0 * 0.1, 1.0 * 0.2, 1.0 * 0.3]  # in gas-name order
+        reference = 0.0
+        for term in terms:
+            reference += term
+        # a compensated sum (sum() on 3.12+, math.fsum) gives another float here
+        assert reference != math.fsum(terms)
+        assert field._weighted_level() == reference
 
 
 class TestDeterminism:

@@ -49,6 +49,10 @@ _CLASS_CASES = {
     controller.SlotUpdate: ({"slot_id": 2, "occupied": 1}, {}),
     controller.EnvReading: ({"temp_c": 21.5, "humidity_pct": 40.0}, {}),
     controller.GasReading: ({"ppm": 3.25}, {}),
+    domain.FacilityState: ({"slots": bytes((1, 0, 0, 0)), "total_vacant": 3},
+                           {"entrance_gate": GateState.CLOSED, "exit_gate": GateState.CLOSED,
+                            "buzzer": Power.OFF, "fan": Power.OFF, "last_temp_c": 0.0,
+                            "last_humidity_pct": 0.0, "last_gas_ppm": 0.0}),
 }
 # case name -> (class, required fields, defaults): one case per class, named
 # "module.Class", and one per actuator action, named after the action
