@@ -10,7 +10,9 @@ owns the instance, so they serialize naturally and need no lock.
 Send and Close are immutable `values.Value` classes, like the packets.
 handle() dispatches on the packet's exact type through one table; a
 connected session that sends a type with no entry (a packet only a server
-sends) is dropped and its connection closed as unexpected.
+sends) is dropped and its connection closed as unexpected. A SUBSCRIBE
+that requests QoS 2 is granted QoS 1, the highest this subset speaks
+(MQTT 3.1.1 §3.8.4).
 
 QoS-1 bookkeeping doubles as the error-recovery model: an outbound publish
 whose first transmission times out unacknowledged counts as an error, a
@@ -302,16 +304,15 @@ class BrokerCore:
     def _handle_subscribe(self, session: Session, packet: Subscribe, now: float) -> list[BrokerOutput]:
         for topic_filter, _ in packet.filters:
             codec.validate_filter(topic_filter)
-        granted: list[int] = []
-        for topic_filter, qos in packet.filters:
+        granted = tuple([min(qos, 1) for _, qos in packet.filters])
+        for (topic_filter, _), qos in zip(packet.filters, granted):
             # re-subscribing to the same filter replaces the old qos
             session.subscriptions[topic_filter] = qos
             _trie_insert(self._subscription_trie, topic_filter.split("/"), session.client_id, qos)
-            granted.append(qos)
-        outputs: list[BrokerOutput] = [Send(session.conn_id, SubAck(packet.packet_id, tuple(granted)))]
+        outputs: list[BrokerOutput] = [Send(session.conn_id, SubAck(packet.packet_id, granted))]
         retained = self.retained
         outbound = self._outbound_publish
-        for topic_filter, qos in packet.filters:
+        for (topic_filter, _), qos in zip(packet.filters, granted):
             for topic in self._retained_matching(topic_filter):
                 payload, retained_qos = retained[topic]
                 outbound(outputs, session, topic, payload,

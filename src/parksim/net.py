@@ -38,7 +38,7 @@ import threading
 import time
 
 from . import codec
-from .broker import BrokerCore, BrokerOutput, Send
+from .broker import BrokerCore, BrokerOutput, Close
 from .client import ClientEngine
 
 log = logging.getLogger(__name__)
@@ -190,7 +190,7 @@ class BrokerServer:
             conn = conns.get(output.conn_id)
             if conn is None:
                 continue
-            if not isinstance(output, Send):
+            if type(output) is Close:
                 self._close(conn)
                 continue
             conn.out += codec.encode_packet(output.packet)

@@ -251,6 +251,8 @@ class Simulation:
         }
 
         self.records: list[dict[str, Any]] = []
+        # (topic, payload length, qos) -> PUBLISH frame size; see _frame_size
+        self.frame_sizes: dict[tuple[str, int, int], int] = {}
         self.bumps: list[sensors.Bump] = []
         self.free_slots = list(range(cfg.facility.total_slots))  # physical truth
         self.car_slot: dict[int, int] = {}
@@ -278,6 +280,15 @@ class Simulation:
 
     # -- transport --------------------------------------------------------
 
+    def _frame_size(self, packet: codec.Publish) -> int:
+        """codec.frame_size(packet), checked once per topic, payload length
+        and qos: the size depends on nothing else."""
+        key = (packet.topic, len(packet.payload), packet.qos)
+        size = self.frame_sizes.get(key)
+        if size is None:
+            size = self.frame_sizes[key] = codec.frame_size(packet)
+        return size
+
     def _send_to_broker(self, source: str, packet: codec.MqttPacket) -> None:
         self._push(self.now + self.cfg.network.latency_s, PacketDelivery(BROKER_CONN, source, packet))
 
@@ -298,7 +309,7 @@ class Simulation:
                         self.rng["network"].random() < self.cfg.network.drop_prob:
                     self.counters["drops"] += 1
                     self._record("drop", topic=packet.topic,
-                                 bytes=codec.frame_size(packet),
+                                 bytes=self._frame_size(packet),
                                  client_id=output.conn_id)
                     continue
                 self._push(
@@ -423,7 +434,7 @@ class Simulation:
             outputs = self.broker.handle(event.source, event.packet, self.now)
             if isinstance(event.packet, codec.Publish):
                 self._record("publish", topic=event.packet.topic,
-                             bytes=codec.frame_size(event.packet),
+                             bytes=self._frame_size(event.packet),
                              client_id=event.source)
                 if self.publish_hook is not None:
                     self.publish_hook(event.packet.topic, event.packet.payload, event.packet.retain)
@@ -434,7 +445,7 @@ class Simulation:
             self._record(
                 "deliver",
                 topic=event.packet.topic,
-                bytes=codec.frame_size(event.packet),
+                bytes=self._frame_size(event.packet),
                 client_id=event.destination,
                 delay=telemetry.delay(event.accept_t if event.accept_t is not None else self.now,
                                       self.now),

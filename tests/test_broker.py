@@ -129,6 +129,25 @@ class TestRouting:
         delivered = sends_of(outputs, Publish)[0].packet
         assert delivered.qos == 0 and delivered.packet_id is None
 
+    def test_qos2_request_is_granted_qos1(self):
+        # §3.8.4: the server may grant a lower QoS than requested; deliveries
+        # then go out at the granted QoS at most (MQTT-3.8.4-6)
+        core = BrokerCore()
+        connect(core, "pub", "publisher")
+        connect(core, "s1", "sub-qos2")
+        core.handle("pub", Publish(topic="parking/fan/state", payload=b"on", qos=1, retain=True,
+                                   packet_id=1), 0.0)
+        outputs = core.handle(
+            "s1", Subscribe(packet_id=5, filters=(("parking/#", 2), ("lot/+", 0))), 1.0)
+        assert sends_of(outputs, SubAck) == [Send("s1", SubAck(packet_id=5, granted=(1, 0)))]
+        assert core.sessions["sub-qos2"].subscriptions == {"parking/#": 1, "lot/+": 0}
+        replayed = sends_of(outputs, Publish)[0].packet
+        assert (replayed.topic, replayed.qos, replayed.retain) == ("parking/fan/state", 1, True)
+        outputs = core.handle(
+            "pub", Publish(topic="parking/gas/ppm", payload=b"3", qos=1, packet_id=9), 2.0)
+        delivered = sends_of(outputs, Publish)[0].packet
+        assert delivered.qos == 1 and delivered.packet_id is not None
+
     def test_no_subscribers_no_fanout(self):
         core = BrokerCore()
         connect(core, "pub", "publisher")

@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import random
+import typing
 
 import pytest
 from hypothesis import given, strategies as st
@@ -196,11 +197,13 @@ def test_connect_roundtrip_clean():
     assert consumed == len(encode_packet(packet))
 
 
-def test_subscribe_qos2_rejected_on_decode():
+def test_subscribe_qos2_decodes_and_qos3_is_refused():
+    # MQTT-3.8.3-4: only a requested QoS outside 0-2 makes a SUBSCRIBE malformed
     body = b"\x00\x01" + b"\x00\x03a/b" + b"\x02"
     frame = bytes([0x82]) + encode_varint(len(body)) + body
+    assert decode_packet(frame) == (Subscribe(packet_id=1, filters=(("a/b", 2),)), len(frame))
     with pytest.raises(ProtocolError):
-        decode_packet(frame)
+        decode_packet(frame[:-1] + b"\x03")
 
 
 def test_invalid_utf8_topic_rejected():
@@ -429,3 +432,180 @@ def test_decode_reads_a_memoryview_slice_in_place():
     assert type(packet.payload) is bytes
     view.release()
     del buf[:5]  # no view of the buffer is left behind
+
+
+
+# -- malformed frames ------------------------------------------------------------
+
+# One hand-built frame per error the decoder raises, with a fragment of the
+# message that names that check. A valid CONNECT body for the cases that
+# alter it: protocol "MQTT", level 4, clean session, keep-alive 30, id "c".
+_CONNECT_BODY = b"\x00\x04MQTT\x04\x02\x00\x1e\x00\x01c"
+
+MALFORMED = [
+    ("reserved-type-0", b"\x00\x00", "reserved packet type"),
+    ("reserved-type-15", b"\xf0\x00", "reserved packet type"),
+    ("pubrec", b"\x50\x02\x00\x01", "outside the supported subset"),
+    ("varint-5-bytes", b"\x30\x80\x80\x80\x80\x01", "longer than 4 bytes"),
+    ("varint-overlong", b"\x30\x80\x00", "overlong"),
+    ("over-cap", b"\x30\x81\x80\x10", "exceeds cap"),  # 262,145 > 256 KiB
+    ("connect-flags", b"\x11\x0d" + _CONNECT_BODY, "invalid fixed-header flags"),
+    ("connect-reserved-bit", b"\x10\x0d\x00\x04MQTT\x04\x03\x00\x1e\x00\x01c", "reserved flag bit"),
+    ("connect-truncated", b"\x10\x0c" + _CONNECT_BODY[:-1], "truncated"),
+    ("connect-will-missing", b"\x10\x0d\x00\x04MQTT\x04\x06\x00\x1e\x00\x01c", "truncated"),
+    ("connect-trailing", b"\x10\x0e" + _CONNECT_BODY + b"x", "trailing bytes"),
+    ("connect-bad-utf8", b"\x10\x0d" + _CONNECT_BODY[:-1] + b"\xff", "invalid UTF-8"),
+    ("connack-flags", b"\x21\x02\x00\x00", "invalid fixed-header flags"),
+    ("connack-ack-flags", b"\x20\x02\x02\x00", "CONNACK flags byte"),
+    ("connack-code", b"\x20\x02\x00\x06", "return code 6 out of range"),
+    ("connack-truncated", b"\x20\x01\x00", "truncated"),
+    ("connack-trailing", b"\x20\x03\x00\x00\x00", "trailing bytes"),
+    ("publish-qos3", b"\x36\x08\x00\x03a/b\x00\x01x", "qos bits set to 3"),
+    ("publish-qos2", b"\x34\x08\x00\x03a/b\x00\x01x", "qos 2 is outside"),
+    ("publish-qos0-dup", b"\x38\x06\x00\x03a/bx", "DUP"),
+    ("publish-no-topic-length", b"\x30\x01\x00", "truncated"),
+    ("publish-truncated-topic", b"\x30\x04\x00\x05a/", "truncated"),
+    ("publish-bad-utf8", b"\x30\x04\x00\x02\xff\xfe", "invalid UTF-8"),
+    ("publish-plus", b"\x30\x05\x00\x03a/+", "wildcards"),
+    ("publish-hash", b"\x30\x05\x00\x03a/#", "wildcards"),
+    ("publish-nul", b"\x30\x05\x00\x03a\x00b", "U\\+0000"),
+    ("publish-empty-topic", b"\x30\x03\x00\x00x", "non-empty"),
+    ("publish-truncated-id", b"\x32\x06\x00\x03a/b\x00", "truncated"),
+    ("publish-id-0", b"\x32\x07\x00\x03a/b\x00\x00", "packet_id 0"),
+    ("puback-flags", b"\x41\x02\x00\x01", "invalid fixed-header flags"),
+    ("puback-truncated", b"\x40\x01\x00", "truncated"),
+    ("puback-trailing", b"\x40\x03\x00\x01\x00", "trailing bytes"),
+    ("puback-id-0", b"\x40\x02\x00\x00", "packet_id 0"),
+    ("subscribe-flags", b"\x80\x08\x00\x01\x00\x03a/b\x00", "invalid fixed-header flags"),
+    ("subscribe-id-0", b"\x82\x08\x00\x00\x00\x03a/b\x00", "packet_id 0"),
+    ("subscribe-no-filters", b"\x82\x02\x00\x01", "carries no filters"),
+    ("subscribe-bad-filter", b"\x82\x08\x00\x01\x00\x03a#b\x00", "'#' must be"),
+    ("subscribe-missing-qos", b"\x82\x07\x00\x01\x00\x03a/b", "truncated"),
+    ("subscribe-qos3", b"\x82\x08\x00\x01\x00\x03a/b\x03", "not 0, 1 or 2"),
+    ("subscribe-bad-utf8", b"\x82\x07\x00\x01\x00\x02\xff\xfe\x00", "invalid UTF-8"),
+    ("suback-flags", b"\x92\x03\x00\x01\x00", "invalid fixed-header flags"),
+    ("suback-id-0", b"\x90\x03\x00\x00\x00", "packet_id 0"),
+    ("suback-no-codes", b"\x90\x02\x00\x01", "no return codes"),
+    ("suback-failure-code", b"\x90\x03\x00\x01\x80", "outside the supported subset"),
+    ("unsubscribe-flags", b"\xa0\x07\x00\x01\x00\x03a/b", "invalid fixed-header flags"),
+    ("unsubscribe-id-0", b"\xa2\x07\x00\x00\x00\x03a/b", "packet_id 0"),
+    ("unsubscribe-no-filters", b"\xa2\x02\x00\x01", "carries no filters"),
+    ("unsubscribe-bad-filter", b"\xa2\x07\x00\x01\x00\x03a+b", "'\\+' must occupy"),
+    ("unsuback-flags", b"\xb1\x02\x00\x01", "invalid fixed-header flags"),
+    ("unsuback-trailing", b"\xb0\x03\x00\x01\x00", "trailing bytes"),
+    ("unsuback-id-0", b"\xb0\x02\x00\x00", "packet_id 0"),
+    ("pingreq-flags", b"\xc1\x00", "invalid fixed-header flags"),
+    ("pingreq-trailing", b"\xc0\x01\x00", "trailing bytes"),
+    ("pingresp-flags", b"\xd1\x00", "invalid fixed-header flags"),
+    ("pingresp-trailing", b"\xd0\x01\x00", "trailing bytes"),
+    ("disconnect-flags", b"\xe1\x00", "invalid fixed-header flags"),
+    ("disconnect-trailing", b"\xe0\x01\x00", "trailing bytes"),
+]
+
+
+@pytest.mark.parametrize("frame,message", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_frame_is_a_protocol_error(frame, message):
+    with pytest.raises(ProtocolError, match=message):
+        decode_packet(frame)
+
+    # in place, from a memoryview slice: the error leaves no view of the
+    # buffer behind, so the buffer can be resized once the caller's own
+    # view is released
+    buf = bytearray(b"\x00" * 3 + frame)
+    view = memoryview(buf)
+    try:
+        decode_packet(view[3:])
+    except ProtocolError:
+        pass
+    else:
+        pytest.fail("no ProtocolError from the memoryview slice")
+    view.release()
+    del buf[:3]
+
+    # behind a valid frame in one stream
+    splitter = codec.FrameSplitter()
+    assert splitter.feed(PUBLISH_WIRE + frame) == [decode_packet(PUBLISH_WIRE)[0]]
+    assert isinstance(splitter.error, ProtocolError)
+    assert splitter.feed(PUBLISH_WIRE) == []
+
+
+# -- byte-exact PUBLISH and PUBACK ----------------------------------------------
+
+
+def _reference_publish_frame(topic: str, payload: bytes, qos: int, retain: bool, dup: bool,
+                             packet_id: int | None) -> bytes:
+    """MQTT 3.1.1 §3.3 PUBLISH, built without parksim.codec."""
+    name = topic.encode("utf-8")
+    body = len(name).to_bytes(2, "big") + name
+    if qos:
+        body += packet_id.to_bytes(2, "big")
+    body += payload
+    length, n = bytearray(), len(body)
+    while True:
+        n, digit = divmod(n, 128)
+        length.append(digit | (0x80 if n else 0))
+        if not n:
+            break
+    return bytes([0x30 | dup << 3 | qos << 1 | retain]) + bytes(length) + body
+
+
+@given(
+    st.text(alphabet=st.characters(blacklist_characters="+#\0", blacklist_categories=("Cs",)),
+            min_size=1, max_size=30),
+    st.one_of(st.integers(min_value=0, max_value=300),
+              st.sampled_from([127, 128, 16_383, 16_384])),
+    st.integers(min_value=0, max_value=1),
+    st.booleans(),
+    st.booleans(),
+    st.integers(min_value=1, max_value=0xFFFF),
+    st.randoms(use_true_random=False),
+)
+def test_publish_and_puback_bytes_equal_an_independent_builder(topic, remaining, qos, retain,
+                                                               dup, packet_id, rng):
+    # the payload is sized so the remaining length lands on each side of the
+    # one- and two-byte varint widths
+    dup = dup and qos == 1
+    packet_id = packet_id if qos == 1 else None
+    overhead = 2 + len(topic.encode("utf-8")) + 2 * qos
+    payload = rng.randbytes(max(remaining - overhead, 0))
+    packet = Publish(topic, payload, qos, retain, dup, packet_id)
+    wire = encode_packet(packet)
+    assert wire == _reference_publish_frame(topic, payload, qos, retain, dup, packet_id)
+    assert codec.frame_size(packet) == len(wire)
+    assert decode_packet(wire) == (packet, len(wire))
+    if qos:
+        assert encode_packet(PubAck(packet_id)) == b"\x40\x02" + packet_id.to_bytes(2, "big")
+
+
+_SAMPLES = {
+    Connect: Connect(client_id="c", keep_alive_s=30),
+    ConnAck: ConnAck(return_code=0),
+    Publish: Publish(topic="a/b", payload=b"x", qos=1, packet_id=1),
+    PubAck: PubAck(packet_id=2),
+    Subscribe: Subscribe(packet_id=3, filters=(("a/#", 1),)),
+    SubAck: SubAck(packet_id=3, granted=(1,)),
+    Unsubscribe: Unsubscribe(packet_id=4, filters=("a/#",)),
+    UnsubAck: UnsubAck(packet_id=4),
+    PingReq: PingReq(),
+    PingResp: PingResp(),
+    Disconnect: Disconnect(),
+}
+
+
+def test_every_packet_class_has_an_encoder_and_a_decoder():
+    classes = typing.get_args(codec.MqttPacket)
+    assert set(codec._ENCODERS) == set(classes) == set(_SAMPLES)
+    wires = [encode_packet(_SAMPLES[cls]) for cls in classes]
+    assert all(codec._DECODERS[wire[0] >> 4] is not None for wire in wires)
+    splitter = codec.FrameSplitter()
+    assert splitter.feed(b"".join(wires)) == [_SAMPLES[cls] for cls in classes]
+    assert splitter.error is None
+
+
+def test_unknown_packet_type_refused_on_encode():
+    class NotAPacket:
+        pass
+
+    with pytest.raises(EncodeError, match="unknown packet type: NotAPacket"):
+        encode_packet(NotAPacket())

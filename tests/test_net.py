@@ -1,5 +1,6 @@
 """End-to-end checks of the TCP broker and client over localhost."""
 
+import collections
 import socket
 import threading
 import time
@@ -204,6 +205,61 @@ class TestSelectorLoop:
                 received += frames.feed(chunk)
         assert received == [codec.ConnAck(return_code=0), codec.PingResp()]
         assert wait_until(lambda: "raw" not in server.core.sessions)
+
+    def test_qos2_subscribe_is_granted_qos1(self, server):
+        # SUBSCRIBE, packet id 1, filter "a/b", requested QoS 2
+        subscribe = b"\x82\x08\x00\x01\x00\x03a/b\x02"
+        received = b""
+        with socket.create_connection(server.address, timeout=5.0) as raw:
+            raw.sendall(codec.encode_packet(codec.Connect(client_id="qos2")) + subscribe)
+            while len(received) < 9:  # CONNACK (4 bytes) and SUBACK (5 bytes)
+                chunk = raw.recv(4096)
+                assert chunk, "broker closed the connection"
+                received += chunk
+        assert received == b"\x20\x02\x00\x00" + b"\x90\x03\x00\x01\x01"
+
+    def test_every_frame_passes_the_codec_entry_points(self, server, monkeypatch):
+        """perfbench's tracer wraps the module attributes codec.encode_packet
+        and codec.decode_packet; every frame the broker and both clients
+        send or receive must go through them."""
+        encode, decode = codec.encode_packet, codec.decode_packet
+        encoded, decoded = [], []
+
+        def counting_encode(packet):
+            wire = encode(packet)
+            encoded.append((type(packet), len(wire)))
+            return wire
+
+        def counting_decode(buf, *args):
+            result = decode(buf, *args)
+            if result is not None:
+                decoded.append((type(result[0]), result[1]))
+            return result
+
+        monkeypatch.setattr(codec, "encode_packet", counting_encode)
+        monkeypatch.setattr(codec, "decode_packet", counting_decode)
+        count = 50
+        host, port = server.address
+        sub = MqttConnection(host, port, client_id="sub")
+        pub = MqttConnection(host, port, client_id="pub")
+        try:
+            sub.subscribe("t/#", qos=1)
+            assert wait_until(lambda: not sub.engine.pending_subscribes, polling=[sub])
+            for i in range(count):
+                pub.publish("t/x", b"%d" % i, qos=1)
+            assert [next_message(sub)[1] for _ in range(count)] == [b"%d" % i for i in range(count)]
+            # every PUBACK is in: the publisher's from the broker, the broker's
+            # from the subscriber
+            assert wait_until(lambda: not pub.engine.inflight
+                              and not server.core.sessions["sub"].inflight, polling=[pub, sub])
+            kinds = collections.Counter(kind for kind, _ in encoded)
+            assert kinds == {codec.Connect: 2, codec.ConnAck: 2, codec.Subscribe: 1,
+                             codec.SubAck: 1, codec.Publish: 2 * count, codec.PubAck: 2 * count}
+            assert collections.Counter(kind for kind, _ in decoded) == kinds
+            assert sum(size for _, size in decoded) == sum(size for _, size in encoded)
+        finally:
+            sub.close()
+            pub.close()
 
     def test_slow_consumer_is_closed_and_others_keep_receiving(self, server, monkeypatch):
         monkeypatch.setattr(net, "MAX_OUTBOUND_BYTES", 256 * 1024)

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from parksim import domain, sim
+from parksim import codec, domain, sim
 from parksim.domain import ConfigError, FacilityConfig, derived_vacancy
 from parksim.scenario import (
     DashboardConfig,
@@ -356,6 +356,29 @@ class TestNetworkInjection:
 
 
 DAY_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "day.cfg"
+
+
+class TestFrameSizes:
+    def test_each_size_is_checked_once_and_matches_the_codec(self):
+        cfg = replace(default_scenario(), duration_s=1800.0,
+                      network=NetworkConfig(latency_s=0.05, drop_prob=0.2))
+        simulation = sim.Simulation(cfg)
+        with mock.patch.object(sim.codec, "frame_size", wraps=codec.frame_size) as checked:
+            records = simulation.run().records
+        sized = [r for r in records if r["kind"] in ("publish", "deliver", "drop")]
+        assert {r["kind"] for r in sized} == {"publish", "deliver", "drop"}
+        assert len(sized) > checked.call_count == len(simulation.frame_sizes)
+        for (topic, length, qos), size in simulation.frame_sizes.items():
+            packet = codec.Publish(topic, bytes(length), qos, packet_id=1 if qos else None)
+            assert size == codec.frame_size(packet)
+
+    def test_invalid_publish_raises_the_first_time_it_is_seen(self):
+        simulation = sim.Simulation(quiet_scenario())
+        bad = codec.Publish(topic="parking/+/status", payload=b"1")
+        for _ in range(2):
+            with pytest.raises(codec.EncodeError):
+                simulation._frame_size(bad)
+        assert simulation.frame_sizes == {}
 
 
 class TestBrokerTimer:
