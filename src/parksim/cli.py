@@ -126,7 +126,7 @@ def _run_broker(args: argparse.Namespace) -> int:
         print(f"broker listening on {server.address[0]}:{server.address[1]}", file=sys.stderr)
         server.serve_forever()
     except KeyboardInterrupt:
-        # Ctrl-C landed before serve_forever could absorb it
+        # Ctrl-C: the loop, if it had begun, closed its sockets on the way out
         server.stop()
     return EXIT_OK
 
@@ -166,10 +166,11 @@ def _run_simulate(args: argparse.Namespace) -> int:
     paths = report.write(args.out)
     state = report.final_state
     print(f"wrote {paths['events']}, {paths['metrics']}, {paths['report']}")
+    counts = report.tally.counts
     print(
-        f"arrivals {report.counters['arrivals']} "
-        f"(admitted {report.counters['admitted']}, rejected {report.counters['rejected']}), "
-        f"departures {report.counters['departures']}, "
+        f"arrivals {counts.get('car_arrives', 0)} "
+        f"(admitted {counts.get('car_admitted', 0)}, rejected {counts.get('car_rejected', 0)}), "
+        f"departures {counts.get('car_departs', 0)}, "
         f"final vacancy {state.total_vacant}/{state.total_slots}"
     )
     return EXIT_OK if mirror_error is None else EXIT_NETWORK

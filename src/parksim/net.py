@@ -1,9 +1,12 @@
 """TCP transport for the broker core, and a blocking MQTT client.
 
-BrokerServer drives the sans-IO BrokerCore from one `selectors` loop on one
-daemon thread. The listener, every connection and a wake-up socketpair are
-registered with the same selector, so only that thread ever touches the
-core and no lock is needed. Sockets are non-blocking:
+BrokerServer drives the sans-IO BrokerCore from one `selectors` loop,
+serve_forever(), on the thread that calls it: `parksim broker` runs it on
+its main thread, so Ctrl-C lands in select() and the loop closes every
+socket on the way out. start() runs the same loop on a daemon thread for a
+server inside another program. The listener, every connection and a wake-up
+socketpair are registered with the same selector, so only the loop's thread
+ever touches the core and no lock is needed. Sockets are non-blocking:
 
 - Inbound, each connection's codec.FrameSplitter decodes every complete
   frame of a recv() in place and hands the packets to the core in order.
@@ -75,9 +78,13 @@ class BrokerServer:
         self._stopping = threading.Event()
         self._thread: threading.Thread | None = None
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(32)
+        try:
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind((host, port))
+            self._listener.listen(32)
+        except OSError:
+            self._listener.close()
+            raise
         self._listener.setblocking(False)
         self.address = self._listener.getsockname()
         self._wake_r, self._wake_w = socket.socketpair()
@@ -88,9 +95,9 @@ class BrokerServer:
         self._selector.register(self._wake_r, _READ)
 
     def start(self) -> None:
-        self._thread = threading.Thread(target=self._serve, name="mqtt-broker", daemon=True)
+        """serve_forever() on a new daemon thread."""
+        self._thread = threading.Thread(target=self.serve_forever, name="mqtt-broker", daemon=True)
         self._thread.start()
-        log.info("broker listening on %s:%d", *self.address)
 
     def stop(self) -> None:
         self._stopping.set()
@@ -103,18 +110,14 @@ class BrokerServer:
             thread.join()
         self._close_all()
 
-    def serve_forever(self) -> None:
-        try:
-            self.start()
-            self._thread.join()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.stop()
-
     # -- the loop ----------------------------------------------------------
 
-    def _serve(self) -> None:
+    def serve_forever(self) -> None:
+        """Serve on the calling thread until stop(), closing every socket
+        on the way out, also when an exception such as KeyboardInterrupt
+        ends the loop."""
+        self._thread = threading.current_thread()  # what stop() waits for
+        log.info("broker listening on %s:%d", *self.address)
         select, core = self._selector.select, self.core
         try:
             while not self._stopping.is_set():

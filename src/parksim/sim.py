@@ -150,9 +150,13 @@ class GasField:
 
 @dataclass
 class SimReport:
+    """A finished run. `tally` and `aggregator` come from one pass over
+    `records` at the end of the run, and are the source of every count and
+    metric the run reports."""
+
     records: list[dict[str, Any]]
     final_state: domain.FacilityState
-    counters: dict[str, int]
+    tally: ReportTally  # counts per record kind, for the report and the CLI
     aggregator: telemetry.Aggregator  # the run's one aggregation, for both files
 
     @property
@@ -160,12 +164,12 @@ class SimReport:
         return self.aggregator.to_csv()
 
     def events_jsonl(self) -> str:
-        return "".join(text for _, text in _encoded_blocks(self.records))
+        return "".join(_encoded_blocks(self.records))
 
     def write(self, out_dir: str | Path) -> dict[str, Path]:
-        """The three output files, from one pass over the records: each
-        block of lines goes to events.jsonl as it is encoded and feeds the
-        report's tally, so the whole log never exists as one string."""
+        """The three output files. Each block of lines goes to events.jsonl
+        as it is encoded, so the whole log never exists as one string;
+        report.txt is rendered from the run's tally."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         paths = {
@@ -173,18 +177,20 @@ class SimReport:
             "metrics": out / "metrics.csv",
             "report": out / "report.txt",
         }
-        tally = ReportTally()
         with open(paths["events"], "w", encoding="utf-8") as events:
-            for block, text in _encoded_blocks(self.records):
-                events.write(text)
-                tally.add_records(block)
+            events.writelines(_encoded_blocks(self.records))
         paths["metrics"].write_text(self.metrics_csv, encoding="utf-8")
-        paths["report"].write_text(tally.render(self.aggregator.summary()), encoding="utf-8")
+        paths["report"].write_text(self.tally.render(self.aggregator.summary()), encoding="utf-8")
         return paths
 
 
+def _blocks(records: list[dict[str, Any]]):
+    for i in range(0, len(records), _BLOCK_RECORDS):
+        yield records[i:i + _BLOCK_RECORDS]
+
+
 def _encoded_blocks(records: list[dict[str, Any]]):
-    """(records, their events.jsonl lines as one string), _BLOCK_RECORDS at a time.
+    """The records' events.jsonl lines, one string per _BLOCK_RECORDS records.
 
     _RECORD_ENCODER.encode would build a new C encoder for every record; one
     built here with the same settings serves them all. Its markers dict
@@ -203,9 +209,8 @@ def _encoded_blocks(records: list[dict[str, Any]]):
         def encode(record):
             return "".join(iterencode(record, 0))
 
-    for i in range(0, len(records), _BLOCK_RECORDS):
-        block = records[i:i + _BLOCK_RECORDS]
-        yield block, "".join([encode(r) + "\n" for r in block])
+    for block in _blocks(records):
+        yield "".join([encode(r) + "\n" for r in block])
 
 
 class Simulation:
@@ -257,15 +262,6 @@ class Simulation:
         self.free_slots = list(range(cfg.facility.total_slots))  # physical truth
         self.car_slot: dict[int, int] = {}
         self.next_car_id = 1
-        self.counters = {
-            "arrivals": 0,
-            "admitted": 0,
-            "rejected": 0,
-            "departures": 0,
-            "fan_on_events": 0,
-            "fan_off_events": 0,
-            "drops": 0,
-        }
 
     # -- plumbing ---------------------------------------------------------
 
@@ -307,7 +303,6 @@ class Simulation:
                     self._arm_broker_timer()
                 if self.cfg.network.drop_prob > 0 and \
                         self.rng["network"].random() < self.cfg.network.drop_prob:
-                    self.counters["drops"] += 1
                     self._record("drop", topic=packet.topic,
                                  bytes=self._frame_size(packet),
                                  client_id=output.conn_id)
@@ -360,7 +355,6 @@ class Simulation:
 
     def _do_set_fan(self, action: domain.SetFan) -> None:
         on = action.state is domain.Power.ON
-        self.counters["fan_on_events" if on else "fan_off_events"] += 1
         self.gas_field.set_fan(self.now, on)
         self._record("fan", state=action.state.value)
 
@@ -370,17 +364,14 @@ class Simulation:
     # -- event handlers -----------------------------------------------------
 
     def _on_car_arrives(self, event: CarArrives) -> None:
-        self.counters["arrivals"] += 1
         vacant_before = self.controller.state.total_vacant
         self._record("car_arrives", car_id=event.car_id, vacant_before=vacant_before)
         self._apply_actions(self.controller.handle(ctrl.EntranceDetect()))
         if self.controller.state.total_vacant < vacant_before:
-            self.counters["admitted"] += 1
             self._record("car_admitted", car_id=event.car_id)
             self.bumps.append(self.cfg.env.entry_bump_at(self.now))
             self._push(self.now + self.cfg.gate_to_slot_travel_s, CarParks(event.car_id))
         else:
-            self.counters["rejected"] += 1
             self._record("car_rejected", car_id=event.car_id)
         next_t = stochastic.next_arrival(self.cfg.traffic, self.now, self.rng["traffic"])
         if next_t != stochastic.NO_MORE_ARRIVALS:
@@ -398,7 +389,6 @@ class Simulation:
         self._push(self.now + dwell, CarDeparts(event.car_id, slot))
 
     def _on_car_departs(self, event: CarDeparts) -> None:
-        self.counters["departures"] += 1
         del self.car_slot[event.car_id]
         heapq.heappush(self.free_slots, event.slot)
         self._record("car_departs", car_id=event.car_id, slot=event.slot)
@@ -510,6 +500,9 @@ class Simulation:
             self._push(injection.t, GasInjectionEvent(injection.gas, injection.ppm))
 
     def run(self) -> SimReport:
+        """Run the event loop to the end, then summarise the log in one pass,
+        a block at a time: the blocks feed the report's tally and the
+        telemetry aggregator."""
         self._bootstrap()
         duration = self.cfg.duration_s
         heap, handlers = self.heap, self.handlers
@@ -520,19 +513,19 @@ class Simulation:
             self.now = t
             handlers[type(payload)](payload)
 
-        state = self.controller.state
-        in_lot_per_counter = state.total_slots - state.total_vacant
-        assert self.counters["admitted"] == self.counters["departures"] + in_lot_per_counter, \
-            "car conservation violated"
-
+        tally = ReportTally()
         aggregator = telemetry.Aggregator(duration_s=duration)
-        aggregator.add_records(self.records)
-        return SimReport(
-            records=self.records,
-            final_state=state,
-            counters=dict(self.counters),
-            aggregator=aggregator,
-        )
+        for block in _blocks(self.records):
+            tally.add_records(block)
+            aggregator.add_records(block)
+
+        # the log against the final state
+        state = self.controller.state
+        in_lot = state.total_slots - state.total_vacant
+        counts = tally.counts
+        assert counts.get("car_admitted", 0) == counts.get("car_departs", 0) + in_lot, \
+            "car conservation violated"
+        return SimReport(records=self.records, final_state=state, tally=tally, aggregator=aggregator)
 
 
 def run_scenario(cfg: ScenarioConfig, publish_hook=None) -> SimReport:

@@ -42,7 +42,7 @@ class WatchView:
                 return
             if slot_no >= 1 and status in (0, 1):
                 self.slots[slot_no] = status
-        elif levels[0] == "summary":
+        elif levels[0] == "summary" and len(levels) == 1:
             vacant, sep, total = text.partition("/")
             if sep and vacant.isdigit() and total.isdigit():
                 self.total_vacant = int(vacant)

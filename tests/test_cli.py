@@ -1,12 +1,14 @@
 import argparse
 import hashlib
+import re
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parksim import cli, net
+from parksim import cli, net, sim
 from parksim.cli import UsageError, parse_args
 
 DAY_CFG = """
@@ -145,21 +147,29 @@ class TestUsageErrors:
 class TestBrokerInterrupt:
     """Ctrl-C at any point after the bind exits 0 with the server stopped."""
 
-    @pytest.mark.parametrize("method", ["start", "serve_forever"])
+    @pytest.mark.parametrize("method", ["next_deadline", "serve_forever"])
     def test_keyboard_interrupt_exits_ok_and_stops(self, monkeypatch, capsys, method):
         servers = []
+        init = net.BrokerServer.__init__
+
+        def recorded_init(server, *args, **kwargs):
+            servers.append(server)
+            init(server, *args, **kwargs)
 
         def interrupted(self):
-            servers.append(self)
             raise KeyboardInterrupt
 
-        # "start" raising covers serve_forever's own window; "serve_forever"
-        # raising stands for a signal landing before serve_forever is entered.
-        monkeypatch.setattr(net.BrokerServer, method, interrupted)
+        # "next_deadline" raising is a signal landing in the loop, which runs
+        # on the caller's thread; "serve_forever" raising stands for a signal
+        # landing after the bind, before the loop is entered.
+        monkeypatch.setattr(net.BrokerServer, "__init__", recorded_init)
+        owner = net.BrokerCore if method == "next_deadline" else net.BrokerServer
+        monkeypatch.setattr(owner, method, interrupted)
         assert cli.main(["broker", "--bind", "127.0.0.1:0"]) == cli.EXIT_OK
         (server,) = servers
         assert server._stopping.is_set()
         assert server._listener.fileno() == -1
+        assert server._wake_r.fileno() == -1 and server._wake_w.fileno() == -1
 
 
 class TestAnalyzeOutput:
@@ -193,6 +203,17 @@ class TestSimulateAndReport:
         assert (out_dir / "metrics.csv").exists()
         assert (out_dir / "report.txt").exists()
         assert "final vacancy" in capsys.readouterr().out
+
+    def test_printed_car_counts_are_the_logs_kind_counts(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(STOCK_DAY), "--out", str(out_dir)]) == 0
+        printed = re.search(r"^arrivals (\d+) \(admitted (\d+), rejected (\d+)\), departures (\d+),",
+                            capsys.readouterr().out, re.MULTILINE)
+        assert printed is not None
+        kinds = Counter(record["kind"] for record in sim.read_events_jsonl(out_dir / "events.jsonl"))
+        logged = [kinds[kind] for kind in ("car_arrives", "car_admitted", "car_rejected", "car_departs")]
+        assert [int(n) for n in printed.groups()] == logged
+        assert logged[0] > 0 and logged[2] > 0 and logged[3] > 0
 
     def test_mirror_leaves_a_session_of_the_old_fixed_id_alone(self, tmp_path, capsys):
         server = net.BrokerServer(host="127.0.0.1", port=0)

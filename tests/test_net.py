@@ -393,6 +393,45 @@ class TestSelectorLoop:
             conn.close()
 
 
+    def test_serve_forever_serves_on_its_callers_thread(self):
+        broker = BrokerServer(host="127.0.0.1", port=0)
+        flush = broker._flush
+
+        def flush_slowly():
+            if broker._stopping.is_set():
+                time.sleep(0.2)  # the loop is still busy when stop() goes on
+            flush()
+
+        broker._flush = flush_slowly
+        before = threading.active_count()
+        caller = threading.Thread(target=broker.serve_forever)
+        caller.start()
+        conn = MqttConnection(*broker.address, client_id="watcher")
+        try:
+            assert threading.active_count() == before + 1  # the caller, and no loop thread
+            broker.stop()  # from another thread: waits for the caller's loop to end
+            assert not caller.is_alive()
+            assert broker.core.sessions == {}
+            assert broker._listener.fileno() == -1
+        finally:
+            conn.close()
+            caller.join(5.0)
+
+    def test_failed_bind_closes_its_socket(self, monkeypatch):
+        made = []
+
+        class Recorded(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            monkeypatch.setattr(net.socket, "socket", Recorded)
+            with pytest.raises(OSError):
+                BrokerServer(host="127.0.0.1", port=taken.getsockname()[1])
+        assert len(made) == 1 and made[0].fileno() == -1
+
+
 class TestClientDrivenByItsOwner:
     """The thread that owns a connection drives it through poll()."""
 

@@ -48,9 +48,10 @@ class TestSingleCarTrace:
         )
         simulation = sim.Simulation(cfg)
         report = simulation.run()
-        assert report.counters == dict(
-            arrivals=1, admitted=1, rejected=0, departures=0,
-            fan_on_events=0, fan_off_events=0, drops=0,
+        counts = report.tally.counts
+        assert {kind: counts.get(kind, 0) for kind in (
+            "car_arrives", "car_admitted", "car_rejected", "car_departs", "fan", "drop")} == dict(
+            car_arrives=1, car_admitted=1, car_rejected=0, car_departs=0, fan=0, drop=0,
         )
         assert report.final_state.total_vacant == 3
         assert report.final_state.slots == bytes((1, 0, 0, 0))
@@ -131,8 +132,9 @@ class TestConservationAndCausality:
     def test_conservation(self, run):
         state = run.final_state
         in_lot = state.total_slots - state.total_vacant
-        assert run.counters["admitted"] == run.counters["departures"] + in_lot
-        assert run.counters["arrivals"] == run.counters["admitted"] + run.counters["rejected"]
+        counts = run.tally.counts
+        assert counts["car_admitted"] == counts["car_departs"] + in_lot
+        assert counts["car_arrives"] == counts["car_admitted"] + counts.get("car_rejected", 0)
 
     def test_causality_per_car(self, run):
         seen_arrive, seen_park = set(), set()
@@ -298,10 +300,10 @@ def test_encoded_lines_equal_json_dumps(records, block, c_encoder):
     if not c_encoder:
         patches["c_make_encoder"] = None
     with mock.patch.multiple(sim, **patches):
-        blocks = list(sim._encoded_blocks(records))
-    assert [r for chunk, _ in blocks for r in chunk] == records
-    for chunk, text in blocks:
-        assert len(chunk) <= block
+        texts = list(sim._encoded_blocks(records))
+    assert len(texts) == -(-len(records) // block)
+    for i, text in enumerate(texts):
+        chunk = records[i * block:(i + 1) * block]
         assert text == "".join(json.dumps(r, separators=(", ", ": ")) + "\n" for r in chunk)
 
 
@@ -342,7 +344,7 @@ class TestNetworkInjection:
             seed=11,
         )
         report = sim.run_scenario(cfg)
-        assert report.counters["drops"] > 0
+        assert report.tally.counts["drop"] > 0
         corrected = len(kinds(report.records, "error_corrected"))
         uncorrected = len(kinds(report.records, "error_uncorrected"))
         assert corrected > 0
@@ -420,7 +422,7 @@ class TestBrokerTimer:
 
         report = Watched(cfg).run()
         assert most == 1
-        assert fired > 0 and report.counters["drops"] > 0
+        assert fired > 0 and report.tally.counts["drop"] > 0
 
 
 class TestAnomalies:

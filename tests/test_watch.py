@@ -71,6 +71,14 @@ class TestRobustness:
         assert view.slots == {}
         assert view.total_slots is None
 
+    def test_summary_subtopics_ignored(self):
+        view = WatchView()
+        view.feed("parking/summary", b"3/8")
+        view.feed("parking/summary/extra", b"0/1")
+        view.feed("parking/summary/", b"0/1")
+        assert (view.total_vacant, view.total_slots) == (3, 8)
+        assert "free   3/8" in view.render_lines(color=False)
+
     def test_rebuild_from_retained_equals_incremental(self):
         # a reconnect replays retained state; the board must come out the same
         updates = [
