@@ -2,7 +2,7 @@
 """A/B benchmark: a parent ref against the working tree, in alternating pairs.
 
     python3 scripts/bench_ab.py --parent REF --workload W --first-seed S \
-        --pairs N [--seconds 20] [--trace-seed T] [--claim METRIC] \
+        --pairs N [--seconds 20] [--trace-seed T [T ...]] [--claim METRIC] \
         [--change "what changed"] --out BENCH_<n>.json
 
 Run from the root of a parksim checkout. The parent side is `git archive REF`
@@ -17,8 +17,11 @@ For each end-to-end metric the workload entry holds q1/median/q3 per side
 (inclusive quartiles), `change_over_parent` (ratio of medians),
 `change_wins` (pairs the change won), `parent_iqr` and `median_gap` (the
 absolute difference of the medians), plus every pair's raw values. With
---trace-seed, one `--trace 1` run per side adds its per-layer metrics. The
-entry is merged into --out, so one file can hold several workloads.
+--trace-seed, each seed given adds one `--trace 1` run per side, in the same
+alternating order; `trace` holds every traced run and, per side, the median
+of each metric over them, so one slow spell cannot decide the per-layer
+figures. The entry is merged into --out, so one file can hold several
+workloads.
 Nothing under perfbench/ is changed.
 
 With --claim METRIC, `claimed` in --out also holds the verdict, which is
@@ -109,6 +112,12 @@ def summarize(runs: list[dict], declared: list[dict]) -> dict:
     return metrics
 
 
+def trace_medians(runs: list[dict[str, float]]) -> dict[str, float]:
+    """Per metric, the median over one side's traced runs."""
+    return {name: statistics.median(run[name] for run in runs)
+            for name in runs[0] if all(name in run for run in runs)}
+
+
 def claim_verdict(metric: dict, pairs: int, failed: dict[str, int]) -> dict:
     """Whether the change's gain on one metric counts (see the module docstring)."""
     lower = metric["better"] == "lower"
@@ -129,7 +138,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--trace-seed", type=int, help="also run --trace 1 once per side")
+    parser.add_argument("--trace-seed", type=int, nargs="+", default=[],
+                        help="also run --trace 1 once per side for each seed")
     parser.add_argument("--claim", help="end-to-end metric this change claims to improve")
     parser.add_argument("--change", help="one-line description of the change")
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write or merge into")
@@ -149,7 +159,7 @@ def main(argv: list[str]) -> int:
         return 2
 
     seeds = [args.first_seed + i for i in range(args.pairs)]
-    runs, traced = [], {}
+    runs, traced = [], []
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
         roots = {"parent": os.path.join(tmp, "parent"), "change": os.path.join(tmp, "change")}
         export_parent(args.parent, roots["parent"])
@@ -164,9 +174,13 @@ def main(argv: list[str]) -> int:
                 f"{name} {pair['parent']['metrics'].get(name, 0):.4g} -> "
                 f"{pair['change']['metrics'].get(name, 0):.4g}"
                 for name in ("run_s", "msg_us")), flush=True)
-        if args.trace_seed is not None:
-            for side in ("parent", "change"):
-                traced[side] = run_side(roots[side], args.workload, args.trace_seed, args.seconds, 1)
+        for i, seed in enumerate(args.trace_seed):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed}
+            for side in order:
+                pair[side] = run_side(roots[side], args.workload, seed, args.seconds, 1)["metrics"]
+            traced.append(pair)
+            print(f"traced pair {i + 1}/{len(args.trace_seed)} seed {seed}", flush=True)
 
     entry = {
         "pairs": len(runs),
@@ -179,8 +193,10 @@ def main(argv: list[str]) -> int:
                  for r in runs],
     }
     if traced:
-        entry["trace"] = {"seed": args.trace_seed,
-                          **{side: traced[side]["metrics"] for side in ("parent", "change")}}
+        entry["trace"] = {"seeds": args.trace_seed,
+                          **{side: trace_medians([pair[side] for pair in traced])
+                             for side in ("parent", "change")},
+                          "runs": traced}
 
     bench = {}
     if os.path.isfile(args.out):

@@ -34,8 +34,9 @@ def measure(drop_prob: float, messages: int, max_retries: int, seed: int) -> tup
         seed=seed,
     )
     report = sim.run_scenario(cfg)
-    corrected = sum(1 for r in report.records if r["kind"] == "error_corrected")
-    uncorrected = sum(1 for r in report.records if r["kind"] == "error_uncorrected")
+    counts = report.tally.counts
+    corrected = counts.get("error_corrected", 0)
+    uncorrected = counts.get("error_uncorrected", 0)
     total = corrected + uncorrected
     ec = corrected / total if total else 1.0
     return ec, total

@@ -22,6 +22,10 @@ controller's actions go the same way through `action_handlers`, which has
 one entry per `domain.ControlAction` member: gate, buzzer and fan actions
 carry their state, and an `Anomaly` action becomes an `anomaly` record
 after the records of the actions before it.
+
+Records go to the run's sinks as they are made, _BLOCK_RECORDS at a time:
+the report tally, the telemetry aggregator and the JSON-lines encoder.
+The record dicts are then dropped; the report keeps the encoded blocks.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ DASHBOARD_CONN = "dashboard"
 
 # json.dumps(record, separators=...) would build a new encoder per record
 _RECORD_ENCODER = json.JSONEncoder(separators=(", ", ": "))
-_BLOCK_RECORDS = 1024  # events.jsonl is encoded and written this many lines at a time
+_BLOCK_RECORDS = 1024  # records go to the run's sinks this many at a time
 
 
 # -- event payloads ----------------------------------------------------------
@@ -150,26 +154,38 @@ class GasField:
 
 @dataclass
 class SimReport:
-    """A finished run. `tally` and `aggregator` come from one pass over
-    `records` at the end of the run, and are the source of every count and
-    metric the run reports."""
+    """A finished run. `tally` and `aggregator` were fed the records as the
+    run made them, a block at a time, and are the source of every count
+    and metric the run reports. `blocks` is events.jsonl as it was
+    encoded, _BLOCK_RECORDS lines per string; the record dicts themselves
+    are not kept."""
 
-    records: list[dict[str, Any]]
+    blocks: list[str]
     final_state: domain.FacilityState
     tally: ReportTally  # counts per record kind, for the report and the CLI
     aggregator: telemetry.Aggregator  # the run's one aggregation, for both files
+
+    @property
+    def records(self) -> list[dict[str, Any]]:
+        """The run's records, decoded from the encoded log on each call:
+        a new list every time. Each block is parsed as one JSON array; the
+        encoder escapes every newline inside a line."""
+        records: list[dict[str, Any]] = []
+        for block in self.blocks:
+            records += json.loads("[" + block[:-1].replace("\n", ",") + "]")
+        return records
 
     @property
     def metrics_csv(self) -> str:
         return self.aggregator.to_csv()
 
     def events_jsonl(self) -> str:
-        return "".join(_encoded_blocks(self.records))
+        return "".join(self.blocks)
 
     def write(self, out_dir: str | Path) -> dict[str, Path]:
-        """The three output files. Each block of lines goes to events.jsonl
-        as it is encoded, so the whole log never exists as one string;
-        report.txt is rendered from the run's tally."""
+        """The three output files. events.jsonl is written a block at a
+        time, so the whole log never exists as one string; report.txt is
+        rendered from the run's tally."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         paths = {
@@ -178,19 +194,15 @@ class SimReport:
             "report": out / "report.txt",
         }
         with open(paths["events"], "w", encoding="utf-8") as events:
-            events.writelines(_encoded_blocks(self.records))
+            events.writelines(self.blocks)
         paths["metrics"].write_text(self.metrics_csv, encoding="utf-8")
         paths["report"].write_text(self.tally.render(self.aggregator.summary()), encoding="utf-8")
         return paths
 
 
-def _blocks(records: list[dict[str, Any]]):
-    for i in range(0, len(records), _BLOCK_RECORDS):
-        yield records[i:i + _BLOCK_RECORDS]
-
-
-def _encoded_blocks(records: list[dict[str, Any]]):
-    """The records' events.jsonl lines, one string per _BLOCK_RECORDS records.
+def _block_encoder():
+    """A function from a block of records to their events.jsonl lines, as
+    one string.
 
     _RECORD_ENCODER.encode would build a new C encoder for every record; one
     built here with the same settings serves them all. Its markers dict
@@ -209,8 +221,10 @@ def _encoded_blocks(records: list[dict[str, Any]]):
         def encode(record):
             return "".join(iterencode(record, 0))
 
-    for block in _blocks(records):
-        yield "".join([encode(r) + "\n" for r in block])
+    def encode_block(block: list[dict[str, Any]]) -> str:
+        return "".join([encode(r) + "\n" for r in block])
+
+    return encode_block
 
 
 class Simulation:
@@ -255,7 +269,13 @@ class Simulation:
             domain.SetFan: self._do_set_fan, domain.Anomaly: self._do_anomaly,
         }
 
-        self.records: list[dict[str, Any]] = []
+        # the run's sinks: records gather in _block, and each full block
+        # goes to the tally, the aggregator and the encoder, then is dropped
+        self._block: list[dict[str, Any]] = []
+        self.tally = ReportTally()
+        self.aggregator = telemetry.Aggregator(duration_s=cfg.duration_s)
+        self._encode_block = _block_encoder()
+        self.blocks: list[str] = []  # events.jsonl, one string per block
         # (topic, payload length, qos) -> PUBLISH frame size; see _frame_size
         self.frame_sizes: dict[tuple[str, int, int], int] = {}
         self.bumps: list[sensors.Bump] = []
@@ -272,7 +292,16 @@ class Simulation:
     def _record(self, kind: str, **fields: Any) -> None:
         record: dict[str, Any] = {"t": self.now, "kind": kind}
         record.update(fields)
-        self.records.append(record)
+        block = self._block
+        block.append(record)
+        if len(block) >= _BLOCK_RECORDS:
+            self._flush_block()
+
+    def _flush_block(self) -> None:
+        block, self._block = self._block, []
+        self.tally.add_records(block)
+        self.aggregator.add_records(block)
+        self.blocks.append(self._encode_block(block))
 
     # -- transport --------------------------------------------------------
 
@@ -500,9 +529,8 @@ class Simulation:
             self._push(injection.t, GasInjectionEvent(injection.gas, injection.ppm))
 
     def run(self) -> SimReport:
-        """Run the event loop to the end, then summarise the log in one pass,
-        a block at a time: the blocks feed the report's tally and the
-        telemetry aggregator."""
+        """Run the event loop to the end. Each block of records went to the
+        sinks as it filled; the last, partial one goes when the loop ends."""
         self._bootstrap()
         duration = self.cfg.duration_s
         heap, handlers = self.heap, self.handlers
@@ -512,20 +540,17 @@ class Simulation:
                 break
             self.now = t
             handlers[type(payload)](payload)
-
-        tally = ReportTally()
-        aggregator = telemetry.Aggregator(duration_s=duration)
-        for block in _blocks(self.records):
-            tally.add_records(block)
-            aggregator.add_records(block)
+        if self._block:
+            self._flush_block()
 
         # the log against the final state
         state = self.controller.state
         in_lot = state.total_slots - state.total_vacant
-        counts = tally.counts
+        counts = self.tally.counts
         assert counts.get("car_admitted", 0) == counts.get("car_departs", 0) + in_lot, \
             "car conservation violated"
-        return SimReport(records=self.records, final_state=state, tally=tally, aggregator=aggregator)
+        return SimReport(blocks=self.blocks, final_state=state, tally=self.tally,
+                         aggregator=self.aggregator)
 
 
 def run_scenario(cfg: ScenarioConfig, publish_hook=None) -> SimReport:

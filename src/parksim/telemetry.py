@@ -61,12 +61,15 @@ def _sample(record: dict, field: str) -> float:
 class Aggregator:
     """Windowed rollup of telemetry samples extracted from event records.
 
-    `samples` keeps the records that carry samples, in the order they were
-    added. rows() and summary() share one pass over them, redone only after
-    more arrive. The pass keeps a running sum and count per window and a
-    running sum, count, min and max for the run, no lists of values; its
-    sums add the same values in the same order as a scan of every sample
-    per window would, so the CSV keeps its bytes.
+    Each sample is folded into its window and into the run totals as it is
+    added: a running sum and count per window and a running sum, count,
+    min and max for the run, no lists of values. The sums add the same
+    values in the same order as a scan of every sample per window would,
+    so the CSV keeps its bytes, whatever blocks the records come in.
+
+    A bad sample (a negative value, a missing `bytes` or `delay`) does not
+    raise from add_records: the first one stops the fold, and rows() and
+    summary() raise its exception, as a scan made at report time would.
     """
 
     def __init__(self, duration_s: float, window_s: float = 3600.0):
@@ -76,15 +79,34 @@ class Aggregator:
             raise ValueError("window_s must be > 0")
         self.duration_s = duration_s
         self.window_s = window_s
-        self.samples: list[dict] = []
-        self._rollup_of = -1  # len(samples) when the cached rollup was made
-        self._rollup: tuple[list[tuple[str, float, float, float]], dict[str, float]] = ([], {})
+        self._bounds = self._window_bounds()
+        self._starts = [start for start, _ in self._bounds]
+        # running sums start at 0 and add left to right, as sum() does, so
+        # they give sum()'s floats; per window: [bytes, delay sum, delays]
+        self._in_window = [[0, 0, 0] for _ in self._bounds]
+        self._bytes_total = self._delay_total = self._delays = 0
+        self._delay_min = self._delay_max = 0.0
+        self._errors = {"error_corrected": 0, "error_uncorrected": 0}
+        self._added = 0  # sample records added, folded or not
+        self._bad: Exception | None = None  # the first bad sample's exception
+
+    @property
+    def samples(self) -> range:
+        """One entry per sample record added, in order; the values
+        themselves are folded, not kept."""
+        return range(self._added)
 
     def add_record(self, record: dict) -> None:
         self.add_records((record,))
 
     def add_records(self, records) -> None:
-        self.samples.extend(record for record in records if record.get("kind") in _SAMPLE_KINDS)
+        samples = [record for record in records if record.get("kind") in _SAMPLE_KINDS]
+        self._added += len(samples)
+        if self._bad is None:
+            try:
+                self._fold(samples)
+            except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+                self._bad = exc  # what float() and _sample raise on a bad sample
 
     def _window_bounds(self) -> list[tuple[float, float]]:
         bounds = []
@@ -95,20 +117,12 @@ class Aggregator:
             start += self.window_s
         return bounds
 
-    def _rolled_up(self) -> tuple[list[tuple[str, float, float, float]], dict[str, float]]:
-        """(per-window rows, run totals), from one pass over the samples."""
-        if self._rollup_of == len(self.samples):
-            return self._rollup
-        duration = self.duration_s
-        bounds = self._window_bounds()
-        starts = [start for start, _ in bounds]
-        # running sums start at 0 and add left to right, as sum() does, so
-        # they give sum()'s floats; per window: [bytes, delay sum, delays]
-        in_window = [[0, 0, 0] for _ in bounds]
-        bytes_total = delay_total = delays = 0
-        delay_min = delay_max = 0.0
-        errors = {"error_corrected": 0, "error_uncorrected": 0}
-        for record in self.samples:
+    def _fold(self, samples: list[dict]) -> None:
+        duration, bounds, starts = self.duration_s, self._bounds, self._starts
+        in_window, errors = self._in_window, self._errors
+        bytes_total, delay_total, delays = self._bytes_total, self._delay_total, self._delays
+        delay_min, delay_max = self._delay_min, self._delay_max
+        for record in samples:
             kind = record["kind"]
             if kind in errors:
                 errors[kind] += 1
@@ -134,30 +148,35 @@ class Aggregator:
                 if window is not None:
                     window[1] += value
                     window[2] += 1
+        self._bytes_total, self._delay_total, self._delays = bytes_total, delay_total, delays
+        self._delay_min, self._delay_max = delay_min, delay_max
 
+    def _rolled_up(self) -> tuple[list[tuple[str, float, float, float]], dict[str, float]]:
+        """(per-window rows, run totals), from the running sums."""
+        if self._bad is not None:
+            raise self._bad
+        duration = self.duration_s
         per_window: list[tuple[str, float, float, float]] = []
-        for (start, end), (byte_sum, delay_sum, delay_count) in zip(bounds, in_window):
+        for (start, end), (byte_sum, delay_sum, delay_count) in zip(self._bounds, self._in_window):
             if byte_sum > 0:
                 per_window.append(
                     ("data_rate_bytes_per_s", start, end, data_rate(byte_sum, end - start)))
             if delay_count:
                 per_window.append(("delay_mean_s", start, end, delay_sum / delay_count))
 
-        corrected, uncorrected = errors["error_corrected"], errors["error_uncorrected"]
+        corrected, uncorrected = self._errors["error_corrected"], self._errors["error_uncorrected"]
         totals = {
-            "bytes_total": bytes_total,
-            "data_rate_bytes_per_s": data_rate(bytes_total, duration),
+            "bytes_total": self._bytes_total,
+            "data_rate_bytes_per_s": data_rate(self._bytes_total, duration),
             "errors_corrected": float(corrected),
             "errors_uncorrected": float(uncorrected),
             "ec_modeled": error_correction_rate(corrected, corrected + uncorrected),
         }
-        if delays:
-            totals["delay_mean_s"] = delay_total / delays
-            totals["delay_min_s"] = delay_min
-            totals["delay_max_s"] = delay_max
-        self._rollup_of = len(self.samples)
-        self._rollup = (per_window, totals)
-        return self._rollup
+        if self._delays:
+            totals["delay_mean_s"] = self._delay_total / self._delays
+            totals["delay_min_s"] = self._delay_min
+            totals["delay_max_s"] = self._delay_max
+        return per_window, totals
 
     def rows(self) -> list[tuple[str, float, float, float]]:
         """(metric, window_start, window_end, value) rows: the windows in
@@ -177,4 +196,4 @@ class Aggregator:
 
     def summary(self) -> dict[str, float]:
         """Run-level numbers for the text report."""
-        return dict(self._rolled_up()[1])
+        return self._rolled_up()[1]

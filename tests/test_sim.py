@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import typing
@@ -194,11 +195,33 @@ class TestOccupancySeries:
             sim.read_events_jsonl(path)
 
     def test_jsonl_roundtrip(self, tmp_path):
-        cfg = quiet_scenario(duration_s=600.0)
-        report = sim.run_scenario(cfg)
-        paths = report.write(tmp_path)
-        records = sim.read_events_jsonl(paths["events"])
-        assert records == report.records
+        # the records as the run makes them, copied before any sink sees
+        # them: the report keeps only their encoded lines
+        made = []
+        record = sim.Simulation._record
+
+        def capture(self, kind, **fields):
+            made.append(copy.deepcopy({"t": self.now, "kind": kind, **fields}))
+            record(self, kind, **fields)
+
+        cfg = replace(default_scenario(), duration_s=600.0,
+                      network=NetworkConfig(latency_s=0.05, drop_prob=0.2))
+        for block in (3, 64, 1024):
+            made.clear()
+            with mock.patch.object(sim.Simulation, "_record", capture), \
+                    mock.patch.object(sim, "_BLOCK_RECORDS", block):
+                report = sim.run_scenario(cfg)
+            assert {"meta", "publish", "deliver", "drop"} <= {r["kind"] for r in made}
+            lines = [text.count("\n") for text in report.blocks]
+            assert sum(lines) == len(made)
+            assert all(n == block for n in lines[:-1]) and 0 < lines[-1] <= block
+            paths = report.write(tmp_path / str(block))
+            assert sim.read_events_jsonl(paths["events"]) == made
+            first = report.records
+            assert first == made
+            assert report.records is not first
+            first.clear()
+            assert report.records == made
 
 
 def _reference_tally(records):
@@ -296,15 +319,17 @@ def _json_records(draw):
 def test_encoded_lines_equal_json_dumps(records, block, c_encoder):
     """Every events.jsonl line is json.dumps of its record, in order and in
     blocks, through the reused C encoder and through the fallback."""
-    patches = {"_BLOCK_RECORDS": block}
-    if not c_encoder:
-        patches["c_make_encoder"] = None
-    with mock.patch.multiple(sim, **patches):
-        texts = list(sim._encoded_blocks(records))
-    assert len(texts) == -(-len(records) // block)
-    for i, text in enumerate(texts):
-        chunk = records[i * block:(i + 1) * block]
-        assert text == "".join(json.dumps(r, separators=(", ", ": ")) + "\n" for r in chunk)
+    with mock.patch.object(sim, "c_make_encoder", sim.c_make_encoder if c_encoder else None):
+        encode_block = sim._block_encoder()
+    blocks = []
+    for i in range(0, len(records), block):
+        chunk = records[i:i + block]
+        blocks.append(encode_block(chunk))
+        assert blocks[-1] == "".join(
+            json.dumps(r, separators=(", ", ": ")) + "\n" for r in chunk)
+    # and SimReport.records decodes them back (compared as JSON: NaN != NaN)
+    report = sim.SimReport(blocks=blocks, final_state=None, tally=None, aggregator=None)
+    assert json.dumps(report.records) == json.dumps(records)
 
 
 @pytest.mark.parametrize("c_encoder", [True, False])
@@ -313,8 +338,9 @@ def test_encoder_still_refuses_circular_records(c_encoder):
     looped["list"].append(looped)
     records = [{"t": 0.0, "kind": "ok"}, looped]
     with mock.patch.object(sim, "c_make_encoder", sim.c_make_encoder if c_encoder else None):
-        with pytest.raises(ValueError, match="[Cc]ircular"):
-            list(sim._encoded_blocks(records))
+        encode_block = sim._block_encoder()
+    with pytest.raises(ValueError, match="[Cc]ircular"):
+        encode_block(records)
 
 
 class TestNetworkInjection:

@@ -196,6 +196,21 @@ def _run(draw):
     return records, duration_s, window_s
 
 
+def _csv(rows):
+    return "\n".join([CSV_HEADER] + [",".join([m, format(a, ".10g"), format(b, ".10g"),
+                                               format(v, ".10g")]) for m, a, b, v in rows]) + "\n"
+
+
+def _fed_in_blocks(records, duration_s, window_s, block):
+    agg = Aggregator(duration_s=duration_s, window_s=window_s)
+    for i in range(0, len(records), block):
+        agg.add_records(records[i:i + block])
+    return agg
+
+
+_SAMPLE_KINDS = ("publish", "deliver", "error_corrected", "error_uncorrected")
+
+
 @given(_run())
 def test_one_pass_rollup_equals_a_scan_per_window(run):
     records, duration_s, window_s = run
@@ -204,9 +219,47 @@ def test_one_pass_rollup_equals_a_scan_per_window(run):
     agg.add_records(records)
     assert agg.rows() == rows
     assert agg.summary() == summary
-    assert agg.to_csv() == "\n".join(
-        [CSV_HEADER] + [",".join([m, format(a, ".10g"), format(b, ".10g"), format(v, ".10g")])
-                        for m, a, b, v in rows]) + "\n"
+    assert agg.to_csv() == _csv(rows)
+
+
+@given(_run(), st.sampled_from([1, 3, 1024]))
+def test_records_fed_in_blocks_fold_to_the_scan(run, block):
+    records, duration_s, window_s = run
+    rows, summary = _reference_rows(records, duration_s, window_s)
+    agg = _fed_in_blocks(records, duration_s, window_s, block)
+    assert len(agg.samples) == sum(r["kind"] in _SAMPLE_KINDS for r in records)
+    assert agg.rows() == rows
+    assert agg.summary() == summary
+    assert agg.to_csv() == _csv(rows)
+
+
+# a bad sample and the exception a scan of it raises
+_BAD_SAMPLES = [
+    ({"kind": "publish"}, KeyError),
+    ({"kind": "deliver", "bytes": 20}, KeyError),
+    ({"kind": "publish", "bytes": -1}, ValueError),
+    ({"kind": "deliver", "bytes": 20, "delay": -0.1}, ValueError),
+    ({"kind": "publish", "bytes": "many"}, ValueError),
+    ({"kind": "deliver", "bytes": 20, "delay": None}, TypeError),
+    ({"kind": "publish", "bytes": 10**400}, OverflowError),
+]
+
+
+@given(_run(), st.sampled_from(_BAD_SAMPLES), st.sampled_from([1, 3, 1024]), st.data())
+def test_a_bad_sample_raises_from_rows_and_summary_only(run, bad, block, data):
+    records, duration_s, window_s = run
+    sample, error = bad
+    at = data.draw(st.integers(min_value=0, max_value=len(records)), label="bad sample at")
+    records = records[:at] + [{"t": 1.0, **sample}] + records[at:]
+    agg = _fed_in_blocks(records, duration_s, window_s, block)  # does not raise
+    assert len(agg.samples) == sum(r["kind"] in _SAMPLE_KINDS for r in records)
+    for _ in range(2):
+        with pytest.raises(error):
+            agg.rows()
+        with pytest.raises(error):
+            agg.summary()
+        with pytest.raises(error):
+            agg.to_csv()
 
 
 def test_rollup_is_redone_after_more_records():
