@@ -3,7 +3,8 @@
 The argparse parser dispatches (each subcommand sets its runner as `run`) and
 checks every input, so a bad flag exits 1 with one line before a runner starts.
 
-Exit codes: 0 success, 1 usage, 2 configuration, 3 network, 4 protocol.
+Exit codes: 0 success, 1 usage, 2 configuration or file, 3 network,
+4 protocol.
 PARKSIM_LOG (error|warn|info|debug) sets log verbosity on stderr.
 """
 
@@ -160,10 +161,19 @@ def _run_simulate(args: argparse.Namespace) -> int:
                       "the run goes on without it", file=sys.stderr)
     try:
         report = sim.run_scenario(cfg, publish_hook=hook)
+    except OSError as exc:
+        # the mirror's errors stop at the hook: this is the run's log spool
+        # (a full disk, an unusable TMPDIR), not the network
+        print(f"parksim: cannot write the event log to a temporary file: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     finally:
         if live is not None:
             live.close()
-    paths = report.write(args.out)
+    try:
+        paths = report.write(args.out)
+    except OSError as exc:
+        print(f"parksim: cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     state = report.final_state
     print(f"wrote {paths['events']}, {paths['metrics']}, {paths['report']}")
     counts = report.tally.counts

@@ -24,14 +24,19 @@ carry their state, and an `Anomaly` action becomes an `anomaly` record
 after the records of the actions before it.
 
 Records go to the run's sinks as they are made, _BLOCK_RECORDS at a time:
-the report tally, the telemetry aggregator and the JSON-lines encoder.
-The record dicts are then dropped; the report keeps the encoded blocks.
+the report tally, the telemetry aggregator and the JSON-lines encoder,
+whose lines go straight to an unnamed temporary file (a LogSpool). The
+record dicts are then dropped, so a run's memory does not grow with its log.
 """
 
 from __future__ import annotations
 
 import heapq
+import io
 import json
+import shutil
+import tempfile
+import weakref
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
 from pathlib import Path
@@ -56,6 +61,7 @@ DASHBOARD_CONN = "dashboard"
 # json.dumps(record, separators=...) would build a new encoder per record
 _RECORD_ENCODER = json.JSONEncoder(separators=(", ", ": "))
 _BLOCK_RECORDS = 1024  # records go to the run's sinks this many at a time
+_COPY_BYTES = 1 << 18  # the spool is copied and decoded this much at a time
 
 
 # -- event payloads ----------------------------------------------------------
@@ -152,27 +158,61 @@ class GasField:
         return dict(self.concentrations)
 
 
+class LogSpool:
+    """events.jsonl as the run encodes it, in an unnamed temporary file.
+
+    The file opens with the first block appended, so a Simulation that is
+    never run opens nothing. It closes when the last holder of the spool
+    (the Simulation and its SimReport) lets go of it, or at interpreter
+    exit: a report dropped unwritten, or a run that raised, leaves no open
+    file behind.
+
+    The file lives where `tempfile` puts it (TMPDIR). The run's memory stops
+    growing with its log only when that directory is on a disk: on a tmpfs
+    the log's bytes stay in RAM, as shared memory that a process's RSS
+    figure does not count.
+    """
+
+    __slots__ = ("file", "__weakref__")
+
+    def __init__(self) -> None:
+        self.file = None
+
+    def append(self, text: str) -> None:
+        if self.file is None:
+            self.file = tempfile.TemporaryFile()
+            weakref.finalize(self, self.file.close)
+        self.file.write(text.encode("utf-8"))
+
+    def rewound(self):
+        """The log as a binary file positioned at its start."""
+        if self.file is None:
+            return io.BytesIO()
+        self.file.seek(0)
+        return self.file
+
+
 @dataclass
 class SimReport:
     """A finished run. `tally` and `aggregator` were fed the records as the
     run made them, a block at a time, and are the source of every count
-    and metric the run reports. `blocks` is events.jsonl as it was
-    encoded, _BLOCK_RECORDS lines per string; the record dicts themselves
-    are not kept."""
+    and metric the run reports. `spool` holds events.jsonl as it was
+    encoded; the record dicts themselves are not kept."""
 
-    blocks: list[str]
+    spool: LogSpool
     final_state: domain.FacilityState
     tally: ReportTally  # counts per record kind, for the report and the CLI
     aggregator: telemetry.Aggregator  # the run's one aggregation, for both files
 
     @property
     def records(self) -> list[dict[str, Any]]:
-        """The run's records, decoded from the encoded log on each call:
-        a new list every time. Each block is parsed as one JSON array; the
-        encoder escapes every newline inside a line."""
+        """The run's records, decoded from the spooled log on each call: a
+        new list every time. Each run of whole lines is parsed as one JSON
+        array; the encoder escapes every newline inside a line."""
         records: list[dict[str, Any]] = []
-        for block in self.blocks:
-            records += json.loads("[" + block[:-1].replace("\n", ",") + "]")
+        log = self.spool.rewound()
+        while lines := log.readlines(_COPY_BYTES):
+            records += json.loads(b"[" + b",".join(lines) + b"]")
         return records
 
     @property
@@ -180,12 +220,13 @@ class SimReport:
         return self.aggregator.to_csv()
 
     def events_jsonl(self) -> str:
-        return "".join(self.blocks)
+        return self.spool.rewound().read().decode("utf-8")
 
     def write(self, out_dir: str | Path) -> dict[str, Path]:
-        """The three output files. events.jsonl is written a block at a
-        time, so the whole log never exists as one string; report.txt is
-        rendered from the run's tally."""
+        """The three output files. events.jsonl is copied from the spool
+        _COPY_BYTES at a time, so the whole log never exists in memory;
+        report.txt is rendered from the run's tally. It may be called again,
+        and the log can still be read afterwards."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         paths = {
@@ -193,8 +234,8 @@ class SimReport:
             "metrics": out / "metrics.csv",
             "report": out / "report.txt",
         }
-        with open(paths["events"], "w", encoding="utf-8") as events:
-            events.writelines(self.blocks)
+        with open(paths["events"], "wb") as events:
+            shutil.copyfileobj(self.spool.rewound(), events, _COPY_BYTES)
         paths["metrics"].write_text(self.metrics_csv, encoding="utf-8")
         paths["report"].write_text(self.tally.render(self.aggregator.summary()), encoding="utf-8")
         return paths
@@ -275,7 +316,7 @@ class Simulation:
         self.tally = ReportTally()
         self.aggregator = telemetry.Aggregator(duration_s=cfg.duration_s)
         self._encode_block = _block_encoder()
-        self.blocks: list[str] = []  # events.jsonl, one string per block
+        self.spool = LogSpool()  # events.jsonl, a block at a time
         # (topic, payload length, qos) -> PUBLISH frame size; see _frame_size
         self.frame_sizes: dict[tuple[str, int, int], int] = {}
         self.bumps: list[sensors.Bump] = []
@@ -301,7 +342,7 @@ class Simulation:
         block, self._block = self._block, []
         self.tally.add_records(block)
         self.aggregator.add_records(block)
-        self.blocks.append(self._encode_block(block))
+        self.spool.append(self._encode_block(block))
 
     # -- transport --------------------------------------------------------
 
@@ -549,7 +590,7 @@ class Simulation:
         counts = self.tally.counts
         assert counts.get("car_admitted", 0) == counts.get("car_departs", 0) + in_lot, \
             "car conservation violated"
-        return SimReport(blocks=self.blocks, final_state=state, tally=self.tally,
+        return SimReport(spool=self.spool, final_state=state, tally=self.tally,
                          aggregator=self.aggregator)
 
 

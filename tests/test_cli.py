@@ -110,6 +110,32 @@ class TestExitCodes:
     def test_missing_scenario_exits_2(self):
         assert cli.main(["simulate", "--scenario", "/nope/missing.cfg"]) == 2
 
+    def test_out_under_a_file_exits_2_as_a_file_error(self, tmp_path, capsys):
+        scenario = tmp_path / "day.cfg"
+        scenario.write_text(DAY_CFG, encoding="utf-8")
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out_dir = blocker / "out"
+        assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parksim: cannot write {out_dir}: ")
+        assert err.count("\n") == 1 and "network" not in err
+
+    def test_unusable_spool_exits_2_as_a_file_error(self, tmp_path, capsys, monkeypatch):
+        scenario = tmp_path / "day.cfg"
+        scenario.write_text(DAY_CFG, encoding="utf-8")
+
+        def no_space(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sim.tempfile, "TemporaryFile", no_space)
+        out_dir = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("parksim: cannot write the event log to a temporary file: "
+                       "[Errno 28] No space left on device\n")
+        assert not out_dir.exists()
+
     def test_watch_unreachable_exits_3(self, capsys):
         assert cli.main(["watch", "--broker", "127.0.0.1:1", "--retries", "1"]) == 3
 

@@ -1,7 +1,10 @@
+import contextlib
 import copy
+import gc
 import json
 import math
 import typing
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -196,23 +199,29 @@ class TestOccupancySeries:
 
     def test_jsonl_roundtrip(self, tmp_path):
         # the records as the run makes them, copied before any sink sees
-        # them: the report keeps only their encoded lines
-        made = []
-        record = sim.Simulation._record
+        # them, and the lines of each block the run spools: the report
+        # keeps only the spooled log
+        made, lines = [], []
+        record, append = sim.Simulation._record, sim.LogSpool.append
 
         def capture(self, kind, **fields):
             made.append(copy.deepcopy({"t": self.now, "kind": kind, **fields}))
             record(self, kind, **fields)
 
+        def count_lines(self, text):
+            lines.append(text.count("\n"))
+            append(self, text)
+
         cfg = replace(default_scenario(), duration_s=600.0,
                       network=NetworkConfig(latency_s=0.05, drop_prob=0.2))
         for block in (3, 64, 1024):
             made.clear()
+            lines.clear()
             with mock.patch.object(sim.Simulation, "_record", capture), \
+                    mock.patch.object(sim.LogSpool, "append", count_lines), \
                     mock.patch.object(sim, "_BLOCK_RECORDS", block):
                 report = sim.run_scenario(cfg)
             assert {"meta", "publish", "deliver", "drop"} <= {r["kind"] for r in made}
-            lines = [text.count("\n") for text in report.blocks]
             assert sum(lines) == len(made)
             assert all(n == block for n in lines[:-1]) and 0 < lines[-1] <= block
             paths = report.write(tmp_path / str(block))
@@ -321,14 +330,17 @@ def test_encoded_lines_equal_json_dumps(records, block, c_encoder):
     blocks, through the reused C encoder and through the fallback."""
     with mock.patch.object(sim, "c_make_encoder", sim.c_make_encoder if c_encoder else None):
         encode_block = sim._block_encoder()
-    blocks = []
+    spool = sim.LogSpool()
     for i in range(0, len(records), block):
         chunk = records[i:i + block]
-        blocks.append(encode_block(chunk))
-        assert blocks[-1] == "".join(
-            json.dumps(r, separators=(", ", ": ")) + "\n" for r in chunk)
-    # and SimReport.records decodes them back (compared as JSON: NaN != NaN)
-    report = sim.SimReport(blocks=blocks, final_state=None, tally=None, aggregator=None)
+        text = encode_block(chunk)
+        assert text == "".join(json.dumps(r, separators=(", ", ": ")) + "\n" for r in chunk)
+        spool.append(text)
+    # and SimReport reads the spool back: the log as one string, and the
+    # records decoded (compared as JSON: NaN != NaN)
+    report = sim.SimReport(spool=spool, final_state=None, tally=None, aggregator=None)
+    assert report.events_jsonl() == "".join(
+        json.dumps(r, separators=(", ", ": ")) + "\n" for r in records)
     assert json.dumps(report.records) == json.dumps(records)
 
 
@@ -486,3 +498,65 @@ class TestValidation:
         cfg = quiet_scenario(duration_s=600.0)
         records = sim.run_scenario(cfg).records
         assert sim.render_report(records) == sim.render_report(records)
+
+
+@contextlib.contextmanager
+def _no_resource_warning():
+    """Fails if what the block lets go of, once collected, warns of an
+    unclosed resource."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+class TestLogSpool:
+    """The run's log lives in a temporary file from its first block on,
+    and that file closes with the last holder of the spool."""
+
+    def test_write_twice_gives_the_same_files_and_the_log_stays(self, tmp_path):
+        report = sim.run_scenario(replace(default_scenario(), duration_s=3600.0))
+        first, second = report.write(tmp_path / "a"), report.write(tmp_path / "b")
+        for name in ("events", "metrics", "report"):
+            assert first[name].read_bytes() == second[name].read_bytes(), name
+        log = first["events"].read_text(encoding="utf-8")
+        assert log.count("\n") > sim._BLOCK_RECORDS
+        assert report.events_jsonl() == log
+        assert report.records == sim.read_events_jsonl(first["events"])
+
+    def test_a_simulation_never_run_opens_nothing(self):
+        simulation = sim.Simulation(default_scenario())
+        assert simulation.spool.file is None
+        with _no_resource_warning():
+            del simulation
+
+    def test_a_report_dropped_unwritten_closes_its_file(self):
+        report = sim.run_scenario(quiet_scenario(duration_s=600.0))
+        spooled = report.spool.file
+        assert not spooled.closed
+        with _no_resource_warning():
+            del report
+        assert spooled.closed
+
+    def test_a_run_that_raises_closes_its_file(self):
+        deliver = sim.Simulation._on_packet_delivery
+        calls = 0
+
+        def fail_midway(self, payload):
+            nonlocal calls
+            calls += 1
+            if calls == 200:
+                raise RuntimeError("handler failed")
+            deliver(self, payload)
+
+        with mock.patch.object(sim.Simulation, "_on_packet_delivery", fail_midway), \
+                mock.patch.object(sim, "_BLOCK_RECORDS", 16):
+            simulation = sim.Simulation(replace(default_scenario(), duration_s=3600.0))
+            with pytest.raises(RuntimeError, match="handler failed"):
+                simulation.run()
+        spooled = simulation.spool.file
+        assert spooled is not None and not spooled.closed
+        with _no_resource_warning():
+            del simulation
+        assert spooled.closed
