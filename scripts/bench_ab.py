@@ -5,10 +5,12 @@
         --pairs N [--seconds 20] [--trace-seed T [T ...]] [--claim METRIC] \
         [--change "what changed"] --out BENCH_<n>.json
 
-Run from the root of a parksim checkout. The parent side is `git archive REF`
-and the change side is a copy of the working tree (tracked files plus
-untracked, not ignored ones, uncommitted edits included), each unpacked in
-its own directory under one temporary directory that is removed afterwards.
+Run from the root of a parksim checkout. Both sides are built the same way,
+as `git archive` of a tree unpacked in its own directory under one
+temporary directory that is removed afterwards: the parent side is REF's
+tree, the change side the tree of the working tree (tracked files plus
+untracked, not ignored ones, uncommitted edits and deletions included),
+written from a temporary index so the checkout's own index is untouched.
 Pair i runs `perfbench/run.py --seed S+i` on both sides, parent first in
 even pairs and change first in odd ones, so drift in machine speed falls on
 both sides alike.
@@ -37,7 +39,6 @@ import argparse
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
@@ -48,23 +49,26 @@ from importlib import metadata
 RUN_TIMEOUT_S = 900
 
 
-def export_parent(ref: str, dest: str) -> None:
+def git(args: list[str], env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], check=True, capture_output=True, text=True,
+                          env=env).stdout.strip()
+
+
+def working_tree_id() -> str:
+    """Tree id of the working tree as `git add -A` would stage it."""
+    with tempfile.TemporaryDirectory(prefix="bench_ab-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": os.path.join(tmp, "index")}
+        git(["read-tree", "HEAD"], env)
+        git(["add", "-A"], env)
+        return git(["write-tree"], env)
+
+
+def export_tree(tree: str, dest: str) -> None:
     tar_path = dest + ".tar"
-    subprocess.run(["git", "archive", "--format=tar", "-o", tar_path, ref], check=True)
+    git(["archive", "--format=tar", "-o", tar_path, tree])
     with tarfile.open(tar_path) as tar:
         tar.extractall(dest, filter="data")
     os.remove(tar_path)
-
-
-def copy_working_tree(dest: str) -> None:
-    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-                            check=True, capture_output=True).stdout.decode()
-    for rel in filter(None, listed.split("\0")):
-        if not os.path.isfile(rel):  # deleted but not yet staged
-            continue
-        target = os.path.join(dest, rel)
-        os.makedirs(os.path.dirname(target), exist_ok=True)
-        shutil.copy2(rel, target)
 
 
 def run_side(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -162,8 +166,10 @@ def main(argv: list[str]) -> int:
     runs, traced = [], []
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
         roots = {"parent": os.path.join(tmp, "parent"), "change": os.path.join(tmp, "change")}
-        export_parent(args.parent, roots["parent"])
-        copy_working_tree(roots["change"])
+        trees = {"parent": git(["rev-parse", f"{args.parent}^{{tree}}"]),
+                 "change": working_tree_id()}
+        for side, root in roots.items():
+            export_tree(trees[side], root)
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed}
@@ -209,11 +215,12 @@ def main(argv: list[str]) -> int:
     if args.change:
         bench["change"] = args.change
     bench["parent"] = args.parent
+    bench["trees"] = trees
     bench["command"] = f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0"
-    bench["method"] = ("alternating parent/change runs (parent first in even pairs), each side in its "
-                       "own export under a temporary directory; seed = first seed + pair index, same "
-                       "seed on both sides of a pair; inclusive quartiles over the runs of each side; "
-                       "change_wins counts pairs the change won")
+    bench["method"] = ("alternating parent/change runs (parent first in even pairs), each side a "
+                       "`git archive` of its tree unpacked under a temporary directory; seed = first "
+                       "seed + pair index, same seed on both sides of a pair; inclusive quartiles over "
+                       "the runs of each side; change_wins counts pairs the change won")
     bench["environment"] = {"python": platform.python_version(), "numpy": numpy_version,
                             "nproc": os.cpu_count(), "machine": platform.machine()}
     verdict = None

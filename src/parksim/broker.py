@@ -30,8 +30,14 @@ pending timer event, the TCP server uses it as its select timeout.
 Matching runs on two level tries kept in step with every state change: one
 over subscription filters (so a publish visits only the filters that can
 match its topic) and one over retained topics (so a SUBSCRIBE replays only
-the topics its filters match). Outputs keep the order a linear scan gives:
-fan-out in session connect order, replay in retained-store order.
+the topics its filters match). A subscription entry is keyed by its
+session's connect sequence number and holds the session itself with the
+granted qos, so a publish reaches its sessions without a lookup by client
+id, and sorting the matched keys, plain ints, gives connect order. Outputs
+keep the order a linear scan gives: fan-out in session connect order,
+replay in retained-store order. One builder makes each session's copy of a
+message, for a live publish and a retained replay alike; redeliver()
+resends a copy that was not acknowledged in time.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import itertools
 import logging
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import codec
 from .codec import (
@@ -80,14 +86,13 @@ BrokerOutput = Send | Close
 class Inflight:
     """A qos-1 copy awaiting its PUBACK."""
 
-    __slots__ = ("publish", "accept_t", "deadline", "retries", "errored")
+    __slots__ = ("publish", "accept_t", "deadline", "retries")
 
     def __init__(self, publish: Publish, accept_t: float, deadline: float) -> None:
         self.publish = publish      # qos-1 frame as first sent (dup clear)
         self.accept_t = accept_t    # when the broker accepted the originating message
         self.deadline = deadline    # last transmission time + ack timeout
-        self.retries = 0
-        self.errored = False
+        self.retries = 0            # resends so far; a PUBACK after one corrects an error
 
 
 @dataclass
@@ -99,7 +104,7 @@ class Session:
     inflight: dict[int, Inflight] = field(default_factory=dict)  # in deadline order
     last_seen_t: float = 0.0
     next_packet_id: int = 1
-    connect_seq: int = 0      # position in BrokerCore.sessions; orders fan-out
+    connect_seq: int = 0      # connect order; keys its subscription-trie entries, orders fan-out
 
     def take_packet_id(self) -> int | None:
         """The next packet id not in flight, or None when all of them are."""
@@ -116,21 +121,22 @@ class _Node:
     """One topic level of a trie; `entries` holds what ends at this level.
 
     Subscription trie: filter levels ('+' and '#' are ordinary keys),
-    entries map client_id -> granted qos. Retained trie: topic levels,
-    entries map the topic -> its insertion sequence number.
+    entries map a session's connect_seq -> (session, granted qos).
+    Retained trie: topic levels, entries map the topic -> its insertion
+    sequence number.
     """
 
     __slots__ = ("children", "entries")
 
     def __init__(self) -> None:
         self.children: dict[str, _Node] = {}
-        self.entries: dict[str, int] = {}
+        self.entries: dict = {}
 
     def is_empty(self) -> bool:
         return not self.children and not self.entries
 
 
-def _trie_insert(root: _Node, levels: list[str], key: str, value: int) -> None:
+def _trie_insert(root: _Node, levels: list[str], key, value) -> None:
     node = root
     for level in levels:
         child = node.children.get(level)
@@ -140,7 +146,7 @@ def _trie_insert(root: _Node, levels: list[str], key: str, value: int) -> None:
     node.entries[key] = value
 
 
-def _trie_remove(root: _Node, levels: list[str], key: str) -> None:
+def _trie_remove(root: _Node, levels: list[str], key) -> None:
     """Remove `key` at `levels` and prune the nodes left empty."""
     path = [root]
     for level in levels:
@@ -155,7 +161,7 @@ def _trie_remove(root: _Node, levels: list[str], key: str) -> None:
         del path[depth - 1].children[levels[depth - 1]]
 
 
-def _collect_subscribers(node: _Node, levels: list[str], i: int, best: dict[str, int]) -> None:
+def _collect_subscribers(node: _Node, levels: list[str], i: int, best: dict) -> None:
     """Merge into `best` the entries of every filter under `node` matching levels[i:].
 
     Recurses into '+' children and loops down the literal child.
@@ -177,10 +183,16 @@ def _collect_subscribers(node: _Node, levels: list[str], i: int, best: dict[str,
         i += 1
 
 
-def _merge_highest(best: dict[str, int], entries: dict[str, int]) -> None:
-    for client_id, qos in entries.items():
-        if best.get(client_id, -1) < qos:
-            best[client_id] = qos
+def _merge_highest(best: dict, entries: dict) -> None:
+    if not best:
+        best.update(entries)
+        return
+    for seq, target in entries.items():
+        if best.get(seq, _NO_TARGET)[1] < target[1]:
+            best[seq] = target
+
+
+_NO_TARGET = (None, -1)
 
 
 def _collect_retained(node: _Node, flevels: list[str], i: int, out: list) -> None:
@@ -223,7 +235,7 @@ class BrokerCore:
         self.max_retries = max_retries
         self.event_sink = event_sink
         self.sessions: dict[str, Session] = {}
-        self.conn_to_client: dict[str, str] = {}
+        self.conn_sessions: dict[str, Session] = {}
         self.retained: dict[str, tuple[bytes, int]] = {}
         self.corrected_errors = 0
         self.uncorrected_errors = 0
@@ -237,22 +249,21 @@ class BrokerCore:
         kind = type(packet)
         if kind is Connect:
             return self._handle_connect(conn_id, packet, now)
-        client_id = self.conn_to_client.get(conn_id)
-        if client_id is None:
+        session = self.conn_sessions.get(conn_id)
+        if session is None:
             return [Close(conn_id, None, "packet before CONNECT")]
-        session = self.sessions[client_id]
         session.last_seen_t = now
         handler = _SESSION_HANDLERS.get(kind)
         if handler is None:
-            self._drop_session(client_id)  # the Close ends it, as a DISCONNECT would
-            return [Close(conn_id, client_id, f"unexpected {kind.__name__}")]
+            self._drop_session(session)  # the Close ends it, as a DISCONNECT would
+            return [Close(conn_id, session.client_id, f"unexpected {kind.__name__}")]
         return handler(self, session, packet, now)
 
     def _handle_connect(self, conn_id: str, packet: Connect, now: float) -> list[BrokerOutput]:
-        if conn_id in self.conn_to_client:
-            old = self.conn_to_client[conn_id]
+        old = self.conn_sessions.get(conn_id)
+        if old is not None:
             self._drop_session(old)
-            return [Close(conn_id, client_id=old, reason="second CONNECT on connection")]
+            return [Close(conn_id, client_id=old.client_id, reason="second CONNECT on connection")]
         if packet.requests_unsupported:
             return [
                 Send(conn_id, ConnAck(return_code=RETURN_UNSUPPORTED)),
@@ -267,7 +278,7 @@ class BrokerCore:
         existing = self.sessions.get(packet.client_id)
         if existing is not None:
             # session takeover: the newer connection wins
-            self._drop_session(packet.client_id)
+            self._drop_session(existing)
             outputs.append(Close(existing.conn_id, packet.client_id, "takeover"))
         session = Session(
             client_id=packet.client_id,
@@ -277,7 +288,7 @@ class BrokerCore:
             connect_seq=next(self._seq),
         )
         self.sessions[packet.client_id] = session
-        self.conn_to_client[conn_id] = packet.client_id
+        self.conn_sessions[conn_id] = session
         outputs.append(Send(conn_id, ConnAck(RETURN_ACCEPTED)))
         return outputs
 
@@ -294,11 +305,7 @@ class BrokerCore:
                 if topic not in self.retained:
                     _trie_insert(self._retained_trie, topic.split("/"), topic, next(self._seq))
                 self.retained[topic] = (payload, qos)
-        sessions = self.sessions
-        outbound = self._outbound_publish
-        for client_id, sub_qos in self._subscribers(topic).items():
-            outbound(outputs, sessions[client_id], topic, payload,
-                     qos if qos < sub_qos else sub_qos, False, now)
+        self._send_copies(outputs, topic, payload, qos, False, self._subscribers(topic), now)
         return outputs
 
     def _handle_subscribe(self, session: Session, packet: Subscribe, now: float) -> list[BrokerOutput]:
@@ -308,35 +315,35 @@ class BrokerCore:
         for (topic_filter, _), qos in zip(packet.filters, granted):
             # re-subscribing to the same filter replaces the old qos
             session.subscriptions[topic_filter] = qos
-            _trie_insert(self._subscription_trie, topic_filter.split("/"), session.client_id, qos)
+            _trie_insert(self._subscription_trie, topic_filter.split("/"), session.connect_seq,
+                         (session, qos))
         outputs: list[BrokerOutput] = [Send(session.conn_id, SubAck(packet.packet_id, granted))]
         retained = self.retained
-        outbound = self._outbound_publish
         for (topic_filter, _), qos in zip(packet.filters, granted):
+            target = ((session, qos),)
             for topic in self._retained_matching(topic_filter):
                 payload, retained_qos = retained[topic]
-                outbound(outputs, session, topic, payload,
-                         retained_qos if retained_qos < qos else qos, True, now)
+                self._send_copies(outputs, topic, payload, retained_qos, True, target, now)
         return outputs
 
     def _handle_unsubscribe(self, session: Session, packet: Unsubscribe, now: float) -> list[BrokerOutput]:
         for topic_filter in packet.filters:
             if session.subscriptions.pop(topic_filter, None) is not None:
-                _trie_remove(self._subscription_trie, topic_filter.split("/"), session.client_id)
+                _trie_remove(self._subscription_trie, topic_filter.split("/"), session.connect_seq)
         return [Send(session.conn_id, UnsubAck(packet.packet_id))]
 
     def _handle_pingreq(self, session: Session, packet: PingReq, now: float) -> list[BrokerOutput]:
         return [Send(session.conn_id, PingResp())]
 
     def _handle_disconnect(self, session: Session, packet: Disconnect, now: float) -> list[BrokerOutput]:
-        self._drop_session(session.client_id)
+        self._drop_session(session)
         return [Close(session.conn_id, session.client_id, "client disconnect")]
 
-    def _subscribers(self, topic: str) -> dict[str, int]:
-        """client_id -> highest qos granted by that session's filters matching
-        `topic`, ordered by session connect order."""
+    def _subscribers(self, topic: str) -> list[tuple[Session, int]]:
+        """(session, highest qos granted by its filters matching `topic`),
+        in session connect order."""
         levels = topic.split("/")
-        best: dict[str, int] = {}
+        best: dict[int, tuple[Session, int]] = {}
         if topic.startswith("$"):
             # root-level wildcards never match '$' topics (section 4.7.2)
             node = self._subscription_trie.children.get(levels[0])
@@ -344,11 +351,7 @@ class BrokerCore:
                 _collect_subscribers(node, levels, 1, best)
         else:
             _collect_subscribers(self._subscription_trie, levels, 0, best)
-        if len(best) > 1:
-            sessions = self.sessions
-            order = sorted(best, key=lambda client_id: sessions[client_id].connect_seq)
-            best = {client_id: best[client_id] for client_id in order}
-        return best
+        return [best[seq] for seq in sorted(best)]
 
     def _retained_matching(self, topic_filter: str) -> list[str]:
         """Retained topics matching `topic_filter`, in retained-store order."""
@@ -361,29 +364,37 @@ class BrokerCore:
         entry = session.inflight.pop(packet.packet_id, None)
         if entry is None:
             log.debug("stray PUBACK %d from %s", packet.packet_id, session.client_id)
-        elif entry.errored:
+        elif entry.retries:
             self.corrected_errors += 1
             self._emit("error_corrected", client_id=session.client_id, topic=entry.publish.topic)
         return []
 
-    def _outbound_publish(
-        self, outputs: list[BrokerOutput], session: Session, topic: str, payload: bytes,
-        qos: int, retain: bool, now: float,
+    def _send_copies(
+        self, outputs: list[BrokerOutput], topic: str, payload: bytes, qos: int, retain: bool,
+        targets: Iterable[tuple[Session, int]], now: float,
     ) -> None:
-        """Append the frame for one session's copy of a message to `outputs`;
-        the copy is lost instead when every packet id of the session is in
+        """Append to `outputs` the frame of each (session, granted qos) target's
+        copy of one message, at the lower of `qos` and the granted qos. A
+        qos-1 copy is lost instead when every packet id of its session is in
         flight."""
-        packet_id = None
-        if qos == 1:
-            packet_id = session.take_packet_id()
-            if packet_id is None:
-                self.uncorrected_errors += 1
-                self._emit("error_uncorrected", client_id=session.client_id, topic=topic)
-                return
-        publish = Publish(topic, payload, qos, retain, False, packet_id)
-        if qos == 1:
-            session.inflight[packet_id] = Inflight(publish, now, now + self.ack_timeout_s)
-        outputs.append(Send(session.conn_id, publish))
+        deadline = now + self.ack_timeout_s
+        for session, granted in targets:
+            if qos == 0 or granted == 0:
+                outputs.append(Send(session.conn_id, Publish(topic, payload, 0, retain, False, None)))
+                continue
+            inflight = session.inflight
+            packet_id = session.next_packet_id
+            if packet_id in inflight:  # only after a wrap
+                packet_id = session.take_packet_id()
+                if packet_id is None:
+                    self.uncorrected_errors += 1
+                    self._emit("error_uncorrected", client_id=session.client_id, topic=topic)
+                    continue
+            else:
+                session.next_packet_id = packet_id % 0xFFFF + 1
+            publish = Publish(topic, payload, 1, retain, False, packet_id)
+            inflight[packet_id] = Inflight(publish, now, deadline)
+            outputs.append(Send(session.conn_id, publish))
 
     # -- timers ----------------------------------------------------------
 
@@ -424,7 +435,6 @@ class BrokerCore:
                     continue
                 entry.retries += 1
                 entry.deadline = now + self.ack_timeout_s
-                entry.errored = True
                 inflight[packet_id] = entry  # back of the deadline order
                 first = entry.publish
                 outputs.append(Send(session.conn_id, Publish(
@@ -434,28 +444,26 @@ class BrokerCore:
     def keepalive_sweep(self, now: float) -> list[BrokerOutput]:
         """Close sessions silent for 1.5x their keep-alive or longer."""
         outputs: list[BrokerOutput] = []
-        for client_id in list(self.sessions):
-            session = self.sessions[client_id]
+        for session in list(self.sessions.values()):
             if session.keep_alive_s <= 0:
                 continue
             if now >= session.last_seen_t + 1.5 * session.keep_alive_s:
-                self._drop_session(client_id)
-                outputs.append(Close(session.conn_id, client_id, "keepalive timeout"))
+                self._drop_session(session)
+                outputs.append(Close(session.conn_id, session.client_id, "keepalive timeout"))
         return outputs
 
     # -- transport notifications -----------------------------------------
 
     def connection_closed(self, conn_id: str) -> None:
-        client_id = self.conn_to_client.get(conn_id)
-        if client_id is not None:
-            self._drop_session(client_id)
-
-    def _drop_session(self, client_id: str) -> None:
-        session = self.sessions.pop(client_id, None)
+        session = self.conn_sessions.get(conn_id)
         if session is not None:
-            self.conn_to_client.pop(session.conn_id, None)
-            for topic_filter in session.subscriptions:
-                _trie_remove(self._subscription_trie, topic_filter.split("/"), client_id)
+            self._drop_session(session)
+
+    def _drop_session(self, session: Session) -> None:
+        del self.sessions[session.client_id]
+        del self.conn_sessions[session.conn_id]
+        for topic_filter in session.subscriptions:
+            _trie_remove(self._subscription_trie, topic_filter.split("/"), session.connect_seq)
 
     def _emit(self, kind: str, **fields) -> None:
         if self.event_sink is not None:

@@ -389,9 +389,9 @@ class Simulation:
 
     def _accept_time(self, conn_id: str, packet: codec.Publish) -> float:
         if packet.qos == 1 and packet.packet_id is not None:
-            client_id = self.broker.conn_to_client.get(conn_id)
-            if client_id is not None:
-                entry = self.broker.sessions[client_id].inflight.get(packet.packet_id)
+            session = self.broker.conn_sessions.get(conn_id)
+            if session is not None:
+                entry = session.inflight.get(packet.packet_id)
                 if entry is not None:
                     return entry.accept_t
         return self.now

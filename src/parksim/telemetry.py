@@ -11,6 +11,7 @@ so re-running it over the same log reproduces the file byte for byte.
 from __future__ import annotations
 
 import bisect
+import math
 
 
 def data_rate(bytes_total: float, duration_s: float) -> float:
@@ -40,6 +41,11 @@ def error_correction_rate(corrected: int, total_errors: int) -> float:
 
 
 CSV_HEADER = "metric,window_start_s,window_end_s,value"
+
+# The most windows an Aggregator builds: over eleven years of hourly windows.
+# A duration past it (a log's meta can carry any number) is refused instead
+# of filling memory with windows.
+MAX_WINDOWS = 100_000
 
 # Event-log record kinds this module consumes. "publish" is a broker accept,
 # "deliver" a subscriber delivery (carrying its delay), and the error kinds
@@ -77,6 +83,11 @@ class Aggregator:
             raise ValueError("duration_s must be > 0")
         if window_s <= 0:
             raise ValueError("window_s must be > 0")
+        if not math.isfinite(duration_s):
+            raise ValueError(f"duration_s must be finite, got {duration_s}")
+        if duration_s / window_s > MAX_WINDOWS:
+            raise ValueError(f"duration_s {duration_s:g} makes more than {MAX_WINDOWS} windows "
+                             f"of {window_s:g} s")
         self.duration_s = duration_s
         self.window_s = window_s
         self._bounds = self._window_bounds()

@@ -78,7 +78,33 @@ class TestHandshake:
         connect(core, "c1", "alpha")
         outputs = core.handle("c1", packet, 1.0)
         assert outputs == [Close("c1", client_id="alpha", reason=f"unexpected {type(packet).__name__}")]
-        assert core.sessions == {} and core.conn_to_client == {}
+        assert core.sessions == {} and core.conn_sessions == {}
+
+    def test_puback_before_connect_closes(self):
+        core = BrokerCore()
+        assert core.handle("c1", PubAck(packet_id=1), 0.0) == [
+            Close("c1", None, "packet before CONNECT")]
+        connect(core, "c1", "alpha")
+        core.handle("c1", Disconnect(), 1.0)
+        assert core.handle("c1", PubAck(packet_id=1), 2.0) == [
+            Close("c1", None, "packet before CONNECT")]
+
+    def test_takeover_moves_client_to_the_back_of_the_fanout_order(self):
+        core = BrokerCore()
+        connect(core, "pub", "publisher")
+        for conn, client in (("c1", "alpha"), ("c2", "beta"), ("c3", "gamma")):
+            connect(core, conn, client)
+            core.handle(conn, Subscribe(packet_id=1, filters=(("t/x", 0),)), 0.0)
+        old = core.sessions["alpha"]
+        connect(core, "c4", "alpha", now=1.0)
+        # the trie yields 't/#' entries before 't/x' ones: only connect order puts c4 last
+        core.handle("c4", Subscribe(packet_id=1, filters=(("t/#", 0),)), 1.0)
+        outputs = core.handle("pub", Publish(topic="t/x", payload=b"1"), 2.0)
+        assert [o.conn_id for o in sends_of(outputs, Publish)] == ["c2", "c3", "c4"]
+        targets = [target for node in _trie_nodes(core._subscription_trie)
+                   for target in node.entries.values()]
+        assert all(session is not old for session, _ in targets)
+        assert [session.client_id for session, _ in targets].count("alpha") == 1
 
     def test_puback_for_unknown_id_is_ignored(self):
         core = BrokerCore()
@@ -128,6 +154,17 @@ class TestRouting:
         )
         delivered = sends_of(outputs, Publish)[0].packet
         assert delivered.qos == 0 and delivered.packet_id is None
+
+    def test_overlapping_filters_give_one_copy_at_the_highest_qos(self):
+        core = BrokerCore()
+        connect(core, "pub", "publisher")
+        connect(core, "s1", "sub-1")
+        # the trie yields 't/#', then 't/+', then 't/x': one raise, then one kept
+        core.handle("s1", Subscribe(packet_id=1, filters=(("t/#", 0), ("t/+", 1), ("t/x", 0))), 0.0)
+        outputs = core.handle("pub", Publish(topic="t/x", payload=b"1", qos=1, packet_id=3), 1.0)
+        [copy_] = sends_of(outputs, Publish)
+        assert copy_ == Send("s1", Publish("t/x", b"1", 1, False, False, 1))
+        assert list(core.sessions["sub-1"].inflight) == [1]
 
     def test_qos2_request_is_granted_qos1(self):
         # §3.8.4: the server may grant a lower QoS than requested; deliveries
@@ -275,6 +312,22 @@ class TestRedelivery:
         assert core.corrected_errors == 1
         assert events == ["error_corrected"]
 
+    def test_ack_after_resends_counts_corrected_once(self):
+        events = []
+        core = BrokerCore(ack_timeout_s=2.0, max_retries=3,
+                          event_sink=lambda kind, **f: events.append((kind, f)))
+        connect(core, "pub", "publisher")
+        connect(core, "sub", "subscriber")
+        core.handle("sub", Subscribe(packet_id=1, filters=(("t/#", 1),)), 0.0)
+        outputs = core.handle("pub", Publish(topic="t/x", payload=b"p", qos=1, packet_id=1), 0.0)
+        pid = sends_of(outputs, Publish)[0].packet.packet_id
+        assert len(core.redeliver(2.0)) == 1 and len(core.redeliver(4.0)) == 1
+        assert core.handle("sub", PubAck(packet_id=pid), 4.5) == []
+        assert core.handle("sub", PubAck(packet_id=pid), 4.6) == []  # a duplicate ack is stray
+        assert (core.corrected_errors, core.uncorrected_errors) == (1, 0)
+        assert events == [("error_corrected", {"client_id": "subscriber", "topic": "t/x"})]
+        assert core.redeliver(10.0) == []
+
     def test_prompt_ack_is_not_an_error(self):
         core, publish = self._setup_inflight()
         core.handle("sub", PubAck(packet_id=publish.packet_id), 0.5)
@@ -320,6 +373,16 @@ class TestPacketIds:
         assert core.next_deadline() == 2.0
         assert [(o.packet.topic, o.packet.packet_id, o.packet.dup) for o in core.tick(2.0)] == [
             ("t/x", 1, True)]
+
+    def test_ids_handed_out_in_turn_not_reused_at_once(self):
+        core, first = TestRedelivery()._setup_inflight()
+        core.handle("sub", PubAck(packet_id=first.packet_id), 0.5)
+        ids = [first.packet_id]
+        for n in (2, 3):
+            outputs = core.handle("pub", Publish(topic="t/x", payload=b"p", qos=1, packet_id=n), 1.0)
+            ids.append(sends_of(outputs, Publish)[0].packet.packet_id)
+            core.handle("sub", PubAck(packet_id=ids[-1]), 1.5)
+        assert ids == [1, 2, 3]
 
     def test_allocator_wraps_from_65535_to_1(self):
         core, _ = TestRedelivery()._setup_inflight()  # id 1 in flight
@@ -443,12 +506,12 @@ class BruteForceCore(BrokerCore):
     broker matched before it kept tries. Everything else is shared."""
 
     def _subscribers(self, topic):
-        found = {}
+        found = []
         for session in self.sessions.values():
             granted = [qos for topic_filter, qos in session.subscriptions.items()
                        if topic_matches(topic_filter, topic)]
             if granted:
-                found[session.client_id] = max(granted)
+                found.append((session, max(granted)))
         return found
 
     def _retained_matching(self, topic_filter):
@@ -558,7 +621,21 @@ def _assert_timer_progresses(core):
         assert after is None or after > deadline
 
 
+def _trie_nodes(root):
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children.values())
+
+
 def _assert_no_leaked_nodes(core):
+    """Empty tries when nothing is held, and only live sessions in the
+    subscription trie and the connection map."""
+    assert core.conn_sessions == {session.conn_id: session for session in core.sessions.values()}
+    for node in _trie_nodes(core._subscription_trie):
+        for seq, (session, _) in node.entries.items():
+            assert core.sessions.get(session.client_id) is session and seq == session.connect_seq
     if not core.sessions:
         assert core._subscription_trie.is_empty()
     if not core.retained:

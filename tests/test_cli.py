@@ -324,6 +324,16 @@ class TestSimulateAndReport:
         bad.write_text("{}\nnot json\n", encoding="utf-8")
         assert cli.main(["report", "--in", str(bad), "--out", str(tmp_path / "r.txt")]) == 2
 
+    @pytest.mark.parametrize("duration", ["1e300", "Infinity"])
+    def test_report_on_unbounded_duration_exits_2(self, tmp_path, capsys, duration):
+        # the meta alone decides the window count, which must not hang or fill memory
+        log = tmp_path / "events.jsonl"
+        log.write_text(f'{{"t": 0.0, "kind": "meta", "config": {{"duration_s": {duration}}}}}\n',
+                       encoding="utf-8")
+        assert cli.main(["report", "--in", str(log), "--out", str(tmp_path / "r.txt")]) == 2
+        assert "duration_s" in capsys.readouterr().err
+        assert not (tmp_path / "r.txt").exists()
+
     def test_report_on_record_without_t_exits_2(self, tmp_path, capsys):
         log = tmp_path / "events.jsonl"
         log.write_text('{"t": 0, "kind": "meta"}\n{"kind": "car_parks"}\n', encoding="utf-8")

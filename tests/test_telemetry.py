@@ -1,8 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from parksim.telemetry import (
     CSV_HEADER,
+    MAX_WINDOWS,
     Aggregator,
     data_rate,
     delay,
@@ -104,6 +107,15 @@ class TestAggregator:
         rows = {metric for metric, *_ in agg.rows()}
         assert "bytes_total" in rows
         assert "ec_modeled" in rows
+
+    @pytest.mark.parametrize("duration_s", [math.inf, math.nan, 1e300, 3600.0 * MAX_WINDOWS + 1])
+    def test_unbounded_window_count_refused(self, duration_s):
+        with pytest.raises(ValueError, match="duration_s"):
+            Aggregator(duration_s=duration_s)
+
+    def test_window_count_at_the_bound_accepted(self):
+        agg = Aggregator(duration_s=float(MAX_WINDOWS), window_s=1.0)
+        assert len(agg._bounds) == MAX_WINDOWS
 
 
 # -- the one-pass rollup against a scan per window ------------------------------
