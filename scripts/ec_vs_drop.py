@@ -35,8 +35,8 @@ def measure(drop_prob: float, messages: int, max_retries: int, seed: int) -> tup
     )
     report = sim.run_scenario(cfg)
     counts = report.tally.counts
-    corrected = counts.get("error_corrected", 0)
-    uncorrected = counts.get("error_uncorrected", 0)
+    corrected = counts["error_corrected"]
+    uncorrected = counts["error_uncorrected"]
     total = corrected + uncorrected
     ec = corrected / total if total else 1.0
     return ec, total

@@ -3,6 +3,9 @@
 The argparse parser dispatches (each subcommand sets its runner as `run`) and
 checks every input, so a bad flag exits 1 with one line before a runner starts.
 
+Only `simulate` and `report` import the simulator (and so numpy); `broker`,
+`watch` and `analyze` start without it.
+
 Exit codes: 0 success, 1 usage, 2 configuration or file, 3 network,
 4 protocol.
 PARKSIM_LOG (error|warn|info|debug) sets log verbosity on stderr.
@@ -18,7 +21,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from . import codec, net, sim, stochastic
+from . import codec, net, stochastic
 from .domain import ConfigError
 from .scenario import load_scenario
 from .watch import WatchView
@@ -133,6 +136,8 @@ def _run_broker(args: argparse.Namespace) -> int:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
+    from . import sim
+
     cfg = load_scenario(args.scenario)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -178,9 +183,9 @@ def _run_simulate(args: argparse.Namespace) -> int:
     print(f"wrote {paths['events']}, {paths['metrics']}, {paths['report']}")
     counts = report.tally.counts
     print(
-        f"arrivals {counts.get('car_arrives', 0)} "
-        f"(admitted {counts.get('car_admitted', 0)}, rejected {counts.get('car_rejected', 0)}), "
-        f"departures {counts.get('car_departs', 0)}, "
+        f"arrivals {counts['car_arrives']} "
+        f"(admitted {counts['car_admitted']}, rejected {counts['car_rejected']}), "
+        f"departures {counts['car_departs']}, "
         f"final vacancy {state.total_vacant}/{state.total_slots}"
     )
     return EXIT_OK if mirror_error is None else EXIT_NETWORK
@@ -250,6 +255,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
 
 
 def _run_report(args: argparse.Namespace) -> int:
+    from . import sim
+
     try:
         text = sim.render_report(sim.read_events_jsonl(args.in_path))
     except OSError as exc:

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .domain import ConfigError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ import json
 import shutil
 import tempfile
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
 from pathlib import Path
@@ -588,7 +589,7 @@ class Simulation:
         state = self.controller.state
         in_lot = state.total_slots - state.total_vacant
         counts = self.tally.counts
-        assert counts.get("car_admitted", 0) == counts.get("car_departs", 0) + in_lot, \
+        assert counts["car_admitted"] == counts["car_departs"] + in_lot, \
             "car conservation violated"
         return SimReport(spool=self.spool, final_state=state, tally=self.tally,
                          aggregator=self.aggregator)
@@ -652,10 +653,11 @@ def time_weighted_mean(series: list[tuple[float, int]], t_end: float, t_start: f
 
 class ReportTally:
     """What report.txt needs from an event log, gathered in one pass as the
-    records are fed: counts per kind, the `meta` header and the
-    time-weighted mean occupancy. The mean and its errors are those of
-    occupancy_timeseries + time_weighted_mean over the same records, float
-    for float: the integral takes the same steps in the same order.
+    records are fed: counts per kind (a Counter, so a kind never fed reads
+    0), the `meta` header and the time-weighted mean occupancy. The mean
+    and its errors are those of occupancy_timeseries + time_weighted_mean
+    over the same records, float for float: the integral takes the same
+    steps in the same order.
 
     The report's duration is the meta config's `duration_s`, known from the
     first record on, else the largest `t`. In the second case no park or
@@ -664,7 +666,7 @@ class ReportTally:
 
     def __init__(self) -> None:
         self.meta: dict[str, Any] = {}
-        self.counts: dict[str, int] = {}
+        self.counts: Counter[str] = Counter()
         self._fed = 0                   # records seen, for error messages
         self._max_t: Any = None         # the largest t, as max() picks it
         self._end: float | None = None  # the meta config's duration_s
@@ -676,7 +678,9 @@ class ReportTally:
         self._past_end = False          # later steps fall outside [0, end]
 
     def add_records(self, records) -> None:
-        counts = self.counts
+        # counted in a plain dict and merged once per call: a store into a
+        # Counter costs about 100 ns more per record than into a dict
+        counts: dict[str, int] = {}
         for record in records:
             index = self._fed
             self._fed += 1
@@ -697,6 +701,7 @@ class ReportTally:
                 config = record.get("config", {})
                 if "duration_s" in config:
                     self._end = float(config["duration_s"])
+        self.counts.update(counts)
 
     def _step(self, t: float) -> None:
         # one turn of time_weighted_mean's loop, with t_start = 0
@@ -740,19 +745,19 @@ class ReportTally:
             f"duration_s: {_g(self.duration_s)}   slots: {config.get('facility.total_slots', '?')}",
             "",
             "traffic",
-            f"  arrivals:   {counts.get('car_arrives', 0)} "
-            f"(admitted {counts.get('car_admitted', 0)}, rejected {counts.get('car_rejected', 0)})",
-            f"  departures: {counts.get('car_departs', 0)}",
+            f"  arrivals:   {counts['car_arrives']} "
+            f"(admitted {counts['car_admitted']}, rejected {counts['car_rejected']})",
+            f"  departures: {counts['car_departs']}",
             f"  mean occupancy (parked): {_g(mean_occ)}",
             "",
             "environment",
-            f"  env samples: {counts.get('env_sample', 0)}"
-            f"   gas samples: {counts.get('gas_sample', 0)}",
-            f"  fan on/off events: {counts.get('fan', 0)}   anomalies: {counts.get('anomaly', 0)}",
+            f"  env samples: {counts['env_sample']}"
+            f"   gas samples: {counts['gas_sample']}",
+            f"  fan on/off events: {counts['fan']}   anomalies: {counts['anomaly']}",
             "",
             "mqtt telemetry",
-            f"  publishes accepted: {counts.get('publish', 0)}"
-            f"   deliveries: {counts.get('deliver', 0)}   drops: {counts.get('drop', 0)}",
+            f"  publishes accepted: {counts['publish']}"
+            f"   deliveries: {counts['deliver']}   drops: {counts['drop']}",
             f"  bytes total: {_g(summary['bytes_total'])}   "
             f"data rate: {_g(summary['data_rate_bytes_per_s'])} bytes/s",
         ]

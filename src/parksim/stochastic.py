@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .domain import ConfigError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Diurnal arrival profile (cars/hour) peaking at 100 between hours 12 and 13.
 DEFAULT_HOURLY_RATES: tuple[float, ...] = (

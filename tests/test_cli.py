@@ -1,6 +1,8 @@
 import argparse
 import hashlib
 import re
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -21,6 +23,7 @@ gas_sample_period_s = 0
 seed = 9
 """
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 STOCK_DAY = Path(__file__).resolve().parent.parent / "scenarios" / "day.cfg"
 # the stock day's pinned output digests, as in tests/test_golden.py
 STOCK_DAY_SHA256 = {
@@ -216,6 +219,29 @@ class TestAnalyzeOutput:
                   "--lambda-unit", "per-hour", "--t-avg", "0.5"])
         row = capsys.readouterr().out.strip().splitlines()[1]
         assert float(row.split(",")[3]) == 10.0
+
+
+# a fresh interpreter: this test process has imported numpy already
+LIVE_COMMANDS_IMPORT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import parksim.cli, parksim.net, parksim.watch, parksim.scenario
+from parksim import cli
+assert cli.main(["analyze", "--lambda", "4", "--slots", "4", "--lambda-unit", "per-dwell"]) == 0
+cli.parse_args(["broker", "--bind", "127.0.0.1:0"])
+assert "numpy" not in sys.modules, "a live command imported numpy"
+assert "parksim.sim" not in sys.modules, "a live command imported the simulator"
+import parksim.sim
+assert "numpy" in sys.modules, "the simulator no longer imports numpy"
+"""
+
+
+class TestImports:
+    def test_live_commands_start_without_the_simulator_or_numpy(self):
+        result = subprocess.run([sys.executable, "-c", LIVE_COMMANDS_IMPORT, str(SRC)],
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("lambda,n,p_full,L,t_response\n4,4,")
 
 
 class TestSimulateAndReport:

@@ -53,7 +53,7 @@ class TestSingleCarTrace:
         simulation = sim.Simulation(cfg)
         report = simulation.run()
         counts = report.tally.counts
-        assert {kind: counts.get(kind, 0) for kind in (
+        assert {kind: counts[kind] for kind in (
             "car_arrives", "car_admitted", "car_rejected", "car_departs", "fan", "drop")} == dict(
             car_arrives=1, car_admitted=1, car_rejected=0, car_departs=0, fan=0, drop=0,
         )
@@ -138,7 +138,12 @@ class TestConservationAndCausality:
         in_lot = state.total_slots - state.total_vacant
         counts = run.tally.counts
         assert counts["car_admitted"] == counts["car_departs"] + in_lot
-        assert counts["car_arrives"] == counts["car_admitted"] + counts.get("car_rejected", 0)
+        assert counts["car_arrives"] == counts["car_admitted"] + counts["car_rejected"]
+
+    def test_a_kind_never_logged_counts_zero(self, run):
+        # this run rejects no car, so no car_rejected record exists to count
+        assert "car_rejected" not in run.tally.counts
+        assert run.tally.counts["car_rejected"] == 0
 
     def test_causality_per_car(self, run):
         seen_arrive, seen_park = set(), set()
