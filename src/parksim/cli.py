@@ -3,8 +3,9 @@
 The argparse parser dispatches (each subcommand sets its runner as `run`) and
 checks every input, so a bad flag exits 1 with one line before a runner starts.
 
-Only `simulate` and `report` import the simulator (and so numpy); `broker`,
-`watch` and `analyze` start without it.
+Each command imports only the modules it runs: only `simulate` and `report`
+import the simulator (and so numpy), and `broker` loads none of the scenario,
+sensor, traffic or watch modules.
 
 Exit codes: 0 success, 1 usage, 2 configuration or file, 3 network,
 4 protocol.
@@ -18,13 +19,9 @@ import logging
 import os
 import sys
 import time
-from dataclasses import replace
-from pathlib import Path
 
-from . import codec, net, stochastic
+from . import codec, net
 from .domain import ConfigError
-from .scenario import load_scenario
-from .watch import WatchView
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -136,7 +133,10 @@ def _run_broker(args: argparse.Namespace) -> int:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from . import sim
+    from .scenario import load_scenario
 
     cfg = load_scenario(args.scenario)
     if args.seed is not None:
@@ -192,6 +192,8 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 
 def _run_watch(args: argparse.Namespace) -> int:
+    from .watch import WatchView
+
     host, port = args.broker
     conn = None
     for attempt in range(args.retries):
@@ -233,6 +235,8 @@ def _run_watch(args: argparse.Namespace) -> int:
 
 
 def _run_analyze(args: argparse.Namespace) -> int:
+    from . import stochastic
+
     try:
         queue_report = stochastic.analyze(
             lam=args.lam,
@@ -255,6 +259,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
 
 
 def _run_report(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from . import sim
 
     try:

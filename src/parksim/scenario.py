@@ -6,6 +6,7 @@ inline after whitespace). Unknown keys are rejected so typos fail loudly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -118,8 +119,16 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    # validate() checks ranges by comparison, which NaN passes, and no key has a use for inf
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw.strip()!r}")
+    return value
+
+
 def _parse_rates(raw: str) -> tuple[float, ...]:
-    rates = tuple(float(part) for part in raw.split(","))
+    rates = tuple(_parse_float(part) for part in raw.split(","))
     if len(rates) != 24:
         raise ValueError(f"hourly_rates needs 24 comma-separated values, got {len(rates)}")
     return rates
@@ -131,7 +140,7 @@ def _parse_sensitivities(raw: str) -> dict[str, float]:
         name, sep, value = pair.partition(":")
         if not sep:
             raise ValueError(f"sensitivity entries look like gas:coeff, got {pair!r}")
-        table[name.strip()] = float(value)
+        table[name.strip()] = _parse_float(value)
     return table
 
 
@@ -141,7 +150,8 @@ def _parse_injections(raw: str) -> tuple[GasInjection, ...]:
         parts = triple.split(":")
         if len(parts) != 3:
             raise ValueError(f"injections look like t:gas:ppm, got {triple!r}")
-        out.append(GasInjection(t=float(parts[0]), gas=parts[1].strip(), ppm=float(parts[2])))
+        out.append(GasInjection(t=_parse_float(parts[0]), gas=parts[1].strip(),
+                                ppm=_parse_float(parts[2])))
     return tuple(out)
 
 
@@ -149,36 +159,36 @@ def _parse_injections(raw: str) -> tuple[GasInjection, ...]:
 # of the key's item in a tuple-valued field]). The order is the meta record's.
 _KEYS = {
     "facility.total_slots": ("facility", "total_slots", int),
-    "facility.gas_threshold_ppm": ("facility", "gas_threshold_ppm", float),
-    "facility.gas_hysteresis_ppm": ("facility", "gas_hysteresis_ppm", float),
-    "facility.lux_max": ("facility", "lux_max", float),
+    "facility.gas_threshold_ppm": ("facility", "gas_threshold_ppm", _parse_float),
+    "facility.gas_hysteresis_ppm": ("facility", "gas_hysteresis_ppm", _parse_float),
+    "facility.lux_max": ("facility", "lux_max", _parse_float),
     "facility.topic_prefix": ("facility", "topic_prefix", str),
-    "facility.gate_open_s": ("facility", "gate_open_s", float),
+    "facility.gate_open_s": ("facility", "gate_open_s", _parse_float),
     "traffic.hourly_rates": ("traffic", "hourly_rates", _parse_rates),
-    "traffic.dwell_mean_s": ("traffic", "dwell_mean_s", float),
-    "sensors.ir.acc_low_lux": ("ir", "acc_low_lux", float),
-    "sensors.ir.acc_high_lux": ("ir", "acc_high_lux", float),
-    "sensors.ir.lux_max": ("ir", "lux_max", float),
-    "sensors.env.base_temp_c": ("env", "base_temp_c", float),
-    "sensors.env.base_humidity_pct": ("env", "base_humidity_pct", float),
-    "sensors.env.relax_tau_s": ("env", "relax_tau_s", float),
-    "sensors.env.noise_sd_temp_c": ("env", "noise_sd", float, 0),
-    "sensors.env.noise_sd_humidity_pct": ("env", "noise_sd", float, 1),
+    "traffic.dwell_mean_s": ("traffic", "dwell_mean_s", _parse_float),
+    "sensors.ir.acc_low_lux": ("ir", "acc_low_lux", _parse_float),
+    "sensors.ir.acc_high_lux": ("ir", "acc_high_lux", _parse_float),
+    "sensors.ir.lux_max": ("ir", "lux_max", _parse_float),
+    "sensors.env.base_temp_c": ("env", "base_temp_c", _parse_float),
+    "sensors.env.base_humidity_pct": ("env", "base_humidity_pct", _parse_float),
+    "sensors.env.relax_tau_s": ("env", "relax_tau_s", _parse_float),
+    "sensors.env.noise_sd_temp_c": ("env", "noise_sd", _parse_float, 0),
+    "sensors.env.noise_sd_humidity_pct": ("env", "noise_sd", _parse_float, 1),
     "sensors.mq2.sensitivities": ("mq2", "sensitivities", _parse_sensitivities),
-    "sensors.mq2.noise_sd_ppm": ("mq2", "noise_sd_ppm", float),
-    "network.latency_s": ("network", "latency_s", float),
-    "network.drop_prob": ("network", "drop_prob", float),
+    "sensors.mq2.noise_sd_ppm": ("mq2", "noise_sd_ppm", _parse_float),
+    "network.latency_s": ("network", "latency_s", _parse_float),
+    "network.drop_prob": ("network", "drop_prob", _parse_float),
     "mqtt.publish_qos": ("mqtt", "publish_qos", int),
-    "mqtt.ack_timeout_s": ("mqtt", "ack_timeout_s", float),
+    "mqtt.ack_timeout_s": ("mqtt", "ack_timeout_s", _parse_float),
     "mqtt.max_retries": ("mqtt", "max_retries", int),
     "dashboard.enabled": ("dashboard", "enabled", _parse_bool),
     "dashboard.qos": ("dashboard", "qos", int),
-    "duration_s": (None, "duration_s", float),
+    "duration_s": (None, "duration_s", _parse_float),
     "seed": (None, "seed", int),
-    "gate_to_slot_travel_s": (None, "gate_to_slot_travel_s", float),
-    "env_sample_period_s": (None, "env_sample_period_s", float),
-    "gas_sample_period_s": (None, "gas_sample_period_s", float),
-    "gas_decay_ppm_per_s": (None, "gas_decay_ppm_per_s", float),
+    "gate_to_slot_travel_s": (None, "gate_to_slot_travel_s", _parse_float),
+    "env_sample_period_s": (None, "env_sample_period_s", _parse_float),
+    "gas_sample_period_s": (None, "gas_sample_period_s", _parse_float),
+    "gas_decay_ppm_per_s": (None, "gas_decay_ppm_per_s", _parse_float),
     "injections": (None, "injections", _parse_injections),
 }
 

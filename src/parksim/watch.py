@@ -15,6 +15,11 @@ RESET = "\x1b[0m"
 
 VACANT, OCCUPIED, UNKNOWN = 0, 1, None
 
+# the board draws a cell for every slot up to the highest number seen, so one
+# message naming slot 10**9 would ask for a billion cells; higher slot numbers
+# and summary totals are ignored
+MAX_SLOTS = 4096
+
 
 class WatchView:
     def __init__(self, topic_prefix: str = "parking"):
@@ -40,13 +45,17 @@ class WatchView:
                 status = int(text)
             except ValueError:
                 return
-            if slot_no >= 1 and status in (0, 1):
+            if 1 <= slot_no <= MAX_SLOTS and status in (0, 1):
                 self.slots[slot_no] = status
         elif levels[0] == "summary" and len(levels) == 1:
             vacant, sep, total = text.partition("/")
             if sep and vacant.isdigit() and total.isdigit():
-                self.total_vacant = int(vacant)
-                self.total_slots = int(total)
+                try:
+                    vacant_no, total_no = int(vacant), int(total)
+                except ValueError:  # digits int() does not read ('²'), or too many of them
+                    return
+                if total_no <= MAX_SLOTS:
+                    self.total_vacant, self.total_slots = vacant_no, total_no
         elif levels[0] == "env" and len(levels) == 2:
             if levels[1] == "temperature":
                 self.temperature = text

@@ -235,10 +235,30 @@ import parksim.sim
 assert "numpy" in sys.modules, "the simulator no longer imports numpy"
 """
 
+# a fresh interpreter again: the broker's start-up loads none of the modules
+# only other commands run; `analyze` then imports its own on demand
+BROKER_IMPORT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from parksim import cli
+cli.parse_args(["broker", "--bind", "127.0.0.1:0"])
+unneeded = ("parksim.scenario", "parksim.sensors", "parksim.stochastic", "parksim.watch",
+            "parksim.sim", "numpy")
+loaded = [name for name in unneeded if name in sys.modules]
+assert not loaded, f"the broker's start-up imported {loaded}"
+assert cli.main(["analyze", "--lambda", "4", "--slots", "4", "--lambda-unit", "per-dwell"]) == 0
+"""
+
 
 class TestImports:
     def test_live_commands_start_without_the_simulator_or_numpy(self):
         result = subprocess.run([sys.executable, "-c", LIVE_COMMANDS_IMPORT, str(SRC)],
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("lambda,n,p_full,L,t_response\n4,4,")
+
+    def test_broker_starts_without_the_scenario_sensor_traffic_or_watch_modules(self):
+        result = subprocess.run([sys.executable, "-c", BROKER_IMPORT, str(SRC)],
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("lambda,n,p_full,L,t_response\n4,4,")

@@ -491,30 +491,31 @@ class TestClientNoticesClose:
             second.close()
 
     def test_broker_stop_ends_a_running_watch(self, monkeypatch, capsys):
-        from parksim import cli
+        from parksim import cli, watch
 
         broker = BrokerServer(host="127.0.0.1", port=0)
         broker.start()
         host, port = broker.address
         fed = threading.Event()
 
-        class SignallingView(cli.WatchView):
+        class SignallingView(watch.WatchView):
             def feed(self, topic, payload):
                 super().feed(topic, payload)
                 fed.set()
 
-        monkeypatch.setattr(cli, "WatchView", SignallingView)
+        # the watch runner imports WatchView when it starts
+        monkeypatch.setattr(watch, "WatchView", SignallingView)
         result = {}
         done = threading.Event()
 
-        def watch():
+        def run_watch():
             result["code"] = cli.main(["watch", "--broker", f"{host}:{port}",
                                        "--filter", "parking/#", "--retries", "1",
                                        "--color", "never"])
             done.set()
 
         pub = MqttConnection(host, port, client_id="facility")
-        watcher = threading.Thread(target=watch, daemon=True)
+        watcher = threading.Thread(target=run_watch, daemon=True)
         try:
             # retained, so the watch sees it whether it subscribes before or after
             pub.publish("parking/summary", b"3/4", retain=True)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from parksim.domain import ConfigError
@@ -137,3 +139,29 @@ def test_injection_of_a_gas_without_sensitivity_rejected():
         parse_scenario("duration_s = 7200\ninjections = 3600:methane:5\n")
     with pytest.raises(ConfigError, match="'co'"):
         parse_scenario("sensors.mq2.sensitivities = butane:0.9\ninjections = 10:co:5\n")
+
+
+# every key whose value is one float, read off the defaults' flat form
+FLOAT_KEYS = [key for key, value in to_flat_dict(default_scenario()).items()
+              if isinstance(value, float)]
+# the float items inside list-valued keys, one bad item each
+FLOAT_ITEMS = [
+    ("traffic.hourly_rates", ",".join(["1"] * 23 + ["{}"])),
+    ("sensors.mq2.sensitivities", "butane:0.9, smoke:{}"),
+    ("injections", "{}:butane:5"),
+    ("injections", "10:butane:{}"),
+]
+
+
+def test_float_keys_cover_the_scalar_floats():
+    assert len(FLOAT_KEYS) == 22
+    assert "network.latency_s" in FLOAT_KEYS and "sensors.env.noise_sd_temp_c" in FLOAT_KEYS
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key, template",
+                         [(key, "{}") for key in FLOAT_KEYS] + FLOAT_ITEMS)
+def test_non_finite_float_rejected_with_key_and_line(key, template, bad):
+    text = f"seed = 3\n{key} = {template.format(bad)}\n"
+    with pytest.raises(ConfigError, match=rf"^case\.cfg:2: bad value for '{re.escape(key)}'"):
+        parse_scenario(text, source="case.cfg")

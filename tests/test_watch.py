@@ -1,4 +1,8 @@
-from parksim.watch import DIM, GREEN, RED, WatchView
+import time
+
+import pytest
+
+from parksim.watch import DIM, GREEN, RED, MAX_SLOTS, WatchView
 
 
 def feed_slots(view, states):
@@ -98,3 +102,37 @@ class TestRobustness:
         for topic, payload in final.items():
             retained_only.feed(topic, payload)
         assert incremental.render_lines(False) == retained_only.render_lines(False)
+
+    @pytest.mark.parametrize("topic, payload", [
+        ("parking/slot/1000000/status", b"1"),
+        (f"parking/slot/{10**9}/status", b"0"),
+        (f"parking/slot/{MAX_SLOTS + 1}/status", b"1"),
+        ("parking/summary", b"0/1000000000"),
+        ("parking/summary", f"0/{MAX_SLOTS + 1}".encode()),
+    ])
+    def test_slot_numbers_and_totals_past_the_cap_ignored(self, topic, payload):
+        view = WatchView()
+        feed_slots(view, [1, 0])
+        view.feed(topic, payload)
+        assert sorted(view.slots) == [1, 2]
+        assert view.total_slots is None
+        start = time.perf_counter()
+        lines = view.render_lines(color=True)
+        assert time.perf_counter() - start < 0.05
+        assert sum(map(len, lines)) < 100
+
+    def test_a_board_of_max_slots_still_renders(self):
+        view = WatchView()
+        view.feed(f"parking/slot/{MAX_SLOTS}/status", b"1")
+        view.feed("parking/summary", f"{MAX_SLOTS - 1}/{MAX_SLOTS}".encode())
+        letters = view.render_lines(color=False)
+        assert letters[0].endswith(f" {MAX_SLOTS}:O")
+        assert letters[0].count("-") == MAX_SLOTS - 1
+        assert f"free   {MAX_SLOTS - 1}/{MAX_SLOTS}" in letters
+
+    @pytest.mark.parametrize("payload", ["0/²".encode(), b"0/" + b"9" * 5000],
+                             ids=["superscript", "5000-digits"])
+    def test_summary_digits_int_cannot_read_ignored(self, payload):
+        view = WatchView()
+        view.feed("parking/summary", payload)
+        assert view.total_slots is None
