@@ -106,16 +106,6 @@ class Session:
     next_packet_id: int = 1
     connect_seq: int = 0      # connect order; keys its subscription-trie entries, orders fan-out
 
-    def take_packet_id(self) -> int | None:
-        """The next packet id not in flight, or None when all of them are."""
-        pid = self.next_packet_id
-        if pid in self.inflight:  # only after a wrap: the search is the rare path
-            pid = codec.free_packet_id(pid, self.inflight)
-            if pid is None:
-                return None
-        self.next_packet_id = pid % 0xFFFF + 1
-        return pid
-
 
 class _Node:
     """One topic level of a trie; `entries` holds what ends at this level.
@@ -384,14 +374,13 @@ class BrokerCore:
                 continue
             inflight = session.inflight
             packet_id = session.next_packet_id
-            if packet_id in inflight:  # only after a wrap
-                packet_id = session.take_packet_id()
+            if packet_id in inflight:  # only after a wrap: the search is the rare path
+                packet_id = codec.free_packet_id(packet_id, inflight)
                 if packet_id is None:
                     self.uncorrected_errors += 1
                     self._emit("error_uncorrected", client_id=session.client_id, topic=topic)
                     continue
-            else:
-                session.next_packet_id = packet_id % 0xFFFF + 1
+            session.next_packet_id = packet_id % 0xFFFF + 1
             publish = Publish(topic, payload, 1, retain, False, packet_id)
             inflight[packet_id] = Inflight(publish, now, deadline)
             outputs.append(Send(session.conn_id, publish))

@@ -264,13 +264,18 @@ def _run_report(args: argparse.Namespace) -> int:
     from . import sim
 
     try:
-        text = sim.render_report(sim.read_events_jsonl(args.in_path))
+        text = sim.render_report(sim.EventLogFile(args.in_path))
     except OSError as exc:
         raise ConfigError(f"cannot read {args.in_path}: {exc}") from exc
     except ValueError as exc:  # malformed line, or a record without 't'/'kind'
         raise ConfigError(str(exc)) from exc
-    Path(args.out_path).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out_path).write_text(text, encoding="utf-8")
+    out = Path(args.out_path)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"parksim: cannot write {args.out_path}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote {args.out_path}")
     return EXIT_OK
 

@@ -38,10 +38,12 @@ import shutil
 import tempfile
 import weakref
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 import numpy as np
 
@@ -62,7 +64,7 @@ DASHBOARD_CONN = "dashboard"
 # json.dumps(record, separators=...) would build a new encoder per record
 _RECORD_ENCODER = json.JSONEncoder(separators=(", ", ": "))
 _BLOCK_RECORDS = 1024  # records go to the run's sinks this many at a time
-_COPY_BYTES = 1 << 18  # the spool is copied and decoded this much at a time
+_COPY_BYTES = 1 << 18  # the spool is copied this much at a time
 
 
 # -- event payloads ----------------------------------------------------------
@@ -208,13 +210,8 @@ class SimReport:
     @property
     def records(self) -> list[dict[str, Any]]:
         """The run's records, decoded from the spooled log on each call: a
-        new list every time. Each run of whole lines is parsed as one JSON
-        array; the encoder escapes every newline inside a line."""
-        records: list[dict[str, Any]] = []
-        log = self.spool.rewound()
-        while lines := log.readlines(_COPY_BYTES):
-            records += json.loads(b"[" + b",".join(lines) + b"]")
-        return records
+        new list every time."""
+        return list(iter_events_jsonl(self.spool.rewound(), "<spooled events.jsonl>"))
 
     @property
     def metrics_csv(self) -> str:
@@ -601,18 +598,39 @@ def run_scenario(cfg: ScenarioConfig, publish_hook=None) -> SimReport:
 
 # -- event-log analysis ------------------------------------------------------
 
+def iter_events_jsonl(log: BinaryIO, name: str | Path) -> Iterator[dict[str, Any]]:
+    """The records of the events.jsonl lines in the binary stream `log`, one
+    at a time. Each line that is not blank must hold exactly one JSON value
+    in UTF-8: a line with two records, or a record split over two lines,
+    raises a ValueError naming `name` and the line's number."""
+    for lineno, line in enumerate(log, start=1):
+        if line.isspace():
+            continue
+        try:
+            record = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{name}:{lineno}: malformed event record: {exc}") from exc
+        yield record
+
+
+class EventLogFile:
+    """The events.jsonl file at `path` as an iterable of its records, read
+    from the start, one record at a time, on each iteration: so
+    render_report can take its two passes over a log of any length in
+    bounded memory."""
+
+    __slots__ = ("path",)
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = path
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        with open(self.path, "rb") as log:
+            yield from iter_events_jsonl(log, self.path)
+
+
 def read_events_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed event record: {exc}") from exc
-    return records
+    return list(EventLogFile(path))
 
 
 def occupancy_timeseries(event_log: list[dict[str, Any]]) -> list[tuple[float, int]]:
@@ -775,12 +793,19 @@ class ReportTally:
         return "\n".join(lines)
 
 
-def render_report(records: list[dict[str, Any]]) -> str:
-    """Human-readable run summary regenerable from the event log alone."""
+def render_report(records: Iterable[dict[str, Any]]) -> str:
+    """Human-readable run summary regenerable from the event log alone.
+
+    `records` is iterated twice, so it is a list or an EventLogFile, not an
+    iterator: first for the tally, which checks every record and finds the
+    duration the Aggregator is built with, then to feed that Aggregator
+    _BLOCK_RECORDS at a time."""
     tally = ReportTally()
     tally.add_records(records)
     aggregator = telemetry.Aggregator(duration_s=tally.duration_s)
-    aggregator.add_records(records)
+    second_pass = iter(records)
+    while block := list(islice(second_pass, _BLOCK_RECORDS)):
+        aggregator.add_records(block)
     return tally.render(aggregator.summary())
 
 

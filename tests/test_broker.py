@@ -388,8 +388,11 @@ class TestPacketIds:
         core, _ = TestRedelivery()._setup_inflight()  # id 1 in flight
         session = core.sessions["subscriber"]
         session.next_packet_id = 0xFFFF
-        assert session.take_packet_id() == 0xFFFF
-        assert session.take_packet_id() == 2
+        ids = []
+        for n, topic in ((2, "t/y"), (3, "t/z")):
+            outputs = core.handle("pub", Publish(topic=topic, payload=b"q", qos=1, packet_id=n), 0.5)
+            ids.append(sends_of(outputs, Publish)[0].packet.packet_id)
+        assert ids == [0xFFFF, 2]
         assert session.next_packet_id == 3
 
     def test_no_free_id_drops_the_copy_as_uncorrected(self):

@@ -385,3 +385,17 @@ class TestSimulateAndReport:
         log.write_text('{"t": 0, "kind": "meta"}\n{"kind": "car_parks"}\n', encoding="utf-8")
         assert cli.main(["report", "--in", str(log), "--out", str(tmp_path / "r.txt")]) == 2
         assert "record 1: missing 't'/'kind'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["a directory", "under a regular file"])
+    def test_report_to_an_unwritable_out_exits_2(self, tmp_path, capsys, out):
+        log = tmp_path / "events.jsonl"
+        log.write_text('{"t": 0, "kind": "meta"}\n', encoding="utf-8")
+        out_path = tmp_path / "report.txt"
+        if out == "a directory":
+            out_path.mkdir()
+        else:
+            out_path.write_text("", encoding="utf-8")
+            out_path = out_path / "report.txt"
+        assert cli.main(["report", "--in", str(log), "--out", str(out_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"parksim: cannot write {out_path}: ") and err.count("\n") == 1

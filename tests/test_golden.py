@@ -80,6 +80,23 @@ def test_write_streams_the_log(tmp_path):
     assert peak < 2**20, f"traced peak {peak} B in SimReport.write"
 
 
+def test_report_streams_the_log(tmp_path):
+    # `parksim report` reads the log twice, one record at a time: the stock
+    # day's 42 blocks of records (25 MiB as one list) never exist in memory
+    # together, only about one block of them
+    paths = sim.run_scenario(_stock_day()).write(tmp_path)
+    tracemalloc.start()
+    try:
+        text = sim.render_report(sim.EventLogFile(paths["events"]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    records = sim.read_events_jsonl(paths["events"])
+    assert len(records) > 20 * sim._BLOCK_RECORDS
+    assert text == sim.render_report(records) == paths["report"].read_text(encoding="utf-8")
+    assert peak < 2 * 2**20, f"traced peak {peak} B in render_report over the file"
+
+
 def test_run_keeps_neither_the_records_nor_the_log():
     # records go to the run's sinks a block at a time and are dropped, and
     # their encoded lines go to the spool file: what the run leaves

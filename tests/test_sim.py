@@ -10,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from parksim import codec, domain, sim
 from parksim.domain import ConfigError, FacilityConfig, derived_vacancy
@@ -358,6 +358,46 @@ def test_encoder_still_refuses_circular_records(c_encoder):
         encode_block = sim._block_encoder()
     with pytest.raises(ValueError, match="[Cc]ircular"):
         encode_block(records)
+
+
+@given(_json_records(), st.sampled_from([None, "blank", "joined", "split", "array"]), st.data())
+def test_decoder_reads_each_line_as_one_record(tmp_path_factory, records, corruption, data):
+    """The one decoder, behind read_events_jsonl and SimReport.records,
+    gives back the records the encoder wrote, skipping blank lines, and
+    names the first line that is not exactly one JSON value."""
+    lines = sim._block_encoder()(records).splitlines(keepends=True)
+    bad_line = None
+    if corruption == "blank":
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(["\n", " \t\n"])))
+    elif corruption == "joined":  # two records on one line
+        assume(len(lines) >= 2)
+        i = data.draw(st.integers(0, len(lines) - 2))
+        lines[i:i + 2] = [lines[i].rstrip("\n") + ", " + lines[i + 1]]
+        bad_line = i + 1
+    elif corruption == "split":  # one record over two lines
+        assume(lines)
+        i = data.draw(st.integers(0, len(lines) - 1))
+        cut = data.draw(st.integers(1, len(lines[i]) - 2))
+        lines[i:i + 1] = [lines[i][:cut] + "\n", lines[i][cut:]]
+        bad_line = i + 1
+    elif corruption == "array":  # one JSON array over two lines
+        i = data.draw(st.integers(0, len(lines)))
+        lines[i:i] = ["[1\n", "2]\n"]
+        bad_line = i + 1
+    text = "".join(lines)
+    path = tmp_path_factory.getbasetemp() / "decoded.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    spool = sim.LogSpool()
+    spool.append(text)
+    report = sim.SimReport(spool=spool, final_state=None, tally=None, aggregator=None)
+    for name, read in ((path, lambda: sim.read_events_jsonl(path)),
+                       ("<spooled events.jsonl>", lambda: report.records)):
+        if bad_line is None:
+            assert json.dumps(read()) == json.dumps(records)  # as JSON: NaN != NaN
+        else:
+            with pytest.raises(ValueError) as raised:
+                read()
+            assert str(raised.value).startswith(f"{name}:{bad_line}: malformed event record: ")
 
 
 class TestNetworkInjection:
