@@ -4,8 +4,8 @@ The argparse parser dispatches (each subcommand sets its runner as `run`) and
 checks every input, so a bad flag exits 1 with one line before a runner starts.
 
 Each command imports only the modules it runs: only `simulate` and `report`
-import the simulator (and so numpy), and `broker` loads none of the scenario,
-sensor, traffic or watch modules.
+import the simulator, and `broker` loads none of the scenario, sensor,
+traffic or watch modules. No command imports numpy.
 
 Exit codes: 0 success, 1 usage, 2 configuration or file, 3 network,
 4 protocol.

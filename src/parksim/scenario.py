@@ -88,6 +88,8 @@ class ScenarioConfig:
         self.dashboard.validate()
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be > 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.gate_to_slot_travel_s < 0:
             raise ConfigError("gate_to_slot_travel_s must be >= 0")
         if self.env_sample_period_s < 0 or self.gas_sample_period_s < 0:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 from .domain import ConfigError
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .rng import PCG64
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class Mq2Model:
             raise ConfigError("noise_sd_ppm must be >= 0")
 
 
-def ir_detect(model: IrModel, present: bool, ambient_lux: float, rng: np.random.Generator) -> bool:
+def ir_detect(model: IrModel, present: bool, ambient_lux: float, rng: PCG64) -> bool:
     """Report presence with light-dependent accuracy; errors are symmetric."""
     accuracy = model.accuracy(ambient_lux)
     if rng.random() < accuracy:
@@ -101,7 +101,7 @@ def sample_env(
     model: EnvModel,
     sim_time_s: float,
     bumps: Sequence[Bump],
-    rng: np.random.Generator,
+    rng: PCG64,
 ) -> tuple[float, float]:
     """Baseline plus exponentially decaying traffic bumps plus noise, clamped."""
     temp = model.base_temp_c
@@ -125,7 +125,7 @@ def sample_env(
 def sample_mq2(
     model: Mq2Model,
     concentrations: Mapping[str, float],
-    rng: np.random.Generator,
+    rng: PCG64,
 ) -> float:
     """Weighted sum of gas concentrations plus noise, clamped at zero."""
     reading = 0.0

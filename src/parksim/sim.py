@@ -2,9 +2,9 @@
 controller, and broker together.
 
 Events are processed in (time, sequence) order off a heap. Every stochastic
-subsystem draws from its own PCG64 stream spawned from the scenario seed,
-so adding one subsystem never perturbs another and a fixed seed reproduces
-the run byte for byte. Cars admitted at the entrance drive for
+subsystem draws from its own PCG64 stream (`rng.py`) spawned from the
+scenario seed, so adding one subsystem never perturbs another and a fixed
+seed reproduces the run byte for byte. Cars admitted at the entrance drive for
 gate_to_slot_travel_s, then take the lowest-numbered free slot; the slot
 sensor event fires at that moment. A full lot turns arrivals away on the
 spot.
@@ -45,14 +45,13 @@ from json.encoder import c_make_encoder, encode_basestring, encode_basestring_as
 from pathlib import Path
 from typing import Any, BinaryIO
 
-import numpy as np
-
-from . import codec, controller as ctrl, domain, sensors, stochastic, telemetry
+from . import codec, controller as ctrl, domain, rng, sensors, stochastic, telemetry
 from .broker import BrokerCore, Close, Send
 from .client import ClientEngine
 from .scenario import ScenarioConfig, to_flat_dict
 from .values import Value
 
+# rng.py draws numpy's PCG64 streams float for float, so logs keep this name
 RNG_ALGORITHM = "numpy-PCG64"
 # Stream order is part of the reproducibility contract; append only.
 RNG_STREAMS = ("traffic", "dwell", "ir", "env", "mq2", "network")
@@ -273,12 +272,8 @@ class Simulation:
         # called as publish_hook(topic, payload, retain) whenever the broker
         # accepts a publish; lets the CLI mirror a run onto a live broker
         self.publish_hook = publish_hook
-        seed_seq = np.random.SeedSequence(cfg.seed)
-        children = seed_seq.spawn(len(RNG_STREAMS))
-        self.rng = {
-            name: np.random.Generator(np.random.PCG64(child))
-            for name, child in zip(RNG_STREAMS, children)
-        }
+        children = rng.SeedSequence(cfg.seed).spawn(len(RNG_STREAMS))
+        self.rng = {name: rng.PCG64(child) for name, child in zip(RNG_STREAMS, children)}
 
         # (t, seq, payload); seq breaks ties in push order and counts pushes
         self.heap: list[tuple[float, int, SimPayload]] = []
@@ -799,7 +794,11 @@ def render_report(records: Iterable[dict[str, Any]]) -> str:
     `records` is iterated twice, so it is a list or an EventLogFile, not an
     iterator: first for the tally, which checks every record and finds the
     duration the Aggregator is built with, then to feed that Aggregator
-    _BLOCK_RECORDS at a time."""
+    _BLOCK_RECORDS at a time. An iterator, which a second pass would find
+    empty, raises TypeError."""
+    if iter(records) is records:
+        raise TypeError("render_report iterates its records twice; pass a list or an "
+                        "EventLogFile, not a one-shot iterator")
     tally = ReportTally()
     tally.add_records(records)
     aggregator = telemetry.Aggregator(duration_s=tally.duration_s)

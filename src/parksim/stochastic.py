@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 from .domain import ConfigError
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .rng import PCG64
 
 # Diurnal arrival profile (cars/hour) peaking at 100 between hours 12 and 13.
 DEFAULT_HOURLY_RATES: tuple[float, ...] = (
@@ -96,12 +96,12 @@ def vent_response(delta_g_ppm: float, reduction_rate_ppm_per_s: float) -> float:
     return delta_g_ppm / reduction_rate_ppm_per_s
 
 
-def exponential_gap(rate_per_s: float, rng: np.random.Generator) -> float:
+def exponential_gap(rate_per_s: float, rng: PCG64) -> float:
     """Inverse-CDF exponential draw; explicit so the stream is portable."""
     return -math.log1p(-rng.random()) / rate_per_s
 
 
-def next_arrival(profile: TrafficProfile, now: float, rng: np.random.Generator) -> float:
+def next_arrival(profile: TrafficProfile, now: float, rng: PCG64) -> float:
     """Time of the next arrival after `now`, honoring the piecewise-constant rate.
 
     A draw that crosses an hour boundary is restarted at the boundary with

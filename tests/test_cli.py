@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import os
 import re
 import subprocess
 import sys
@@ -232,7 +233,7 @@ cli.parse_args(["broker", "--bind", "127.0.0.1:0"])
 assert "numpy" not in sys.modules, "a live command imported numpy"
 assert "parksim.sim" not in sys.modules, "a live command imported the simulator"
 import parksim.sim
-assert "numpy" in sys.modules, "the simulator no longer imports numpy"
+assert "numpy" not in sys.modules, "the simulator imported numpy"
 """
 
 # a fresh interpreter again: the broker's start-up loads none of the modules
@@ -250,7 +251,29 @@ assert cli.main(["analyze", "--lambda", "4", "--slots", "4", "--lambda-unit", "p
 """
 
 
+# a fresh interpreter: `simulate` and `report` run end to end without numpy
+SIMULATE_AND_REPORT_IMPORT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from parksim import cli
+scenario, out = sys.argv[2], sys.argv[3]
+assert cli.main(["simulate", "--scenario", scenario, "--out", out]) == 0
+assert cli.main(["report", "--in", out + "/events.jsonl", "--out", out + "/report2.txt"]) == 0
+assert "numpy" not in sys.modules, "simulate or report imported numpy"
+"""
+
+
 class TestImports:
+    def test_simulate_and_report_run_without_numpy(self, tmp_path):
+        scenario = tmp_path / "day.cfg"
+        scenario.write_text(DAY_CFG, encoding="utf-8")
+        out = tmp_path / "out"
+        result = subprocess.run(
+            [sys.executable, "-c", SIMULATE_AND_REPORT_IMPORT, str(SRC), str(scenario), str(out)],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert (out / "report2.txt").read_bytes() == (out / "report.txt").read_bytes()
+
     def test_live_commands_start_without_the_simulator_or_numpy(self):
         result = subprocess.run([sys.executable, "-c", LIVE_COMMANDS_IMPORT, str(SRC)],
                                 capture_output=True, text=True, timeout=60)
@@ -353,6 +376,40 @@ class TestSimulateAndReport:
         a = (tmp_path / "a" / "events.jsonl").read_text()
         b = (tmp_path / "b" / "events.jsonl").read_text()
         assert a != b
+
+    @pytest.mark.parametrize("where", ["scenario file", "--seed"])
+    def test_negative_seed_exits_2_with_one_line(self, tmp_path, capsys, where):
+        scenario = tmp_path / "day.cfg"
+        seed_flag = []
+        if where == "--seed":
+            scenario.write_text(DAY_CFG, encoding="utf-8")
+            seed_flag = ["--seed", "-1"]
+        else:
+            scenario.write_text(DAY_CFG.replace("seed = 9", "seed = -1"), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code = cli.main(["simulate", "--scenario", str(scenario), "--out", str(out_dir), *seed_flag])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "parksim: config error: seed must be >= 0\n"
+        assert not out_dir.exists()
+
+    def test_simulate_in_two_processes_with_different_hash_seeds(self, tmp_path):
+        # the outputs must not depend on str hashing, say through set order;
+        # gas samples and a lossy link bring in every stream the run draws
+        scenario = tmp_path / "day.cfg"
+        scenario.write_text(DAY_CFG.replace("gas_sample_period_s = 0", "gas_sample_period_s = 30")
+                            + "network.drop_prob = 0.2\n", encoding="utf-8")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out_dir = tmp_path / f"out{hash_seed}"
+            result = subprocess.run(
+                [sys.executable, "-m", "parksim.cli", "simulate", "--scenario", str(scenario),
+                 "--out", str(out_dir)],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed})
+            assert result.returncode == 0, result.stderr
+            outputs.append({name: (out_dir / name).read_bytes()
+                            for name in ("events.jsonl", "metrics.csv", "report.txt")})
+        assert outputs[0] == outputs[1]
 
     def test_report_regenerates_identical_text(self, tmp_path):
         scenario = tmp_path / "day.cfg"

@@ -10,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from parksim import codec, domain, sim
 from parksim.domain import ConfigError, FacilityConfig, derived_vacancy
@@ -107,6 +107,40 @@ class TestVentilationScenario:
 
 
 class TestDeterminism:
+    def test_the_first_six_streams_keep_their_names_and_order(self):
+        # RNG_STREAMS is append-only: a name inserted or moved re-seeds the
+        # streams after it, and every log a seed wrote changes
+        assert sim.RNG_STREAMS[:6] == ("traffic", "dwell", "ir", "env", "mq2", "network")
+
+    # no shrink phase: shrinking a failure re-runs pairs of simulations for
+    # minutes, and the first failing example already names all five inputs
+    @settings(max_examples=15, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64),
+        drop_prob=st.floats(min_value=0.0, max_value=0.9),
+        latency_s=st.floats(min_value=0.0, max_value=5.0),
+        ack_timeout_s=st.floats(min_value=0.1, max_value=10.0),
+        max_retries=st.integers(min_value=0, max_value=5),
+    )
+    def test_the_network_never_moves_cars_or_sensor_samples(
+            self, seed, drop_prob, latency_s, ack_timeout_s, max_retries):
+        # the network draws from its own stream, and the controller is fed
+        # and obeyed directly: a lossy, slow link changes only the traffic
+        # on the wire, never when a car moves or what a sensor reads
+        base = replace(default_scenario(), duration_s=2 * 3600.0, seed=seed,
+                       mqtt=MqttConfig(publish_qos=1))
+        lossy = replace(base, network=NetworkConfig(latency_s=latency_s, drop_prob=drop_prob),
+                        mqtt=MqttConfig(publish_qos=1, ack_timeout_s=ack_timeout_s,
+                                        max_retries=max_retries))
+        loss_free = replace(base, network=NetworkConfig(latency_s=0.0, drop_prob=0.0))
+
+        def physical(cfg):
+            return [r for r in sim.run_scenario(cfg).records
+                    if r["kind"].startswith("car_") or r["kind"] in ("env_sample", "gas_sample")]
+
+        assert physical(lossy) == physical(loss_free)
+
     def test_same_seed_byte_identical_outputs(self):
         cfg = replace(default_scenario(), duration_s=7200.0)
         a = sim.run_scenario(cfg)
@@ -543,6 +577,17 @@ class TestValidation:
         cfg = quiet_scenario(duration_s=600.0)
         records = sim.run_scenario(cfg).records
         assert sim.render_report(records) == sim.render_report(records)
+
+    def test_report_render_refuses_a_one_shot_iterator(self, tmp_path):
+        # its second pass would find the iterator spent and report no traffic
+        report = sim.run_scenario(quiet_scenario(duration_s=600.0))
+        paths = report.write(tmp_path)
+        records = report.records
+        expected = paths["report"].read_text(encoding="utf-8")
+        assert sim.render_report(records) == expected
+        assert sim.render_report(sim.EventLogFile(paths["events"])) == expected
+        with pytest.raises(TypeError, match="one-shot iterator"):
+            sim.render_report(iter(records))
 
 
 @contextlib.contextmanager
