@@ -264,10 +264,11 @@ def _run_report(args: argparse.Namespace) -> int:
     from . import sim
 
     try:
-        text = sim.render_report(sim.EventLogFile(args.in_path))
+        with open(args.in_path, "rb") as log:
+            text = sim.render_report(sim.iter_events_jsonl(log, args.in_path))
     except OSError as exc:
         raise ConfigError(f"cannot read {args.in_path}: {exc}") from exc
-    except ValueError as exc:  # malformed line, or a record without 't'/'kind'
+    except ValueError as exc:  # no meta header, a malformed line, a record without 't'/'kind'
         raise ConfigError(str(exc)) from exc
     out = Path(args.out_path)
     try:

@@ -306,7 +306,7 @@ class Simulation:
         # the run's sinks: records gather in _block, and each full block
         # goes to the tally, the aggregator and the encoder, then is dropped
         self._block: list[dict[str, Any]] = []
-        self.tally = ReportTally()
+        self.tally = ReportTally(float(cfg.duration_s))  # as render_report reads the meta
         self.aggregator = telemetry.Aggregator(duration_s=cfg.duration_s)
         self._encode_block = _block_encoder()
         self.spool = LogSpool()  # events.jsonl, a block at a time
@@ -608,87 +608,33 @@ def iter_events_jsonl(log: BinaryIO, name: str | Path) -> Iterator[dict[str, Any
         yield record
 
 
-class EventLogFile:
-    """The events.jsonl file at `path` as an iterable of its records, read
-    from the start, one record at a time, on each iteration: so
-    render_report can take its two passes over a log of any length in
-    bounded memory."""
-
-    __slots__ = ("path",)
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = path
-
-    def __iter__(self) -> Iterator[dict[str, Any]]:
-        with open(self.path, "rb") as log:
-            yield from iter_events_jsonl(log, self.path)
-
-
 def read_events_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    return list(EventLogFile(path))
-
-
-def occupancy_timeseries(event_log: list[dict[str, Any]]) -> list[tuple[float, int]]:
-    """Step function of parked-car count from park/depart records."""
-    series: list[tuple[float, int]] = []
-    count = 0
-    for index, record in enumerate(event_log):
-        if not isinstance(record, dict) or "kind" not in record or "t" not in record:
-            raise ValueError(f"record {index}: missing 't'/'kind' fields: {record!r}")
-        if record["kind"] == "car_parks":
-            count += 1
-            series.append((float(record["t"]), count))
-        elif record["kind"] == "car_departs":
-            count -= 1
-            series.append((float(record["t"]), count))
-    return series
-
-
-def time_weighted_mean(series: list[tuple[float, int]], t_end: float, t_start: float = 0.0) -> float:
-    """Mean of the occupancy step function over [t_start, t_end]."""
-    if t_end <= t_start:
-        raise ValueError("t_end must exceed t_start")
-    total = 0.0
-    level = 0
-    prev_t = t_start
-    for t, value in series:
-        if t < t_start:
-            level = value
-            continue
-        if t > t_end:
-            break
-        total += level * (t - prev_t)
-        prev_t = t
-        level = value
-    total += level * (t_end - prev_t)
-    return total / (t_end - t_start)
+    """The records of the events.jsonl file at `path`, as one list."""
+    with open(path, "rb") as log:
+        return list(iter_events_jsonl(log, path))
 
 
 class ReportTally:
-    """What report.txt needs from an event log, gathered in one pass as the
-    records are fed: counts per kind (a Counter, so a kind never fed reads
-    0), the `meta` header and the time-weighted mean occupancy. The mean
-    and its errors are those of occupancy_timeseries + time_weighted_mean
-    over the same records, float for float: the integral takes the same
-    steps in the same order.
-
-    The report's duration is the meta config's `duration_s`, known from the
-    first record on, else the largest `t`. In the second case no park or
-    depart record lies past the end, so the integral never needs it early.
+    """What report.txt needs from an event log of `duration_s` seconds,
+    gathered in one pass as the records are fed: counts per kind (a
+    Counter, so a kind never fed reads 0), the `meta` header and the
+    time-weighted mean occupancy over [0, duration_s]. The mean and its
+    errors are those of an occupancy step function built from the park and
+    depart records and integrated over the same interval, float for float:
+    the integral takes the same steps in the same order.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, duration_s: float) -> None:
+        self.duration_s = duration_s
         self.meta: dict[str, Any] = {}
         self.counts: Counter[str] = Counter()
         self._fed = 0                   # records seen, for error messages
-        self._max_t: Any = None         # the largest t, as max() picks it
-        self._end: float | None = None  # the meta config's duration_s
         self._parked = 0
         self._steps = 0                 # park and depart records seen
         self._level = 0                 # parked cars since _prev_t
         self._prev_t = 0.0
         self._area = 0.0                # car-seconds up to _prev_t
-        self._past_end = False          # later steps fall outside [0, end]
+        self._past_end = False          # later steps fall outside [0, duration_s]
 
     def add_records(self, records) -> None:
         # counted in a plain dict and merged once per call: a store into a
@@ -699,43 +645,32 @@ class ReportTally:
             self._fed += 1
             if not isinstance(record, dict) or "kind" not in record or "t" not in record:
                 raise ValueError(f"record {index}: missing 't'/'kind' fields: {record!r}")
-            kind, t = record["kind"], record["t"]
+            kind = record["kind"]
             counts[kind] = counts.get(kind, 0) + 1
-            if self._max_t is None or t > self._max_t:
-                self._max_t = t
             if kind == "car_parks":
                 self._parked += 1
-                self._step(float(t))
+                self._step(float(record["t"]))
             elif kind == "car_departs":
                 self._parked -= 1
-                self._step(float(t))
+                self._step(float(record["t"]))
             elif index == 0 and kind == "meta":
                 self.meta = record
-                config = record.get("config", {})
-                if "duration_s" in config:
-                    self._end = float(config["duration_s"])
         self.counts.update(counts)
 
     def _step(self, t: float) -> None:
-        # one turn of time_weighted_mean's loop, with t_start = 0
+        # one turn of an integral over [0, duration_s] of the step function
         self._steps += 1
         if self._past_end:
             return
         if t < 0.0:
             self._level = self._parked
             return
-        if self._end is not None and t > self._end:
+        if t > self.duration_s:
             self._past_end = True
             return
         self._area += self._level * (t - self._prev_t)
         self._prev_t = t
         self._level = self._parked
-
-    @property
-    def duration_s(self) -> float:
-        if self._end is not None:
-            return self._end
-        return float(self._max_t or 1.0)
 
     def mean_occupancy(self) -> float:
         if not self._steps:
@@ -791,21 +726,38 @@ class ReportTally:
 def render_report(records: Iterable[dict[str, Any]]) -> str:
     """Human-readable run summary regenerable from the event log alone.
 
-    `records` is iterated twice, so it is a list or an EventLogFile, not an
-    iterator: first for the tally, which checks every record and finds the
-    duration the Aggregator is built with, then to feed that Aggregator
-    _BLOCK_RECORDS at a time. An iterator, which a second pass would find
-    empty, raises TypeError."""
-    if iter(records) is records:
-        raise TypeError("render_report iterates its records twice; pass a list or an "
-                        "EventLogFile, not a one-shot iterator")
-    tally = ReportTally()
-    tally.add_records(records)
-    aggregator = telemetry.Aggregator(duration_s=tally.duration_s)
-    second_pass = iter(records)
-    while block := list(islice(second_pass, _BLOCK_RECORDS)):
+    `records` is read once, so a one-shot iterator such as
+    iter_events_jsonl over an open file will do. Its first record must be
+    the log's `meta` header, whose config's `duration_s` the tally and the
+    Aggregator are built with; else it raises a ValueError naming record 0.
+    Then every record goes to both, _BLOCK_RECORDS at a time, as
+    Simulation._flush_block feeds them during a run."""
+    records = iter(records)
+    block = list(islice(records, _BLOCK_RECORDS))
+    duration = _header_duration(block)
+    tally = ReportTally(duration)
+    aggregator = telemetry.Aggregator(duration_s=duration)
+    while block:
+        tally.add_records(block)
         aggregator.add_records(block)
+        block = list(islice(records, _BLOCK_RECORDS))
     return tally.render(aggregator.summary())
+
+
+def _header_duration(block: list[Any]) -> float:
+    """The config `duration_s` of the log's `meta` header, which parksim
+    writes as its first record: the first record of `block`."""
+    if not block:
+        raise ValueError("record 0: missing; a log starts with a meta header "
+                         "carrying config.duration_s")
+    first = block[0]
+    config = first.get("config") if isinstance(first, dict) and first.get("kind") == "meta" \
+        else None
+    try:
+        return float(config["duration_s"])
+    except (LookupError, TypeError, ValueError):
+        raise ValueError(f"record 0: not a meta header with a number as config.duration_s: "
+                         f"{first!r}") from None
 
 
 def _g(value: float) -> str:

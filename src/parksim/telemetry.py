@@ -107,9 +107,6 @@ class Aggregator:
         themselves are folded, not kept."""
         return range(self._added)
 
-    def add_record(self, record: dict) -> None:
-        self.add_records((record,))
-
     def add_records(self, records) -> None:
         samples = [record for record in records if record.get("kind") in _SAMPLE_KINDS]
         self._added += len(samples)

@@ -35,6 +35,7 @@ from parksim.scenario import (
 from parksim.sensors import EnvModel, IrModel, Mq2Model, ir_detect, sample_env
 from parksim.stochastic import TrafficProfile, p_full
 from tests.test_codec import random_packet
+from tests.test_sim import occupancy_timeseries, time_weighted_mean
 
 # frozen from a 50-digit mpmath evaluation of 4^4 e^-4 / 4!
 P_FULL_4_4 = 0.19536681481316456
@@ -92,8 +93,8 @@ def test_criterion_2_littles_law_against_simulation():
             seed=11,
         )
         report = sim.run_scenario(cfg)
-        series = sim.occupancy_timeseries(report.records)
-        mean_occupancy = sim.time_weighted_mean(series, cfg.duration_s)
+        series = occupancy_timeseries(report.records)
+        mean_occupancy = time_weighted_mean(series, cfg.duration_s)
         expected = 20.0 * 0.5
         assert abs(mean_occupancy - expected) / expected < 0.05, mean_occupancy
         assert time.monotonic() - started < 5.0

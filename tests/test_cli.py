@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from parksim import cli, net, sim
 from parksim.cli import UsageError, parse_args
+from tests.test_sim import _no_resource_warning
 
 DAY_CFG = """
 facility.total_slots = 4
@@ -417,8 +418,9 @@ class TestSimulateAndReport:
         out_dir = tmp_path / "out"
         cli.main(["simulate", "--scenario", str(scenario), "--out", str(out_dir)])
         regenerated = tmp_path / "report2.txt"
-        code = cli.main(["report", "--in", str(out_dir / "events.jsonl"),
-                         "--out", str(regenerated)])
+        with _no_resource_warning():
+            code = cli.main(["report", "--in", str(out_dir / "events.jsonl"),
+                             "--out", str(regenerated)])
         assert code == 0
         assert regenerated.read_text() == (out_dir / "report.txt").read_text()
 
@@ -439,14 +441,35 @@ class TestSimulateAndReport:
 
     def test_report_on_record_without_t_exits_2(self, tmp_path, capsys):
         log = tmp_path / "events.jsonl"
-        log.write_text('{"t": 0, "kind": "meta"}\n{"kind": "car_parks"}\n', encoding="utf-8")
+        log.write_text('{"t": 0, "kind": "meta", "config": {"duration_s": 60}}\n'
+                       '{"kind": "car_parks"}\n', encoding="utf-8")
         assert cli.main(["report", "--in", str(log), "--out", str(tmp_path / "r.txt")]) == 2
         assert "record 1: missing 't'/'kind'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("log, error", [
+        ("", "record 0: missing"),
+        ('{"t": 0.0, "kind": "car_arrives", "car_id": 1, "vacant_before": 4}\n',
+         "record 0: not a meta header"),
+        ('{"t": 0.0, "kind": "meta", "config": {"seed": 9}}\n{"t": 1.0, "kind": "car_parks"}\n',
+         "record 0: not a meta header"),
+    ], ids=["empty", "no header", "header without duration"])
+    def test_report_without_a_duration_exits_2(self, tmp_path, capsys, log, error):
+        # the duration comes from the log's meta header alone: a log without
+        # one is refused, not rendered with a guessed duration, and the
+        # file the command opened is closed on the way out
+        path = tmp_path / "events.jsonl"
+        path.write_text(log, encoding="utf-8")
+        out = tmp_path / "r.txt"
+        with _no_resource_warning():
+            assert cli.main(["report", "--in", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"parksim: config error: {error}") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("out", ["a directory", "under a regular file"])
     def test_report_to_an_unwritable_out_exits_2(self, tmp_path, capsys, out):
         log = tmp_path / "events.jsonl"
-        log.write_text('{"t": 0, "kind": "meta"}\n', encoding="utf-8")
+        log.write_text('{"t": 0, "kind": "meta", "config": {"duration_s": 60}}\n', encoding="utf-8")
         out_path = tmp_path / "report.txt"
         if out == "a directory":
             out_path.mkdir()

@@ -81,16 +81,17 @@ def test_write_streams_the_log(tmp_path):
 
 
 def test_report_streams_the_log(tmp_path):
-    # `parksim report` reads the log twice, one record at a time: the stock
+    # `parksim report` reads the log once, one record at a time: the stock
     # day's 42 blocks of records (25 MiB as one list) never exist in memory
     # together, only about one block of them
     paths = sim.run_scenario(_stock_day()).write(tmp_path)
-    tracemalloc.start()
-    try:
-        text = sim.render_report(sim.EventLogFile(paths["events"]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with open(paths["events"], "rb") as log:
+        tracemalloc.start()
+        try:
+            text = sim.render_report(sim.iter_events_jsonl(log, paths["events"]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     records = sim.read_events_jsonl(paths["events"])
     assert len(records) > 20 * sim._BLOCK_RECORDS
     assert text == sim.render_report(records) == paths["report"].read_text(encoding="utf-8")

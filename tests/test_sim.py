@@ -141,6 +141,31 @@ class TestDeterminism:
 
         assert physical(lossy) == physical(loss_free)
 
+    # the block size is fixed per example, not drawn: each example runs the
+    # scenario once per size and compares the outputs across sizes
+    @settings(max_examples=8, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(seed=st.integers(min_value=0, max_value=2**64),
+           drop_prob=st.sampled_from([0.0, 0.2]))
+    def test_outputs_do_not_depend_on_the_block_size(self, tmp_path_factory, seed, drop_prob):
+        # records reach the tally, the aggregator and the spool a block at
+        # a time, in a run and in render_report: where the blocks end must
+        # not show in metrics.csv or report.txt
+        cfg = replace(default_scenario(), duration_s=2 * 3600.0, seed=seed,
+                      network=NetworkConfig(latency_s=0.05, drop_prob=drop_prob),
+                      mqtt=MqttConfig(publish_qos=1))
+        out = tmp_path_factory.mktemp("blocks")
+        outputs = set()
+        for block in (1, 7, 1024):
+            with mock.patch.object(sim, "_BLOCK_RECORDS", block):
+                paths = sim.run_scenario(cfg).write(out / str(block))
+                with open(paths["events"], "rb") as log:
+                    rendered = sim.render_report(sim.iter_events_jsonl(log, paths["events"]))
+            report = paths["report"].read_text(encoding="utf-8")
+            assert rendered == report, block
+            outputs.add((paths["metrics"].read_bytes(), report))
+        assert len(outputs) == 1
+
     def test_same_seed_byte_identical_outputs(self):
         cfg = replace(default_scenario(), duration_s=7200.0)
         a = sim.run_scenario(cfg)
@@ -191,8 +216,8 @@ class TestConservationAndCausality:
                 assert record["car_id"] in seen_park
 
     def test_slot_vector_matches_parked_population(self, run):
-        parked_final = len(sim.occupancy_timeseries(run.records)) and \
-            sim.occupancy_timeseries(run.records)[-1][1]
+        series = occupancy_timeseries(run.records)
+        parked_final = len(series) and series[-1][1]
         assert sum(run.final_state.slots) == parked_final
         assert derived_vacancy(run.final_state) == len(run.final_state.slots) - parked_final
 
@@ -213,22 +238,59 @@ class TestConservationAndCausality:
         assert derived_vacancy(state) == state.total_vacant
 
 
+def occupancy_timeseries(event_log):
+    """Step function of parked-car count from park/depart records: the
+    list reference that ReportTally's one-pass integral is checked against."""
+    series = []
+    count = 0
+    for index, record in enumerate(event_log):
+        if not isinstance(record, dict) or "kind" not in record or "t" not in record:
+            raise ValueError(f"record {index}: missing 't'/'kind' fields: {record!r}")
+        if record["kind"] == "car_parks":
+            count += 1
+            series.append((float(record["t"]), count))
+        elif record["kind"] == "car_departs":
+            count -= 1
+            series.append((float(record["t"]), count))
+    return series
+
+
+def time_weighted_mean(series, t_end, t_start=0.0):
+    """Mean of the occupancy step function over [t_start, t_end]."""
+    if t_end <= t_start:
+        raise ValueError("t_end must exceed t_start")
+    total = 0.0
+    level = 0
+    prev_t = t_start
+    for t, value in series:
+        if t < t_start:
+            level = value
+            continue
+        if t > t_end:
+            break
+        total += level * (t - prev_t)
+        prev_t = t
+        level = value
+    total += level * (t_end - prev_t)
+    return total / (t_end - t_start)
+
+
 class TestOccupancySeries:
     def test_empty_log(self):
-        assert sim.occupancy_timeseries([]) == []
+        assert occupancy_timeseries([]) == []
 
     def test_single_park_depart_mean(self):
         log = [
             {"t": 100.0, "kind": "car_parks", "car_id": 1, "slot": 0},
             {"t": 400.0, "kind": "car_departs", "car_id": 1, "slot": 0},
         ]
-        series = sim.occupancy_timeseries(log)
+        series = occupancy_timeseries(log)
         assert series == [(100.0, 1), (400.0, 0)]
-        assert sim.time_weighted_mean(series, 1000.0) == pytest.approx(0.3)
+        assert time_weighted_mean(series, 1000.0) == pytest.approx(0.3)
 
     def test_malformed_record_rejected(self):
         with pytest.raises(ValueError, match="record 0"):
-            sim.occupancy_timeseries([{"bogus": True}])
+            occupancy_timeseries([{"bogus": True}])
 
     def test_jsonl_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -272,27 +334,21 @@ class TestOccupancySeries:
             assert report.records == made
 
 
-def _reference_tally(records):
-    """Counts per kind, duration and mean occupancy as separate passes over
-    the list, with occupancy_timeseries + time_weighted_mean."""
-    series = sim.occupancy_timeseries(records)
-    meta = records[0] if records and records[0]["kind"] == "meta" else {}
-    config = meta.get("config", {})
-    if "duration_s" in config:
-        duration = float(config["duration_s"])
-    else:
-        duration = float(max((r["t"] for r in records), default=1.0) or 1.0)
+def _reference_tally(records, duration):
+    """Counts per kind and mean occupancy over `duration` as separate passes
+    over the list, with occupancy_timeseries + time_weighted_mean."""
+    series = occupancy_timeseries(records)
     counts = {}
     for record in records:
         counts[record["kind"]] = counts.get(record["kind"], 0) + 1
-    return counts, duration, sim.time_weighted_mean(series, duration) if series else 0.0
+    return counts, time_weighted_mean(series, duration) if series else 0.0
 
 
-def _one_pass_tally(records, block):
-    tally = sim.ReportTally()
+def _one_pass_tally(records, duration, block):
+    tally = sim.ReportTally(duration)
     for i in range(0, len(records), block):
         tally.add_records(records[i:i + block])
-    return tally.counts, tally.duration_s, tally.mean_occupancy()
+    return tally.counts, tally.mean_occupancy()
 
 
 def _outcome(tally, *args):
@@ -302,19 +358,20 @@ def _outcome(tally, *args):
         return f"ValueError: {exc}"
 
 
+_DURATIONS = st.one_of(st.sampled_from([100.0, 3600.0, 0.0, -5.0]),
+                       st.floats(min_value=0.1, max_value=1e4))
+
+
 @st.composite
-def _event_logs(draw):
-    duration = draw(st.one_of(st.sampled_from([100.0, 3600.0, 0.0, -5.0]),
-                              st.floats(min_value=0.1, max_value=1e4)))
+def _event_logs(draw, duration):
+    """A log of `duration` seconds: its meta header, then park, depart,
+    publish and stray meta records at times in and around [0, duration],
+    sometimes with one record damaged."""
     times = st.one_of(st.sampled_from([0.0, duration, -1.0]),
                       st.integers(min_value=-5, max_value=200),
                       st.floats(min_value=-50.0, max_value=2.0 * abs(duration) + 10.0,
                                 allow_nan=False))
-    records = []
-    header = draw(st.sampled_from(["config", "no duration", "none"]))
-    if header != "none":
-        config = {"seed": 7, "duration_s": duration} if header == "config" else {"seed": 7}
-        records.append({"t": 0.0, "kind": "meta", "config": config})
+    records = [{"t": 0.0, "kind": "meta", "config": {"seed": 7, "duration_s": duration}}]
     for _ in range(draw(st.integers(min_value=0, max_value=30))):
         record = {"t": draw(times),
                   "kind": draw(st.sampled_from(["car_parks", "car_departs", "car_parks",
@@ -323,7 +380,7 @@ def _event_logs(draw):
             record["config"] = {"duration_s": 1.0}
         records.append(record)
     damage = draw(st.sampled_from([None, None, None, "t", "kind", "not a dict"]))
-    if damage is not None and records:
+    if damage is not None:
         i = draw(st.integers(min_value=0, max_value=len(records) - 1))
         if damage == "not a dict":
             records[i] = [records[i]]
@@ -332,9 +389,33 @@ def _event_logs(draw):
     return records
 
 
-@given(_event_logs(), st.sampled_from([1, 3, 1024]))
-def test_one_pass_tally_equals_the_list_references(records, block):
-    assert _outcome(_one_pass_tally, records, block) == _outcome(_reference_tally, records)
+@given(st.data(), _DURATIONS, st.sampled_from([1, 3, 1024]))
+def test_one_pass_tally_equals_the_list_references(data, duration, block):
+    records = data.draw(_event_logs(duration))
+    assert _outcome(_one_pass_tally, records, duration, block) == \
+        _outcome(_reference_tally, records, duration)
+
+
+_BODY = [{"t": 5.0, "kind": "car_parks"}, {"t": 9.0, "kind": "publish", "bytes": 8}]
+
+
+@pytest.mark.parametrize("log", [
+    [],
+    _BODY,
+    [{"t": 0.0, "kind": "meta", "config": {"seed": 7}}] + _BODY,
+    [{"t": 0.0, "kind": "meta"}] + _BODY,
+    [{"t": 0.0, "kind": "meta", "config": [3600.0]}] + _BODY,
+    [[{"t": 0.0, "kind": "meta", "config": {"duration_s": 3600.0}}]] + _BODY,
+    [{"t": 0.0, "kind": "meta", "config": {"duration_s": None}}] + _BODY,
+    [{"t": 0.0, "kind": "meta", "config": {"duration_s": "an hour"}}] + _BODY,
+], ids=["empty", "no header", "no duration", "no config", "config not a dict",
+        "header not a dict", "null duration", "text duration"])
+def test_render_report_refuses_a_log_without_its_duration(log):
+    # the duration comes from the meta header alone; a log without one is
+    # refused, not rendered with a guessed duration
+    for records in (log, iter(log)):
+        with pytest.raises(ValueError, match="^record 0: (missing|not a meta header)"):
+            sim.render_report(records)
 
 
 _JSON_SCALARS = st.one_of(
@@ -578,16 +659,13 @@ class TestValidation:
         records = sim.run_scenario(cfg).records
         assert sim.render_report(records) == sim.render_report(records)
 
-    def test_report_render_refuses_a_one_shot_iterator(self, tmp_path):
-        # its second pass would find the iterator spent and report no traffic
+    def test_report_render_reads_a_one_shot_iterator(self, tmp_path):
+        # one pass: an iterator renders what a list of the same records does
         report = sim.run_scenario(quiet_scenario(duration_s=600.0))
         paths = report.write(tmp_path)
         records = report.records
         expected = paths["report"].read_text(encoding="utf-8")
-        assert sim.render_report(records) == expected
-        assert sim.render_report(sim.EventLogFile(paths["events"])) == expected
-        with pytest.raises(TypeError, match="one-shot iterator"):
-            sim.render_report(iter(records))
+        assert sim.render_report(iter(records)) == sim.render_report(records) == expected
 
 
 @contextlib.contextmanager

@@ -49,7 +49,7 @@ class TestPrimitives:
         for record in ({"t": 1.0, "kind": "deliver", "bytes": 20, "delay": -0.1},
                        {"t": 1.0, "kind": "publish", "bytes": -1}):
             agg = Aggregator(duration_s=100.0)
-            agg.add_record(record)
+            agg.add_records((record,))
             with pytest.raises(ValueError):
                 agg.summary()
             with pytest.raises(ValueError):
@@ -96,7 +96,7 @@ class TestAggregator:
     def test_ec_counts_in_summary(self):
         agg = Aggregator(duration_s=7200.0)
         agg.add_records(_records())
-        agg.add_record({"t": 4000.0, "kind": "error_uncorrected", "client_id": "dash"})
+        agg.add_records(({"t": 4000.0, "kind": "error_uncorrected", "client_id": "dash"},))
         summary = agg.summary()
         assert summary["errors_corrected"] == 1
         assert summary["errors_uncorrected"] == 1
@@ -278,6 +278,6 @@ def test_rollup_is_redone_after_more_records():
     agg = Aggregator(duration_s=7200.0)
     agg.add_records(_records())
     assert agg.summary()["bytes_total"] == 92
-    agg.add_record({"t": 5000.0, "kind": "publish", "bytes": 8})
+    agg.add_records(({"t": 5000.0, "kind": "publish", "bytes": 8},))
     assert agg.summary()["bytes_total"] == 100
     assert ("data_rate_bytes_per_s", 3600.0, 7200.0, 48 / 3600) in agg.rows()
