@@ -3,9 +3,10 @@
 The argparse parser dispatches (each subcommand sets its runner as `run`) and
 checks every input, so a bad flag exits 1 with one line before a runner starts.
 
-Each command imports only the modules it runs: only `simulate` and `report`
-import the simulator, and `broker` loads none of the scenario, sensor,
-traffic or watch modules. No command imports numpy.
+Each command imports only the modules it runs: only `simulate` imports the
+simulator (`report` reads the log through `eventlog`), and `broker` loads
+none of the scenario, sensor, traffic or watch modules. No command imports
+numpy.
 
 Exit codes: 0 success, 1 usage, 2 configuration or file, 3 network,
 4 protocol.
@@ -261,14 +262,14 @@ def _run_analyze(args: argparse.Namespace) -> int:
 def _run_report(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from . import sim
+    from . import eventlog
 
     try:
         with open(args.in_path, "rb") as log:
-            text = sim.render_report(sim.iter_events_jsonl(log, args.in_path))
+            text = eventlog.render_report(eventlog.iter_events_jsonl(log, args.in_path))
     except OSError as exc:
         raise ConfigError(f"cannot read {args.in_path}: {exc}") from exc
-    except ValueError as exc:  # no meta header, a malformed line, a record without 't'/'kind'
+    except ValueError as exc:  # no meta header, a malformed line, a record it cannot read
         raise ConfigError(str(exc)) from exc
     out = Path(args.out_path)
     try:

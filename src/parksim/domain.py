@@ -137,8 +137,3 @@ def new_facility(config: FacilityConfig) -> FacilityState:
     config.validate()
     n = config.total_slots
     return FacilityState(bytes(n), n)
-
-
-def derived_vacancy(state: FacilityState) -> int:
-    """Vacancy recomputed from the slot sensor flags (consistency check)."""
-    return len(state.slots) - state.slots.count(1)

@@ -23,10 +23,11 @@ one entry per `domain.ControlAction` member: gate, buzzer and fan actions
 carry their state, and an `Anomaly` action becomes an `anomaly` record
 after the records of the actions before it.
 
-Records go to the run's sinks as they are made, _BLOCK_RECORDS at a time:
-the report tally, the telemetry aggregator and the JSON-lines encoder,
-whose lines go straight to an unnamed temporary file (a LogSpool). The
-record dicts are then dropped, so a run's memory does not grow with its log.
+Records go to the run's two sinks as they are made, BLOCK_RECORDS at a
+time: the log's summary (an `eventlog.ReportTally`, as `parksim report`
+builds one from the written log) and the JSON-lines encoder, whose lines go
+straight to an unnamed temporary file (a LogSpool). The record dicts are
+then dropped, so a run's memory does not grow with its log.
 """
 
 from __future__ import annotations
@@ -37,17 +38,17 @@ import json
 import shutil
 import tempfile
 import weakref
-from collections import Counter
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
 from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
 from pathlib import Path
-from typing import Any, BinaryIO
+from typing import Any
 
 from . import codec, controller as ctrl, domain, rng, sensors, stochastic, telemetry
 from .broker import BrokerCore, Close, Send
 from .client import ClientEngine
+# read_events_jsonl and render_report stay readable as sim.* too
+from .eventlog import (BLOCK_RECORDS, ReportTally, iter_events_jsonl,  # noqa: F401
+                       read_events_jsonl, render_report)
 from .scenario import ScenarioConfig, to_flat_dict
 from .values import Value
 
@@ -62,7 +63,6 @@ DASHBOARD_CONN = "dashboard"
 
 # json.dumps(record, separators=...) would build a new encoder per record
 _RECORD_ENCODER = json.JSONEncoder(separators=(", ", ": "))
-_BLOCK_RECORDS = 1024  # records go to the run's sinks this many at a time
 _COPY_BYTES = 1 << 18  # the spool is copied this much at a time
 
 
@@ -196,15 +196,14 @@ class LogSpool:
 
 @dataclass
 class SimReport:
-    """A finished run. `tally` and `aggregator` were fed the records as the
-    run made them, a block at a time, and are the source of every count
-    and metric the run reports. `spool` holds events.jsonl as it was
-    encoded; the record dicts themselves are not kept."""
+    """A finished run. `tally` was fed the records as the run made them, a
+    block at a time, and is the source of every count and metric the run
+    reports. `spool` holds events.jsonl as it was encoded; the record dicts
+    themselves are not kept."""
 
     spool: LogSpool
     final_state: domain.FacilityState
-    tally: ReportTally  # counts per record kind, for the report and the CLI
-    aggregator: telemetry.Aggregator  # the run's one aggregation, for both files
+    tally: ReportTally  # the log's summary: counts, report.txt and metrics.csv
 
     @property
     def records(self) -> list[dict[str, Any]]:
@@ -214,7 +213,7 @@ class SimReport:
 
     @property
     def metrics_csv(self) -> str:
-        return self.aggregator.to_csv()
+        return self.tally.aggregator.to_csv()
 
     def events_jsonl(self) -> str:
         return self.spool.rewound().read().decode("utf-8")
@@ -222,8 +221,8 @@ class SimReport:
     def write(self, out_dir: str | Path) -> dict[str, Path]:
         """The three output files. events.jsonl is copied from the spool
         _COPY_BYTES at a time, so the whole log never exists in memory;
-        report.txt is rendered from the run's tally. It may be called again,
-        and the log can still be read afterwards."""
+        the other two are rendered from the run's tally. It may be called
+        again, and the log can still be read afterwards."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         paths = {
@@ -234,7 +233,7 @@ class SimReport:
         with open(paths["events"], "wb") as events:
             shutil.copyfileobj(self.spool.rewound(), events, _COPY_BYTES)
         paths["metrics"].write_text(self.metrics_csv, encoding="utf-8")
-        paths["report"].write_text(self.tally.render(self.aggregator.summary()), encoding="utf-8")
+        paths["report"].write_text(self.tally.render(), encoding="utf-8")
         return paths
 
 
@@ -304,10 +303,9 @@ class Simulation:
         }
 
         # the run's sinks: records gather in _block, and each full block
-        # goes to the tally, the aggregator and the encoder, then is dropped
+        # goes to the tally and the encoder, then is dropped
         self._block: list[dict[str, Any]] = []
-        self.tally = ReportTally(float(cfg.duration_s))  # as render_report reads the meta
-        self.aggregator = telemetry.Aggregator(duration_s=cfg.duration_s)
+        self.tally = ReportTally()  # reads the duration from the meta record
         self._encode_block = _block_encoder()
         self.spool = LogSpool()  # events.jsonl, a block at a time
         # (topic, payload length, qos) -> PUBLISH frame size; see _frame_size
@@ -328,13 +326,12 @@ class Simulation:
         record.update(fields)
         block = self._block
         block.append(record)
-        if len(block) >= _BLOCK_RECORDS:
+        if len(block) >= BLOCK_RECORDS:
             self._flush_block()
 
     def _flush_block(self) -> None:
         block, self._block = self._block, []
         self.tally.add_records(block)
-        self.aggregator.add_records(block)
         self.spool.append(self._encode_block(block))
 
     # -- transport --------------------------------------------------------
@@ -583,182 +580,8 @@ class Simulation:
         counts = self.tally.counts
         assert counts["car_admitted"] == counts["car_departs"] + in_lot, \
             "car conservation violated"
-        return SimReport(spool=self.spool, final_state=state, tally=self.tally,
-                         aggregator=self.aggregator)
+        return SimReport(spool=self.spool, final_state=state, tally=self.tally)
 
 
 def run_scenario(cfg: ScenarioConfig, publish_hook=None) -> SimReport:
     return Simulation(cfg, publish_hook=publish_hook).run()
-
-
-# -- event-log analysis ------------------------------------------------------
-
-def iter_events_jsonl(log: BinaryIO, name: str | Path) -> Iterator[dict[str, Any]]:
-    """The records of the events.jsonl lines in the binary stream `log`, one
-    at a time. Each line that is not blank must hold exactly one JSON value
-    in UTF-8: a line with two records, or a record split over two lines,
-    raises a ValueError naming `name` and the line's number."""
-    for lineno, line in enumerate(log, start=1):
-        if line.isspace():
-            continue
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ValueError(f"{name}:{lineno}: malformed event record: {exc}") from exc
-        yield record
-
-
-def read_events_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    """The records of the events.jsonl file at `path`, as one list."""
-    with open(path, "rb") as log:
-        return list(iter_events_jsonl(log, path))
-
-
-class ReportTally:
-    """What report.txt needs from an event log of `duration_s` seconds,
-    gathered in one pass as the records are fed: counts per kind (a
-    Counter, so a kind never fed reads 0), the `meta` header and the
-    time-weighted mean occupancy over [0, duration_s]. The mean and its
-    errors are those of an occupancy step function built from the park and
-    depart records and integrated over the same interval, float for float:
-    the integral takes the same steps in the same order.
-    """
-
-    def __init__(self, duration_s: float) -> None:
-        self.duration_s = duration_s
-        self.meta: dict[str, Any] = {}
-        self.counts: Counter[str] = Counter()
-        self._fed = 0                   # records seen, for error messages
-        self._parked = 0
-        self._steps = 0                 # park and depart records seen
-        self._level = 0                 # parked cars since _prev_t
-        self._prev_t = 0.0
-        self._area = 0.0                # car-seconds up to _prev_t
-        self._past_end = False          # later steps fall outside [0, duration_s]
-
-    def add_records(self, records) -> None:
-        # counted in a plain dict and merged once per call: a store into a
-        # Counter costs about 100 ns more per record than into a dict
-        counts: dict[str, int] = {}
-        for record in records:
-            index = self._fed
-            self._fed += 1
-            if not isinstance(record, dict) or "kind" not in record or "t" not in record:
-                raise ValueError(f"record {index}: missing 't'/'kind' fields: {record!r}")
-            kind = record["kind"]
-            counts[kind] = counts.get(kind, 0) + 1
-            if kind == "car_parks":
-                self._parked += 1
-                self._step(float(record["t"]))
-            elif kind == "car_departs":
-                self._parked -= 1
-                self._step(float(record["t"]))
-            elif index == 0 and kind == "meta":
-                self.meta = record
-        self.counts.update(counts)
-
-    def _step(self, t: float) -> None:
-        # one turn of an integral over [0, duration_s] of the step function
-        self._steps += 1
-        if self._past_end:
-            return
-        if t < 0.0:
-            self._level = self._parked
-            return
-        if t > self.duration_s:
-            self._past_end = True
-            return
-        self._area += self._level * (t - self._prev_t)
-        self._prev_t = t
-        self._level = self._parked
-
-    def mean_occupancy(self) -> float:
-        if not self._steps:
-            return 0.0
-        end = self.duration_s
-        if end <= 0.0:
-            raise ValueError("t_end must exceed t_start")
-        return (self._area + self._level * (end - self._prev_t)) / end
-
-    def render(self, summary: dict[str, float]) -> str:
-        """report.txt, with `summary` the run's telemetry.Aggregator summary."""
-        meta, counts = self.meta, self.counts
-        config = meta.get("config", {})
-        mean_occ = self.mean_occupancy()
-        lines = [
-            "parksim run report",
-            "==================",
-            f"rng: {meta.get('rng', 'unknown')} seed={config.get('seed', '?')} "
-            f"streams={','.join(meta.get('rng_streams', []))}",
-            f"duration_s: {_g(self.duration_s)}   slots: {config.get('facility.total_slots', '?')}",
-            "",
-            "traffic",
-            f"  arrivals:   {counts['car_arrives']} "
-            f"(admitted {counts['car_admitted']}, rejected {counts['car_rejected']})",
-            f"  departures: {counts['car_departs']}",
-            f"  mean occupancy (parked): {_g(mean_occ)}",
-            "",
-            "environment",
-            f"  env samples: {counts['env_sample']}"
-            f"   gas samples: {counts['gas_sample']}",
-            f"  fan on/off events: {counts['fan']}   anomalies: {counts['anomaly']}",
-            "",
-            "mqtt telemetry",
-            f"  publishes accepted: {counts['publish']}"
-            f"   deliveries: {counts['deliver']}   drops: {counts['drop']}",
-            f"  bytes total: {_g(summary['bytes_total'])}   "
-            f"data rate: {_g(summary['data_rate_bytes_per_s'])} bytes/s",
-        ]
-        if "delay_mean_s" in summary:
-            lines.append(
-                f"  delay s (mean/min/max): {_g(summary['delay_mean_s'])}"
-                f"/{_g(summary['delay_min_s'])}/{_g(summary['delay_max_s'])}"
-            )
-        lines.append(
-            f"  EC (modeled): {_g(summary['ec_modeled'])} "
-            f"(corrected {int(summary['errors_corrected'])},"
-            f" uncorrected {int(summary['errors_uncorrected'])})"
-        )
-        lines.append("")
-        return "\n".join(lines)
-
-
-def render_report(records: Iterable[dict[str, Any]]) -> str:
-    """Human-readable run summary regenerable from the event log alone.
-
-    `records` is read once, so a one-shot iterator such as
-    iter_events_jsonl over an open file will do. Its first record must be
-    the log's `meta` header, whose config's `duration_s` the tally and the
-    Aggregator are built with; else it raises a ValueError naming record 0.
-    Then every record goes to both, _BLOCK_RECORDS at a time, as
-    Simulation._flush_block feeds them during a run."""
-    records = iter(records)
-    block = list(islice(records, _BLOCK_RECORDS))
-    duration = _header_duration(block)
-    tally = ReportTally(duration)
-    aggregator = telemetry.Aggregator(duration_s=duration)
-    while block:
-        tally.add_records(block)
-        aggregator.add_records(block)
-        block = list(islice(records, _BLOCK_RECORDS))
-    return tally.render(aggregator.summary())
-
-
-def _header_duration(block: list[Any]) -> float:
-    """The config `duration_s` of the log's `meta` header, which parksim
-    writes as its first record: the first record of `block`."""
-    if not block:
-        raise ValueError("record 0: missing; a log starts with a meta header "
-                         "carrying config.duration_s")
-    first = block[0]
-    config = first.get("config") if isinstance(first, dict) and first.get("kind") == "meta" \
-        else None
-    try:
-        return float(config["duration_s"])
-    except (LookupError, TypeError, ValueError):
-        raise ValueError(f"record 0: not a meta header with a number as config.duration_s: "
-                         f"{first!r}") from None
-
-
-def _g(value: float) -> str:
-    return format(value, ".10g")

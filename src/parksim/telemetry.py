@@ -53,7 +53,8 @@ MAX_WINDOWS = 100_000
 _SAMPLE_KINDS = ("publish", "deliver", "error_corrected", "error_uncorrected")
 
 
-def _fmt(value: float) -> str:
+def fmt(value: float) -> str:
+    """A number as metrics.csv and report.txt write it."""
     return format(value, ".10g")
 
 
@@ -199,7 +200,7 @@ class Aggregator:
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         for metric, start, end, value in self.rows():
-            lines.append(f"{metric},{_fmt(start)},{_fmt(end)},{_fmt(value)}")
+            lines.append(f"{metric},{fmt(start)},{fmt(end)},{fmt(value)}")
         return "\n".join(lines) + "\n"
 
     def summary(self) -> dict[str, float]:

@@ -263,6 +263,19 @@ assert cli.main(["report", "--in", out + "/events.jsonl", "--out", out + "/repor
 assert "numpy" not in sys.modules, "simulate or report imported numpy"
 """
 
+# a fresh interpreter: `report` alone reads the log without the simulator
+REPORT_IMPORT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from parksim import cli
+log, out = sys.argv[2], sys.argv[3]
+assert cli.main(["report", "--in", log, "--out", out]) == 0
+unneeded = ("parksim.sim", "parksim.scenario", "parksim.sensors", "parksim.stochastic",
+            "parksim.controller", "parksim.rng", "numpy")
+loaded = [name for name in unneeded if name in sys.modules]
+assert not loaded, f"report imported {loaded}"
+"""
+
 
 class TestImports:
     def test_simulate_and_report_run_without_numpy(self, tmp_path):
@@ -274,6 +287,12 @@ class TestImports:
             capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
         assert (out / "report2.txt").read_bytes() == (out / "report.txt").read_bytes()
+        result = subprocess.run(
+            [sys.executable, "-c", REPORT_IMPORT, str(SRC), str(out / "events.jsonl"),
+             str(out / "report3.txt")],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert (out / "report3.txt").read_bytes() == (out / "report.txt").read_bytes()
 
     def test_live_commands_start_without_the_simulator_or_numpy(self):
         result = subprocess.run([sys.executable, "-c", LIVE_COMMANDS_IMPORT, str(SRC)],
@@ -395,10 +414,18 @@ class TestSimulateAndReport:
 
     def test_simulate_in_two_processes_with_different_hash_seeds(self, tmp_path):
         # the outputs must not depend on str hashing, say through set order;
-        # gas samples and a lossy link bring in every stream the run draws
+        # gas samples and a lossy link bring in every stream the run draws,
+        # and five gases released at once, cleared slowly by the fan, put a
+        # float sum over gas names (GasField's level) in every gas reading
         scenario = tmp_path / "day.cfg"
-        scenario.write_text(DAY_CFG.replace("gas_sample_period_s = 0", "gas_sample_period_s = 30")
-                            + "network.drop_prob = 0.2\n", encoding="utf-8")
+        scenario.write_text(
+            DAY_CFG.replace("gas_sample_period_s = 0", "gas_sample_period_s = 30")
+            + "network.drop_prob = 0.2\n"
+            + "sensors.mq2.sensitivities = butane:0.92, alcohol:0.8, methane:0.31, smoke:0.57, "
+              "lpg:0.66\n"
+            + "injections = 300:butane:7.3, 300:alcohol:5.1, 300:methane:9.7, 300:smoke:3.3, "
+              "300:lpg:4.9\n"
+            + "gas_decay_ppm_per_s = 0.01\n", encoding="utf-8")
         outputs = []
         for hash_seed in ("1", "2"):
             out_dir = tmp_path / f"out{hash_seed}"
@@ -459,6 +486,30 @@ class TestSimulateAndReport:
         # file the command opened is closed on the way out
         path = tmp_path / "events.jsonl"
         path.write_text(log, encoding="utf-8")
+        out = tmp_path / "r.txt"
+        with _no_resource_warning():
+            assert cli.main(["report", "--in", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"parksim: config error: {error}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("record, error", [
+        ('{"t": 1.0, "kind": "publish"}', "a publish or deliver record is malformed: KeyError"),
+        ('{"t": 1.0, "kind": "publish", "bytes": null}',
+         "a publish or deliver record is malformed: TypeError"),
+        ('{"t": 1.0, "kind": "publish", "bytes": 1%s}' % ("0" * 400,),
+         "a publish or deliver record is malformed: OverflowError"),
+        ('{"t": [1], "kind": "car_parks"}', "record 1: float() argument"),
+        ('{"t": 1%s, "kind": "car_parks"}' % ("0" * 400,), "record 1: int too large"),
+        ('{"t": 1.0, "kind": ["car_parks"]}', "record 1: unhashable type"),
+    ], ids=["publish without bytes", "null bytes", "bytes past float", "t not a number",
+            "t past float", "kind not a string"])
+    def test_report_on_a_record_it_cannot_read_exits_2(self, tmp_path, capsys, record, error):
+        # a record after a good header that the tally or its aggregator
+        # cannot read is refused like a malformed line, without a traceback
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"t": 0.0, "kind": "meta", "config": {"duration_s": 60}}\n'
+                        + record + "\n", encoding="utf-8")
         out = tmp_path / "r.txt"
         with _no_resource_warning():
             assert cli.main(["report", "--in", str(path), "--out", str(out)]) == cli.EXIT_CONFIG

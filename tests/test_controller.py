@@ -29,7 +29,6 @@ from parksim.domain import (
     SetFan,
     SetGate,
     UpdateDisplay,
-    derived_vacancy,
     new_facility,
 )
 
@@ -391,5 +390,5 @@ def test_each_handler_changes_only_the_fields_it_sets(events):
             changes = {"exit_gate": GateState.CLOSED}
         assert state_fields(after) == {**state_fields(state), **changes}, kind
         assert type(after.slots) is bytes
-        assert derived_vacancy(after) == len(after.slots) - sum(after.slots)
+        assert set(after.slots) <= {0, 1}  # a sensor flag reads 0 or 1
         state = after

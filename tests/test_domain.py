@@ -4,11 +4,9 @@ from parksim.domain import (
     ConfigError,
     DisplayFrame,
     FacilityConfig,
-    FacilityState,
     GateState,
     Power,
     Publish,
-    derived_vacancy,
     new_facility,
 )
 
@@ -32,15 +30,6 @@ def test_new_facility_single_slot():
 def test_new_facility_rejects_zero_slots():
     with pytest.raises(ConfigError):
         new_facility(FacilityConfig(total_slots=0))
-
-
-@pytest.mark.parametrize(
-    "slots,expected",
-    [((0, 0, 0, 0), 4), ((1, 1, 1, 1), 0), ((1, 0, 1, 0), 2)],
-)
-def test_derived_vacancy(slots, expected):
-    state = FacilityState(slots=slots, total_vacant=expected)
-    assert derived_vacancy(state) == expected
 
 
 def test_config_validation_rules():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from parksim import sim
+from parksim import eventlog, sim
 from parksim.scenario import load_scenario
 
 DAY_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "day.cfg"
@@ -88,13 +88,13 @@ def test_report_streams_the_log(tmp_path):
     with open(paths["events"], "rb") as log:
         tracemalloc.start()
         try:
-            text = sim.render_report(sim.iter_events_jsonl(log, paths["events"]))
+            text = eventlog.render_report(eventlog.iter_events_jsonl(log, paths["events"]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    records = sim.read_events_jsonl(paths["events"])
-    assert len(records) > 20 * sim._BLOCK_RECORDS
-    assert text == sim.render_report(records) == paths["report"].read_text(encoding="utf-8")
+    records = eventlog.read_events_jsonl(paths["events"])
+    assert len(records) > 20 * eventlog.BLOCK_RECORDS
+    assert text == eventlog.render_report(records) == paths["report"].read_text(encoding="utf-8")
     assert peak < 2 * 2**20, f"traced peak {peak} B in render_report over the file"
 
 

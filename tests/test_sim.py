@@ -12,8 +12,8 @@ from unittest import mock
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
-from parksim import codec, domain, sim
-from parksim.domain import ConfigError, FacilityConfig, derived_vacancy
+from parksim import codec, domain, eventlog, sim
+from parksim.domain import ConfigError, FacilityConfig
 from parksim.scenario import (
     DashboardConfig,
     GasInjection,
@@ -148,16 +148,17 @@ class TestDeterminism:
     @given(seed=st.integers(min_value=0, max_value=2**64),
            drop_prob=st.sampled_from([0.0, 0.2]))
     def test_outputs_do_not_depend_on_the_block_size(self, tmp_path_factory, seed, drop_prob):
-        # records reach the tally, the aggregator and the spool a block at
-        # a time, in a run and in render_report: where the blocks end must
-        # not show in metrics.csv or report.txt
+        # records reach the tally (and its aggregator) and the spool a block
+        # at a time, in a run and in render_report: where the blocks end
+        # must not show in metrics.csv or report.txt
         cfg = replace(default_scenario(), duration_s=2 * 3600.0, seed=seed,
                       network=NetworkConfig(latency_s=0.05, drop_prob=drop_prob),
                       mqtt=MqttConfig(publish_qos=1))
         out = tmp_path_factory.mktemp("blocks")
         outputs = set()
         for block in (1, 7, 1024):
-            with mock.patch.object(sim, "_BLOCK_RECORDS", block):
+            with mock.patch.object(sim, "BLOCK_RECORDS", block), \
+                    mock.patch.object(eventlog, "BLOCK_RECORDS", block):
                 paths = sim.run_scenario(cfg).write(out / str(block))
                 with open(paths["events"], "rb") as log:
                     rendered = sim.render_report(sim.iter_events_jsonl(log, paths["events"]))
@@ -219,7 +220,7 @@ class TestConservationAndCausality:
         series = occupancy_timeseries(run.records)
         parked_final = len(series) and series[-1][1]
         assert sum(run.final_state.slots) == parked_final
-        assert derived_vacancy(run.final_state) == len(run.final_state.slots) - parked_final
+        assert run.final_state.slots.count(0) == len(run.final_state.slots) - parked_final
 
     def test_timestamps_monotone(self, run):
         times = [record["t"] for record in run.records]
@@ -235,7 +236,7 @@ class TestConservationAndCausality:
         )
         report = sim.run_scenario(cfg)
         state = report.final_state
-        assert derived_vacancy(state) == state.total_vacant
+        assert state.slots.count(0) == state.total_vacant
 
 
 def occupancy_timeseries(event_log):
@@ -320,7 +321,7 @@ class TestOccupancySeries:
             lines.clear()
             with mock.patch.object(sim.Simulation, "_record", capture), \
                     mock.patch.object(sim.LogSpool, "append", count_lines), \
-                    mock.patch.object(sim, "_BLOCK_RECORDS", block):
+                    mock.patch.object(sim, "BLOCK_RECORDS", block):
                 report = sim.run_scenario(cfg)
             assert {"meta", "publish", "deliver", "drop"} <= {r["kind"] for r in made}
             assert sum(lines) == len(made)
@@ -344,8 +345,10 @@ def _reference_tally(records, duration):
     return counts, time_weighted_mean(series, duration) if series else 0.0
 
 
-def _one_pass_tally(records, duration, block):
-    tally = sim.ReportTally(duration)
+def _one_pass_tally(records, block):
+    """The same from a ReportTally fed `block` records at a time: the
+    duration comes from the log's header."""
+    tally = eventlog.ReportTally()
     for i in range(0, len(records), block):
         tally.add_records(records[i:i + block])
     return tally.counts, tally.mean_occupancy()
@@ -358,7 +361,7 @@ def _outcome(tally, *args):
         return f"ValueError: {exc}"
 
 
-_DURATIONS = st.one_of(st.sampled_from([100.0, 3600.0, 0.0, -5.0]),
+_DURATIONS = st.one_of(st.sampled_from([100.0, 3600.0]),
                        st.floats(min_value=0.1, max_value=1e4))
 
 
@@ -366,7 +369,7 @@ _DURATIONS = st.one_of(st.sampled_from([100.0, 3600.0, 0.0, -5.0]),
 def _event_logs(draw, duration):
     """A log of `duration` seconds: its meta header, then park, depart,
     publish and stray meta records at times in and around [0, duration],
-    sometimes with one record damaged."""
+    sometimes with one record after the header damaged."""
     times = st.one_of(st.sampled_from([0.0, duration, -1.0]),
                       st.integers(min_value=-5, max_value=200),
                       st.floats(min_value=-50.0, max_value=2.0 * abs(duration) + 10.0,
@@ -380,8 +383,8 @@ def _event_logs(draw, duration):
             record["config"] = {"duration_s": 1.0}
         records.append(record)
     damage = draw(st.sampled_from([None, None, None, "t", "kind", "not a dict"]))
-    if damage is not None:
-        i = draw(st.integers(min_value=0, max_value=len(records) - 1))
+    if damage is not None and len(records) > 1:
+        i = draw(st.integers(min_value=1, max_value=len(records) - 1))
         if damage == "not a dict":
             records[i] = [records[i]]
         else:
@@ -392,30 +395,41 @@ def _event_logs(draw, duration):
 @given(st.data(), _DURATIONS, st.sampled_from([1, 3, 1024]))
 def test_one_pass_tally_equals_the_list_references(data, duration, block):
     records = data.draw(_event_logs(duration))
-    assert _outcome(_one_pass_tally, records, duration, block) == \
+    assert _outcome(_one_pass_tally, records, block) == \
         _outcome(_reference_tally, records, duration)
 
 
 _BODY = [{"t": 5.0, "kind": "car_parks"}, {"t": 9.0, "kind": "publish", "bytes": 8}]
 
 
-@pytest.mark.parametrize("log", [
-    [],
-    _BODY,
-    [{"t": 0.0, "kind": "meta", "config": {"seed": 7}}] + _BODY,
-    [{"t": 0.0, "kind": "meta"}] + _BODY,
-    [{"t": 0.0, "kind": "meta", "config": [3600.0]}] + _BODY,
-    [[{"t": 0.0, "kind": "meta", "config": {"duration_s": 3600.0}}]] + _BODY,
-    [{"t": 0.0, "kind": "meta", "config": {"duration_s": None}}] + _BODY,
-    [{"t": 0.0, "kind": "meta", "config": {"duration_s": "an hour"}}] + _BODY,
+_NOT_A_HEADER = "record 0: not a meta header"
+
+
+@pytest.mark.parametrize("log, error", [
+    ([], "record 0: missing;"),
+    (_BODY, _NOT_A_HEADER),
+    ([{"t": 0.0, "kind": "meta", "config": {"seed": 7}}] + _BODY, _NOT_A_HEADER),
+    ([{"t": 0.0, "kind": "meta"}] + _BODY, _NOT_A_HEADER),
+    ([{"t": 0.0, "kind": "meta", "config": [3600.0]}] + _BODY, _NOT_A_HEADER),
+    ([[{"t": 0.0, "kind": "meta", "config": {"duration_s": 3600.0}}]] + _BODY, _NOT_A_HEADER),
+    ([{"t": 0.0, "config": {"duration_s": 3600.0}}] + _BODY, _NOT_A_HEADER),
+    ([{"kind": "meta", "config": {"duration_s": 3600.0}}] + _BODY,
+     "record 0: missing 't'/'kind' fields"),
+    ([{"t": 0.0, "kind": "meta", "config": {"duration_s": None}}] + _BODY, _NOT_A_HEADER),
+    ([{"t": 0.0, "kind": "meta", "config": {"duration_s": "an hour"}}] + _BODY, _NOT_A_HEADER),
+    ([{"t": 0.0, "kind": "meta", "config": {"duration_s": 0.0}}] + _BODY,
+     "duration_s must be > 0"),
+    ([{"t": 0.0, "kind": "meta", "config": {"duration_s": -5.0}}] + _BODY,
+     "duration_s must be > 0"),
 ], ids=["empty", "no header", "no duration", "no config", "config not a dict",
-        "header not a dict", "null duration", "text duration"])
-def test_render_report_refuses_a_log_without_its_duration(log):
-    # the duration comes from the meta header alone; a log without one is
-    # refused, not rendered with a guessed duration
+        "header not a dict", "header without kind", "header without t", "null duration",
+        "text duration", "zero duration", "negative duration"])
+def test_render_report_refuses_a_log_without_its_duration(log, error):
+    # the duration comes from the meta header alone; a log without one, or
+    # with one that is not > 0, is refused, not rendered with a guess
     for records in (log, iter(log)):
-        with pytest.raises(ValueError, match="^record 0: (missing|not a meta header)"):
-            sim.render_report(records)
+        with pytest.raises(ValueError, match=f"^{error}"):
+            eventlog.render_report(records)
 
 
 _JSON_SCALARS = st.one_of(
@@ -458,7 +472,7 @@ def test_encoded_lines_equal_json_dumps(records, block, c_encoder):
         spool.append(text)
     # and SimReport reads the spool back: the log as one string, and the
     # records decoded (compared as JSON: NaN != NaN)
-    report = sim.SimReport(spool=spool, final_state=None, tally=None, aggregator=None)
+    report = sim.SimReport(spool=spool, final_state=None, tally=None)
     assert report.events_jsonl() == "".join(
         json.dumps(r, separators=(", ", ": ")) + "\n" for r in records)
     assert json.dumps(report.records) == json.dumps(records)
@@ -504,7 +518,7 @@ def test_decoder_reads_each_line_as_one_record(tmp_path_factory, records, corrup
     path.write_bytes(text.encode("utf-8"))
     spool = sim.LogSpool()
     spool.append(text)
-    report = sim.SimReport(spool=spool, final_state=None, tally=None, aggregator=None)
+    report = sim.SimReport(spool=spool, final_state=None, tally=None)
     for name, read in ((path, lambda: sim.read_events_jsonl(path)),
                        ("<spooled events.jsonl>", lambda: report.records)):
         if bad_line is None:
@@ -689,7 +703,7 @@ class TestLogSpool:
         for name in ("events", "metrics", "report"):
             assert first[name].read_bytes() == second[name].read_bytes(), name
         log = first["events"].read_text(encoding="utf-8")
-        assert log.count("\n") > sim._BLOCK_RECORDS
+        assert log.count("\n") > sim.BLOCK_RECORDS
         assert report.events_jsonl() == log
         assert report.records == sim.read_events_jsonl(first["events"])
 
@@ -719,7 +733,7 @@ class TestLogSpool:
             deliver(self, payload)
 
         with mock.patch.object(sim.Simulation, "_on_packet_delivery", fail_midway), \
-                mock.patch.object(sim, "_BLOCK_RECORDS", 16):
+                mock.patch.object(sim, "BLOCK_RECORDS", 16):
             simulation = sim.Simulation(replace(default_scenario(), duration_s=3600.0))
             with pytest.raises(RuntimeError, match="handler failed"):
                 simulation.run()
