@@ -17,13 +17,15 @@ both sides alike.
 
 For each end-to-end metric the workload entry holds q1/median/q3 per side
 (inclusive quartiles), `change_over_parent` (ratio of medians),
-`change_wins` (pairs the change won), `parent_iqr` and `median_gap` (the
-absolute difference of the medians), plus every pair's raw values. With
---trace-seed, each seed given adds one `--trace 1` run per side, in the same
-alternating order; `trace` holds every traced run and, per side, the median
-of each metric over them, so one slow spell cannot decide the per-layer
-figures. The entry is merged into --out, so one file can hold several
-workloads.
+`change_wins` (pairs the change won), `parent_iqr`, `median_gap` (the
+absolute difference of the medians) and `within_bound` (false when the
+change's median is worse than the parent's by more than the metric's
+`bound` in BENCHMARK.json, a fraction of the parent's median), plus every
+pair's raw values. With --trace-seed, each seed given adds one `--trace 1`
+run per side, in the same alternating order; `trace` holds every traced
+run and, per side, the median of each metric over them, so one slow spell
+cannot decide the per-layer figures. The entry is merged into --out, so
+one file can hold several workloads.
 Nothing under perfbench/ is changed.
 
 With --claim METRIC, `claimed` in --out also holds the verdict, which is
@@ -93,6 +95,13 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": med, "q3": q3}
 
 
+def within_bound(spec: dict, parent: float, change: float) -> bool:
+    """Whether the `change` median is worse than the `parent` one by no more
+    than the fraction `spec["bound"]` of the parent's."""
+    worse_by = change - parent if spec["better"] == "lower" else parent - change
+    return worse_by <= spec["bound"] * abs(parent)
+
+
 def summarize(runs: list[dict], declared: list[dict]) -> dict:
     metrics = {}
     for spec in declared:
@@ -112,6 +121,7 @@ def summarize(runs: list[dict], declared: list[dict]) -> dict:
             "change_wins": sum((cv < pv) if lower else (cv > pv) for pv, cv in zip(parent, change)),
             "parent_iqr": p["q3"] - p["q1"],
             "median_gap": abs(c["median"] - p["median"]),
+            "within_bound": within_bound(spec, p["median"], c["median"]),
         }
     return metrics
 
@@ -232,13 +242,15 @@ def main(argv: list[str]) -> int:
         json.dump(bench, handle, indent=2)
         handle.write("\n")
 
-    print(f"{'metric':<14}{'parent':>12}{'change':>12}{'ratio':>8}{'wins':>6}{'iqr':>10}{'gap':>10}")
+    print(f"{'metric':<14}{'parent':>12}{'change':>12}{'ratio':>8}{'wins':>6}{'iqr':>10}{'gap':>10}"
+          f"{'in bound':>10}")
     for name, m in entry["metrics"].items():
         ratio = m["change_over_parent"]
         print(f"{name:<14}{m['parent']['median']:>12.5g}{m['change']['median']:>12.5g}"
               f"{ratio if ratio is not None else float('nan'):>8.3f}{m['change_wins']:>6}"
-              f"{m['parent_iqr']:>10.4g}{m['median_gap']:>10.4g}")
-    print(f"correct {entry['correct']}, failed {entry['failed']}; wrote {args.out}")
+              f"{m['parent_iqr']:>10.4g}{m['median_gap']:>10.4g}{str(m['within_bound']):>10}")
+    print(f"correct {entry['correct']}, failed {entry['failed']}, every median within its bound "
+          f"{all(m['within_bound'] for m in entry['metrics'].values())}; wrote {args.out}")
     if verdict is not None:
         m = entry["metrics"][args.claim]
         print(f"claim {args.claim} on {args.workload}: {'met' if verdict['met'] else 'NOT met'} "

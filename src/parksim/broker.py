@@ -38,6 +38,14 @@ keep the order a linear scan gives: fan-out in session connect order,
 replay in retained-store order. One builder makes each session's copy of a
 message, for a live publish and a retained replay alike; redeliver()
 resends a copy that was not acknowledged in time.
+
+A dict keeps its peak size after its entries are popped, so a session's
+inflight table that a retained replay filled (one copy per matching
+topic, thousands for an app subscribing to `parking/#`) would stay that
+large for the session's life. A SUBSCRIBE that replays a qos-1 copy marks
+its session; the PUBACK or the exhausted retry that then empties the table
+replaces it with a fresh dict and clears the mark. A table that only live
+fan-out fills is kept: there nearly every ack empties it.
 """
 
 from __future__ import annotations
@@ -101,10 +109,18 @@ class Session:
     conn_id: str
     keep_alive_s: int
     subscriptions: dict[str, int] = field(default_factory=dict)  # filter -> granted qos
-    inflight: dict[int, Inflight] = field(default_factory=dict)  # in deadline order
+    # in deadline order; replaced by a fresh dict when it empties after a replay
+    inflight: dict[int, Inflight] = field(default_factory=dict)
+    replayed: bool = False    # a retained replay put copies in `inflight` since it last emptied
     last_seen_t: float = 0.0
     next_packet_id: int = 1
     connect_seq: int = 0      # connect order; keys its subscription-trie entries, orders fan-out
+
+
+def _release_inflight(session: Session) -> None:
+    """Give back the emptied table a retained replay filled (see the module docstring)."""
+    session.inflight = {}
+    session.replayed = False
 
 
 class _Node:
@@ -309,11 +325,14 @@ class BrokerCore:
                          (session, qos))
         outputs: list[BrokerOutput] = [Send(session.conn_id, SubAck(packet.packet_id, granted))]
         retained = self.retained
+        held = len(session.inflight)
         for (topic_filter, _), qos in zip(packet.filters, granted):
             target = ((session, qos),)
             for topic in self._retained_matching(topic_filter):
                 payload, retained_qos = retained[topic]
                 self._send_copies(outputs, topic, payload, retained_qos, True, target, now)
+        if len(session.inflight) > held:
+            session.replayed = True
         return outputs
 
     def _handle_unsubscribe(self, session: Session, packet: Unsubscribe, now: float) -> list[BrokerOutput]:
@@ -354,9 +373,12 @@ class BrokerCore:
         entry = session.inflight.pop(packet.packet_id, None)
         if entry is None:
             log.debug("stray PUBACK %d from %s", packet.packet_id, session.client_id)
-        elif entry.retries:
+            return []
+        if entry.retries:
             self.corrected_errors += 1
             self._emit("error_corrected", client_id=session.client_id, topic=entry.publish.topic)
+        if session.replayed and not session.inflight:
+            _release_inflight(session)
         return []
 
     def _send_copies(
@@ -428,6 +450,8 @@ class BrokerCore:
                 first = entry.publish
                 outputs.append(Send(session.conn_id, Publish(
                     first.topic, first.payload, 1, first.retain, True, packet_id)))
+            if session.replayed and not inflight:
+                _release_inflight(session)
         return outputs
 
     def keepalive_sweep(self, now: float) -> list[BrokerOutput]:

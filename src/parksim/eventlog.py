@@ -104,6 +104,9 @@ class ReportTally:
         except (ArithmeticError, LookupError, TypeError, ValueError):
             raise ValueError(f"record 0: not a meta header with a number as config.duration_s: "
                              f"{first!r}") from None
+        streams = first.get("rng_streams", [])
+        if not isinstance(streams, list) or not all(isinstance(name, str) for name in streams):
+            raise ValueError(f"record 0: rng_streams is not a list of strings: {first!r}")
         # refuses a duration that is not > 0, not finite, or makes too many windows
         self.aggregator = telemetry.Aggregator(duration_s=duration)
         self.meta, self.duration_s = first, duration

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from . import telemetry
 from .domain import ConfigError, FacilityConfig
 from .sensors import EnvModel, IrModel, Mq2Model
 from .stochastic import TrafficProfile
@@ -88,6 +89,10 @@ class ScenarioConfig:
         self.dashboard.validate()
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be > 0")
+        try:  # the run's metrics.csv would need more windows than an Aggregator builds
+            telemetry.check_window_count(self.duration_s)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.gate_to_slot_travel_s < 0:

@@ -42,10 +42,20 @@ def error_correction_rate(corrected: int, total_errors: int) -> float:
 
 CSV_HEADER = "metric,window_start_s,window_end_s,value"
 
+WINDOW_S = 3600.0  # metrics.csv's window
+
 # The most windows an Aggregator builds: over eleven years of hourly windows.
 # A duration past it (a log's meta can carry any number) is refused instead
 # of filling memory with windows.
 MAX_WINDOWS = 100_000
+
+
+def check_window_count(duration_s: float, window_s: float = WINDOW_S) -> None:
+    """Raise ValueError if `duration_s` makes more than MAX_WINDOWS windows."""
+    if duration_s / window_s > MAX_WINDOWS:
+        raise ValueError(f"duration_s {duration_s:g} makes more than {MAX_WINDOWS} windows "
+                         f"of {window_s:g} s")
+
 
 # Event-log record kinds this module consumes. "publish" is a broker accept,
 # "deliver" a subscriber delivery (carrying its delay), and the error kinds
@@ -79,16 +89,14 @@ class Aggregator:
     summary() raise its exception, as a scan made at report time would.
     """
 
-    def __init__(self, duration_s: float, window_s: float = 3600.0):
+    def __init__(self, duration_s: float, window_s: float = WINDOW_S):
         if duration_s <= 0:
             raise ValueError("duration_s must be > 0")
         if window_s <= 0:
             raise ValueError("window_s must be > 0")
         if not math.isfinite(duration_s):
             raise ValueError(f"duration_s must be finite, got {duration_s}")
-        if duration_s / window_s > MAX_WINDOWS:
-            raise ValueError(f"duration_s {duration_s:g} makes more than {MAX_WINDOWS} windows "
-                             f"of {window_s:g} s")
+        check_window_count(duration_s, window_s)
         self.duration_s = duration_s
         self.window_s = window_s
         self._bounds = self._window_bounds()

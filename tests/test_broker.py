@@ -1,5 +1,6 @@
 
 import copy
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -411,6 +412,92 @@ class TestPacketIds:
         assert core.uncorrected_errors == 1
         assert events == [("error_uncorrected", {"client_id": "subscriber", "topic": "t/y"})]
         assert len(session.inflight) == 0xFFFF
+
+
+FRESH_DICT_SIZE = sys.getsizeof({})
+
+
+class TestReplayTable:
+    """A dict keeps its peak size after its entries are popped: the inflight
+    table a retained replay filled is replaced once the replay is acked."""
+
+    def _replayed(self, slots, ack_timeout_s=2.0, max_retries=3):
+        """A core holding `slots` retained qos-1 topics and a session whose
+        SUBSCRIBE at 1.0 replayed them all; returns (core, session, ids)."""
+        core = BrokerCore(ack_timeout_s=ack_timeout_s, max_retries=max_retries)
+        connect(core, "pub", "publisher")
+        for slot in range(1, slots + 1):
+            core.handle("pub", Publish(topic=f"parking/slot/{slot}/status", payload=b"0", qos=1,
+                                       retain=True, packet_id=1), 0.0)
+        connect(core, "app", "mobile-app", now=1.0)
+        outputs = core.handle("app", Subscribe(packet_id=1, filters=(("parking/#", 1),)), 1.0)
+        ids = [o.packet.packet_id for o in sends_of(outputs, Publish)]
+        assert len(ids) == slots
+        return core, core.sessions["mobile-app"], ids
+
+    def test_acked_replay_gives_back_its_table(self):
+        core, session, ids = self._replayed(2048)
+        for pid in ids:
+            assert core.handle("app", PubAck(packet_id=pid), 1.5) == []
+        assert session.inflight == {}
+        assert sys.getsizeof(session.inflight) == FRESH_DICT_SIZE
+        # packet ids go on from where the replay left them
+        outputs = core.handle("pub", Publish(topic="parking/summary", payload=b"1/2048", qos=1,
+                                             packet_id=2), 2.0)
+        assert sends_of(outputs, Publish)[-1].packet.packet_id == 2049
+
+    def test_an_unacked_replay_copy_is_resent_and_its_ack_gives_back_the_table(self):
+        core, session, ids = self._replayed(64)
+        for pid in ids[1:]:
+            core.handle("app", PubAck(packet_id=pid), 1.5)
+        table = session.inflight
+        assert list(table) == [ids[0]]
+        assert core.next_deadline() == 3.0
+        resent = core.tick(3.0)
+        assert [(o.packet.topic, o.packet.packet_id, o.packet.dup, o.packet.retain)
+                for o in resent] == [("parking/slot/1/status", ids[0], True, True)]
+        assert session.inflight is table
+        core.handle("app", PubAck(packet_id=ids[0]), 3.5)
+        assert core.corrected_errors == 1
+        assert session.inflight == {} and sys.getsizeof(session.inflight) == FRESH_DICT_SIZE
+
+    def test_the_table_is_given_back_when_the_last_replay_copy_runs_out_of_retries(self):
+        core, session, ids = self._replayed(64, max_retries=1)
+        for pid in ids[:-1]:
+            core.handle("app", PubAck(packet_id=pid), 1.5)
+        assert len(core.redeliver(3.0)) == 1
+        assert core.redeliver(5.0) == []
+        assert core.uncorrected_errors == 1
+        assert session.inflight == {} and sys.getsizeof(session.inflight) == FRESH_DICT_SIZE
+        assert core.next_deadline() is None
+
+    def test_a_live_copy_acked_after_the_replay_gives_back_the_table(self):
+        core, session, ids = self._replayed(64)
+        outputs = core.handle("pub", Publish(topic="parking/summary", payload=b"0/64", qos=1,
+                                             packet_id=2), 1.2)
+        live = sends_of(outputs, Publish)[-1].packet
+        assert (live.retain, live.packet_id) == (False, 65)
+        for pid in ids:
+            core.handle("app", PubAck(packet_id=pid), 1.5)
+        assert list(session.inflight) == [65]
+        core.handle("app", PubAck(packet_id=65), 1.6)
+        assert sys.getsizeof(session.inflight) == FRESH_DICT_SIZE
+
+    def test_a_live_only_session_keeps_its_table(self):
+        core, _ = TestRedelivery()._setup_inflight()
+        session = core.sessions["subscriber"]
+        table = session.inflight
+        core.handle("sub", PubAck(packet_id=1), 0.5)
+        assert session.inflight is table and table == {}
+
+    def test_a_qos0_replay_leaves_the_table_alone(self):
+        core = BrokerCore()
+        connect(core, "pub", "publisher")
+        core.handle("pub", Publish(topic="t/x", payload=b"p", qos=1, retain=True, packet_id=1), 0.0)
+        connect(core, "sub", "subscriber")
+        core.handle("sub", Subscribe(packet_id=1, filters=(("t/#", 0),)), 1.0)
+        session = core.sessions["subscriber"]
+        assert session.inflight == {} and not session.replayed
 
 
 class TestKeepalive:

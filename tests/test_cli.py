@@ -34,6 +34,9 @@ STOCK_DAY_SHA256 = {
     "report.txt": "f6d132dc71581fef2e94119175bb8eb804f65bd08ced7a079a3eb02e688adc09",
 }
 
+# a meta header with nothing but the duration report.txt needs
+META = '{"t": 0.0, "kind": "meta", "config": {"duration_s": 60}}'
+
 RUNNERS = (cli._run_broker, cli._run_simulate, cli._run_watch, cli._run_analyze, cli._run_report)
 
 
@@ -412,6 +415,18 @@ class TestSimulateAndReport:
         assert capsys.readouterr().err == "parksim: config error: seed must be >= 0\n"
         assert not out_dir.exists()
 
+    def test_duration_past_the_window_limit_exits_2_with_one_line(self, tmp_path, capsys):
+        # metrics.csv's Aggregator would refuse it after the run had started
+        scenario = tmp_path / "day.cfg"
+        scenario.write_text(DAY_CFG.replace("duration_s = 1800", "duration_s = 1e12"),
+                            encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out_dir)]) \
+            == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "parksim: config error: duration_s 1e+12 makes more than 100000 windows of 3600 s\n")
+        assert not out_dir.exists()
+
     def test_simulate_in_two_processes_with_different_hash_seeds(self, tmp_path):
         # the outputs must not depend on str hashing, say through set order;
         # gas samples and a lossy link bring in every stream the run draws,
@@ -493,23 +508,26 @@ class TestSimulateAndReport:
         assert err.startswith(f"parksim: config error: {error}") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("record, error", [
-        ('{"t": 1.0, "kind": "publish"}', "a publish or deliver record is malformed: KeyError"),
-        ('{"t": 1.0, "kind": "publish", "bytes": null}',
+    @pytest.mark.parametrize("header, record, error", [
+        (META, '{"t": 1.0, "kind": "publish"}',
+         "a publish or deliver record is malformed: KeyError"),
+        (META, '{"t": 1.0, "kind": "publish", "bytes": null}',
          "a publish or deliver record is malformed: TypeError"),
-        ('{"t": 1.0, "kind": "publish", "bytes": 1%s}' % ("0" * 400,),
+        (META, '{"t": 1.0, "kind": "publish", "bytes": 1%s}' % ("0" * 400,),
          "a publish or deliver record is malformed: OverflowError"),
-        ('{"t": [1], "kind": "car_parks"}', "record 1: float() argument"),
-        ('{"t": 1%s, "kind": "car_parks"}' % ("0" * 400,), "record 1: int too large"),
-        ('{"t": 1.0, "kind": ["car_parks"]}', "record 1: unhashable type"),
+        (META, '{"t": [1], "kind": "car_parks"}', "record 1: float() argument"),
+        (META, '{"t": 1%s, "kind": "car_parks"}' % ("0" * 400,), "record 1: int too large"),
+        (META, '{"t": 1.0, "kind": ["car_parks"]}', "record 1: unhashable type"),
+        ('{"t": 0.0, "kind": "meta", "rng_streams": [1], "config": {"duration_s": 60}}',
+         '{"t": 1.0, "kind": "car_parks"}', "record 0: rng_streams is not a list of strings"),
     ], ids=["publish without bytes", "null bytes", "bytes past float", "t not a number",
-            "t past float", "kind not a string"])
-    def test_report_on_a_record_it_cannot_read_exits_2(self, tmp_path, capsys, record, error):
-        # a record after a good header that the tally or its aggregator
-        # cannot read is refused like a malformed line, without a traceback
+            "t past float", "kind not a string", "rng_streams not strings"])
+    def test_report_on_a_record_it_cannot_read_exits_2(self, tmp_path, capsys, header, record,
+                                                        error):
+        # a record that the tally or its aggregator cannot read is refused
+        # like a malformed line, without a traceback
         path = tmp_path / "events.jsonl"
-        path.write_text('{"t": 0.0, "kind": "meta", "config": {"duration_s": 60}}\n'
-                        + record + "\n", encoding="utf-8")
+        path.write_text(header + "\n" + record + "\n", encoding="utf-8")
         out = tmp_path / "r.txt"
         with _no_resource_warning():
             assert cli.main(["report", "--in", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
