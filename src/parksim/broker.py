@@ -17,8 +17,15 @@ that requests QoS 2 is granted QoS 1, the highest this subset speaks
 QoS-1 bookkeeping doubles as the error-recovery model: an outbound publish
 whose first transmission times out unacknowledged counts as an error, a
 later acknowledged retry marks it corrected, and exhausting max_retries
-marks it uncorrected. A packet id is not reused while its message is in
-flight (MQTT 3.1.1 §2.3.1); a copy that finds all 65,535 ids of its
+marks it uncorrected. Packet ids come from one counter per core, handed
+out in turn and wrapping from 65535 to 1. A message takes one id, and its
+qos-1 copies share one Publish carrying it; its qos-0 copies share another.
+An id is scoped to its session and is not reused while that session has it
+in flight (MQTT 3.1.1 §2.3.1), so a session still holding the message's id
+gets its own Publish with the next id free in its table. The first qos-1
+copy's session settles the message's id, and the counter moves on past it,
+so a core whose messages reach one qos-1 subscriber hands that session the
+ids a per-session counter would. A copy that finds all 65,535 ids of its
 session in flight is not sent and counts as uncorrected.
 
 Time enters through one timer: every inflight entry and every session with
@@ -103,7 +110,7 @@ class Inflight:
         self.retries = 0            # resends so far; a PUBACK after one corrects an error
 
 
-@dataclass
+@dataclass(slots=True)
 class Session:
     client_id: str
     conn_id: str
@@ -113,7 +120,6 @@ class Session:
     inflight: dict[int, Inflight] = field(default_factory=dict)
     replayed: bool = False    # a retained replay put copies in `inflight` since it last emptied
     last_seen_t: float = 0.0
-    next_packet_id: int = 1
     connect_seq: int = 0      # connect order; keys its subscription-trie entries, orders fan-out
 
 
@@ -245,6 +251,7 @@ class BrokerCore:
         self.retained: dict[str, tuple[bytes, int]] = {}
         self.corrected_errors = 0
         self.uncorrected_errors = 0
+        self.next_packet_id = 1  # the id of the next message with a qos-1 copy
         self._subscription_trie = _Node()
         self._retained_trie = _Node()
         self._seq = itertools.count()  # insertion order of sessions and retained topics
@@ -386,24 +393,36 @@ class BrokerCore:
         targets: Iterable[tuple[Session, int]], now: float,
     ) -> None:
         """Append to `outputs` the frame of each (session, granted qos) target's
-        copy of one message, at the lower of `qos` and the granted qos. A
-        qos-1 copy is lost instead when every packet id of its session is in
-        flight."""
+        copy of one message, at the lower of `qos` and the granted qos. The
+        qos-0 copies share one Publish, and so do the qos-1 copies: the first
+        qos-1 copy takes the counter's next id free in its session's table,
+        and a later session that holds that id takes the next id free in its
+        own table and a Publish of its own. A qos-1 copy is lost instead when
+        every packet id of its session is in flight."""
         deadline = now + self.ack_timeout_s
+        plain = shared = None  # the qos-0 and the qos-1 Publish of this message
+        shared_id = self.next_packet_id
         for session, granted in targets:
             if qos == 0 or granted == 0:
-                outputs.append(Send(session.conn_id, Publish(topic, payload, 0, retain, False, None)))
+                if plain is None:
+                    plain = Publish(topic, payload, 0, retain, False, None)
+                outputs.append(Send(session.conn_id, plain))
                 continue
             inflight = session.inflight
-            packet_id = session.next_packet_id
+            publish = shared
+            packet_id = shared_id
             if packet_id in inflight:  # only after a wrap: the search is the rare path
                 packet_id = codec.free_packet_id(packet_id, inflight)
                 if packet_id is None:
                     self.uncorrected_errors += 1
                     self._emit("error_uncorrected", client_id=session.client_id, topic=topic)
                     continue
-            session.next_packet_id = packet_id % 0xFFFF + 1
-            publish = Publish(topic, payload, 1, retain, False, packet_id)
+                publish = None
+            if publish is None:
+                publish = Publish(topic, payload, 1, retain, False, packet_id)
+                if shared is None:
+                    shared, shared_id = publish, packet_id
+                    self.next_packet_id = packet_id % 0xFFFF + 1
             inflight[packet_id] = Inflight(publish, now, deadline)
             outputs.append(Send(session.conn_id, publish))
 

@@ -18,6 +18,7 @@ from parksim.codec import (
     Subscribe,
     UnsubAck,
     Unsubscribe,
+    free_packet_id,
     topic_matches,
 )
 
@@ -366,7 +367,7 @@ class TestPacketIds:
         core, _ = TestRedelivery()._setup_inflight()  # t/x as id 1, deadline 2.0
         core.handle("pub", Publish(topic="t/y", payload=b"q", qos=1, packet_id=2), 0.5)
         session = core.sessions["subscriber"]
-        session.next_packet_id = 1  # where 65535 more ids would have left it
+        core.next_packet_id = 1  # where 65535 more messages would have left it
         outputs = core.handle("pub", Publish(topic="t/z", payload=b"r", qos=1, packet_id=3), 1.0)
         assert sends_of(outputs, Publish)[0].packet.packet_id == 3
         assert {pid: entry.publish.topic for pid, entry in session.inflight.items()} == {
@@ -387,14 +388,49 @@ class TestPacketIds:
 
     def test_allocator_wraps_from_65535_to_1(self):
         core, _ = TestRedelivery()._setup_inflight()  # id 1 in flight
-        session = core.sessions["subscriber"]
-        session.next_packet_id = 0xFFFF
+        core.next_packet_id = 0xFFFF
         ids = []
         for n, topic in ((2, "t/y"), (3, "t/z")):
             outputs = core.handle("pub", Publish(topic=topic, payload=b"q", qos=1, packet_id=n), 0.5)
             ids.append(sends_of(outputs, Publish)[0].packet.packet_id)
         assert ids == [0xFFFF, 2]
-        assert session.next_packet_id == 3
+        assert core.next_packet_id == 3
+
+    def test_copies_share_the_messages_id_and_publish_unless_their_session_holds_it(self):
+        # ids are scoped per session (MQTT 3.1.1 §2.3.1): two sessions may
+        # carry one id, so their copies can be one object
+        core = BrokerCore(ack_timeout_s=2.0)
+        connect(core, "pub", "publisher")
+        for conn in ("s1", "s2", "s3"):
+            connect(core, conn, conn)
+        core.handle("s2", Subscribe(packet_id=1, filters=(("t/#", 1),)), 0.0)
+        for n, topic in ((1, "t/a"), (2, "t/b")):
+            core.handle("pub", Publish(topic=topic, payload=b"h", qos=1, packet_id=n), 0.0)
+        for conn in ("s1", "s3"):
+            core.handle(conn, Subscribe(packet_id=1, filters=(("t/#", 1),)), 0.0)
+        assert list(core.sessions["s2"].inflight) == [1, 2]
+        core.next_packet_id = 1  # where 65535 more messages would have left it
+        outputs = core.handle("pub", Publish(topic="t/x", payload=b"p", qos=1, packet_id=2), 1.0)
+        copies = {o.conn_id: o.packet for o in sends_of(outputs, Publish)}
+        assert list(copies) == ["s1", "s2", "s3"]
+        assert copies["s1"] is copies["s3"] and copies["s1"].packet_id == 1
+        assert copies["s2"] is not copies["s1"]
+        assert copies["s2"] == Publish(topic="t/x", payload=b"p", qos=1, packet_id=3)
+        for conn in ("s1", "s2", "s3"):
+            assert core.sessions[conn].inflight[copies[conn].packet_id].publish is copies[conn]
+        assert core.next_packet_id == 2
+
+    def test_qos0_copies_share_one_publish(self):
+        core = BrokerCore()
+        connect(core, "pub", "publisher")
+        for conn, qos in (("s1", 0), ("s2", 1), ("s3", 0)):
+            connect(core, conn, conn)
+            core.handle(conn, Subscribe(packet_id=1, filters=(("t/#", qos),)), 0.0)
+        outputs = core.handle("pub", Publish(topic="t/x", payload=b"p", qos=0), 1.0)
+        copies = [o.packet for o in sends_of(outputs, Publish)]
+        assert copies == [Publish(topic="t/x", payload=b"p")] * 3
+        assert copies[0] is copies[1] is copies[2]
+        assert core.next_packet_id == 1  # no qos-1 copy, so no id taken
 
     def test_no_free_id_drops_the_copy_as_uncorrected(self):
         events = []
@@ -654,9 +690,11 @@ def _scripts(draw):
         "disconnect": st.tuples(st.just("disconnect"), client),
         "closed": st.tuples(st.just("closed"), client),
         "sweep": st.tuples(st.just("sweep")),
+        "wrap": st.tuples(st.just("wrap"), client, st.integers(0, 7)),
     }
-    # publishes and subscribes carry the matching; the other kinds change state
-    kind = st.sampled_from(("publish",) * 4 + ("subscribe",) * 3 + tuple(steps))
+    # publishes and subscribes carry the matching, and wraps the id collisions
+    # (a wrap finds a copy in flight only now and then); the other kinds change state
+    kind = st.sampled_from(("publish",) * 4 + ("subscribe",) * 3 + ("wrap",) * 2 + tuple(steps))
     step = kind.flatmap(steps.__getitem__)
     return draw(st.lists(step, min_size=10, max_size=40))
 
@@ -672,6 +710,16 @@ def _apply(core, step, now):
     if client not in core.sessions:  # act on a live session, not "packet before CONNECT"
         outputs += core.handle(f"{client}-auto", Connect(client_id=client), now)
     conn = core.sessions[client].conn_id
+    if kind == "wrap":
+        # 65,535 messages later the counter may sit on an id still in flight:
+        # put it there, then publish that copy's topic again at qos 1
+        held = [entry.publish for session in core.sessions.values()
+                for entry in session.inflight.values()]
+        if not held:
+            return outputs
+        sent = held[step[2] % len(held)]
+        core.next_packet_id = sent.packet_id
+        kind, step = "publish", ("publish", client, sent.topic, 1, False, b"w")
     if kind == "subscribe":
         packet = Subscribe(packet_id=1, filters=tuple(step[2]))
     elif kind == "unsubscribe":
@@ -732,13 +780,41 @@ def _assert_no_leaked_nodes(core):
         assert core._retained_trie.is_empty()
 
 
+def _assert_copies_shared(core, outputs, held):
+    """No qos-1 copy of a published message takes an id its session `held`
+    before the step. The qos-0 copies are one Publish, and so are the qos-1
+    copies, but for those to sessions that held the message's id: each of
+    those carries the next id free there, in a Publish of its own."""
+    copies = [(core.conn_sessions[o.conn_id], o.packet) for o in outputs
+              if isinstance(o, Send) and type(o.packet) is Publish]
+    assert len({id(packet) for _, packet in copies if packet.qos == 0}) <= 1
+    qos1 = [(session, packet) for session, packet in copies if packet.qos == 1]
+    if not qos1:
+        return
+    shared = qos1[0][1]
+    for session, packet in qos1:
+        before = held.get(session.client_id, ())
+        assert packet.packet_id not in before
+        if shared.packet_id in before:
+            assert packet is not shared
+            assert packet.packet_id == free_packet_id(shared.packet_id, before)
+        else:
+            assert packet is shared
+
+
 @settings(max_examples=300)
 @given(_scripts())
 def test_indexed_core_matches_brute_force_reference(steps):
     indexed, reference = BrokerCore(), BruteForceCore()
     for n, step in enumerate(steps):
         now = float(n)
-        assert _apply(indexed, step, now) == _apply(reference, step, now), step
+        held = {client: set(session.inflight) for client, session in indexed.sessions.items()}
+        outputs = _apply(indexed, step, now)
+        assert outputs == _apply(reference, step, now), step
+        if step[0] in ("publish", "wrap"):
+            _assert_copies_shared(indexed, outputs, held)
+        for session in indexed.sessions.values():
+            assert all(pid == entry.publish.packet_id for pid, entry in session.inflight.items())
         assert list(indexed.retained.items()) == list(reference.retained.items())
         _assert_no_leaked_nodes(indexed)
         assert indexed.next_deadline() == _brute_force_deadline(indexed)
