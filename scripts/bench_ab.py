@@ -24,8 +24,12 @@ change's median is worse than the parent's by more than the metric's
 pair's raw values. With --trace-seed, each seed given adds one `--trace 1`
 run per side, in the same alternating order; `trace` holds every traced
 run and, per side, the median of each metric over them, so one slow spell
-cannot decide the per-layer figures. The entry is merged into --out, so
-one file can hold several workloads.
+cannot decide the per-layer figures. A traced run may do a different
+amount of work on each side (`fanout` runs jobs until its time is up), so
+its totals do not compare; each traced run therefore also holds
+`<span>_us_per_call`, its `<span>_s` over its `<span>_calls`, for the spans
+of PER_CALL_SPANS it timed, and the medians cover those too. The entry is
+merged into --out, so one file can hold several workloads.
 Nothing under perfbench/ is changed.
 
 With --claim METRIC, `claimed` in --out also holds the verdict, which is
@@ -49,6 +53,9 @@ import tempfile
 from importlib import metadata
 
 RUN_TIMEOUT_S = 900
+# spans whose traced total time is also given per call
+PER_CALL_SPANS = ("broker.handle", "broker.redeliver", "controller.handle", "codec.encode",
+                  "codec.decode")
 
 
 def git(args: list[str], env: dict | None = None) -> str:
@@ -126,6 +133,17 @@ def summarize(runs: list[dict], declared: list[dict]) -> dict:
     return metrics
 
 
+def with_per_call(metrics: dict[str, float]) -> dict[str, float]:
+    """`metrics` plus `<span>_us_per_call` for each span of PER_CALL_SPANS
+    that has both `<span>_s` and a nonzero `<span>_calls`."""
+    derived = {}
+    for span in PER_CALL_SPANS:
+        total, calls = metrics.get(f"{span}_s"), metrics.get(f"{span}_calls")
+        if total is not None and calls:
+            derived[f"{span}_us_per_call"] = total * 1e6 / calls
+    return {**metrics, **derived}
+
+
 def trace_medians(runs: list[dict[str, float]]) -> dict[str, float]:
     """Per metric, the median over one side's traced runs."""
     return {name: statistics.median(run[name] for run in runs)
@@ -194,7 +212,8 @@ def main(argv: list[str]) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed}
             for side in order:
-                pair[side] = run_side(roots[side], args.workload, seed, args.seconds, 1)["metrics"]
+                pair[side] = with_per_call(
+                    run_side(roots[side], args.workload, seed, args.seconds, 1)["metrics"])
             traced.append(pair)
             print(f"traced pair {i + 1}/{len(args.trace_seed)} seed {seed}", flush=True)
 
@@ -251,6 +270,12 @@ def main(argv: list[str]) -> int:
               f"{m['parent_iqr']:>10.4g}{m['median_gap']:>10.4g}{str(m['within_bound']):>10}")
     print(f"correct {entry['correct']}, failed {entry['failed']}, every median within its bound "
           f"{all(m['within_bound'] for m in entry['metrics'].values())}; wrote {args.out}")
+    if traced:
+        for name in entry["trace"]["parent"]:
+            if name.endswith("_us_per_call") and name in entry["trace"]["change"]:
+                print(f"traced {name}: {entry['trace']['parent'][name]:.4g} -> "
+                      f"{entry['trace']['change'][name]:.4g} us (median over "
+                      f"{len(traced)} traced runs per side)")
     if verdict is not None:
         m = entry["metrics"][args.claim]
         print(f"claim {args.claim} on {args.workload}: {'met' if verdict['met'] else 'NOT met'} "

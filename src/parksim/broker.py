@@ -26,7 +26,11 @@ gets its own Publish with the next id free in its table. The first qos-1
 copy's session settles the message's id, and the counter moves on past it,
 so a core whose messages reach one qos-1 subscriber hands that session the
 ids a per-session counter would. A copy that finds all 65,535 ids of its
-session in flight is not sent and counts as uncorrected.
+session in flight is not sent and counts as uncorrected. The copies that
+share a Publish share one inflight entry too; a copy with a Publish of its
+own, and each retained-replay copy, gets an entry of its own. An entry is
+never changed once stored: a resend replaces it in its session's table with
+a fresh one, so it never moves another session's deadline or retry count.
 
 Time enters through one timer: every inflight entry and every session with
 a keep-alive carries an absolute deadline, next_deadline() reports the
@@ -99,15 +103,17 @@ BrokerOutput = Send | Close
 
 
 class Inflight:
-    """A qos-1 copy awaiting its PUBACK."""
+    """A qos-1 copy awaiting its PUBACK; shared by every session that got the
+    same Publish, and never changed once stored (a resend stores a new one)."""
 
     __slots__ = ("publish", "accept_t", "deadline", "retries")
 
-    def __init__(self, publish: Publish, accept_t: float, deadline: float) -> None:
+    def __init__(self, publish: Publish, accept_t: float, deadline: float,
+                 retries: int = 0) -> None:
         self.publish = publish      # qos-1 frame as first sent (dup clear)
         self.accept_t = accept_t    # when the broker accepted the originating message
-        self.deadline = deadline    # last transmission time + ack timeout
-        self.retries = 0            # resends so far; a PUBACK after one corrects an error
+        self.deadline = deadline    # time of the transmission it was stored for + ack timeout
+        self.retries = retries      # resends up to that transmission; a PUBACK after one corrects an error
 
 
 @dataclass(slots=True)
@@ -394,13 +400,14 @@ class BrokerCore:
     ) -> None:
         """Append to `outputs` the frame of each (session, granted qos) target's
         copy of one message, at the lower of `qos` and the granted qos. The
-        qos-0 copies share one Publish, and so do the qos-1 copies: the first
-        qos-1 copy takes the counter's next id free in its session's table,
-        and a later session that holds that id takes the next id free in its
-        own table and a Publish of its own. A qos-1 copy is lost instead when
-        every packet id of its session is in flight."""
+        qos-0 copies share one Publish, and the qos-1 copies share another
+        and one inflight entry: the first qos-1 copy takes the counter's next
+        id free in its session's table, and a later session that holds that
+        id takes the next id free in its own table, with a Publish and an
+        entry of its own. A qos-1 copy is lost instead when every packet id
+        of its session is in flight."""
         deadline = now + self.ack_timeout_s
-        plain = shared = None  # the qos-0 and the qos-1 Publish of this message
+        plain = shared = entry = None  # the qos-0 and the qos-1 Publish, the qos-1 entry
         shared_id = self.next_packet_id
         for session, granted in targets:
             if qos == 0 or granted == 0:
@@ -409,22 +416,24 @@ class BrokerCore:
                 outputs.append(Send(session.conn_id, plain))
                 continue
             inflight = session.inflight
-            publish = shared
-            packet_id = shared_id
-            if packet_id in inflight:  # only after a wrap: the search is the rare path
-                packet_id = codec.free_packet_id(packet_id, inflight)
+            if shared_id in inflight:  # only after a wrap: the search is the rare path
+                packet_id = codec.free_packet_id(shared_id, inflight)
                 if packet_id is None:
                     self.uncorrected_errors += 1
                     self._emit("error_uncorrected", client_id=session.client_id, topic=topic)
                     continue
-                publish = None
-            if publish is None:
-                publish = Publish(topic, payload, 1, retain, False, packet_id)
-                if shared is None:
-                    shared, shared_id = publish, packet_id
-                    self.next_packet_id = packet_id % 0xFFFF + 1
-            inflight[packet_id] = Inflight(publish, now, deadline)
-            outputs.append(Send(session.conn_id, publish))
+                if shared is not None:
+                    own = Publish(topic, payload, 1, retain, False, packet_id)
+                    inflight[packet_id] = Inflight(own, now, deadline)
+                    outputs.append(Send(session.conn_id, own))
+                    continue
+                shared_id = packet_id
+            if shared is None:
+                shared = Publish(topic, payload, 1, retain, False, shared_id)
+                entry = Inflight(shared, now, deadline)
+                self.next_packet_id = shared_id % 0xFFFF + 1
+            inflight[shared_id] = entry
+            outputs.append(Send(session.conn_id, shared))
 
     # -- timers ----------------------------------------------------------
 
@@ -463,10 +472,11 @@ class BrokerCore:
                     self._emit("error_uncorrected", client_id=session.client_id,
                                topic=entry.publish.topic)
                     continue
-                entry.retries += 1
-                entry.deadline = now + self.ack_timeout_s
-                inflight[packet_id] = entry  # back of the deadline order
                 first = entry.publish
+                # a fresh entry, at the back of the deadline order: other
+                # sessions may still hold the popped one
+                inflight[packet_id] = Inflight(first, entry.accept_t, now + self.ack_timeout_s,
+                                               entry.retries + 1)
                 outputs.append(Send(session.conn_id, Publish(
                     first.topic, first.payload, 1, first.retain, True, packet_id)))
             if session.replayed and not inflight:

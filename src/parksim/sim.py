@@ -348,7 +348,8 @@ class Simulation:
     def _send_to_broker(self, source: str, packet: codec.MqttPacket) -> None:
         self._push(self.now + self.cfg.network.latency_s, PacketDelivery(BROKER_CONN, source, packet))
 
-    def _dispatch_broker_outputs(self, outputs: list[Send | Close]) -> None:
+    def _dispatch_broker_outputs(self, outputs: list[Send | Close], resent: bool = False) -> None:
+        # a copy was accepted now unless it is `resent` (tick's output)
         for output in outputs:
             if type(output) is Close:
                 self._record("conn_close", client_id=output.client_id or output.conn_id,
@@ -356,7 +357,7 @@ class Simulation:
                 continue
             packet = output.packet
             if isinstance(packet, codec.Publish):
-                accept_t = self._accept_time(output.conn_id, packet)
+                accept_t = self._accept_time(output.conn_id, packet) if resent else self.now
                 if packet.qos == 1:
                     # whether or not the frame survives the wire, its ack
                     # window is now one of the broker's deadlines
@@ -378,6 +379,8 @@ class Simulation:
                 )
 
     def _accept_time(self, conn_id: str, packet: codec.Publish) -> float:
+        # a resent copy's accept time; now if the same tick's keep-alive
+        # sweep dropped its session
         if packet.qos == 1 and packet.packet_id is not None:
             session = self.broker.conn_sessions.get(conn_id)
             if session is not None:
@@ -515,7 +518,7 @@ class Simulation:
 
     def _on_broker_timer(self, event: BrokerTimer) -> None:
         self.broker_timer_pending = False
-        self._dispatch_broker_outputs(self.broker.tick(self.now))
+        self._dispatch_broker_outputs(self.broker.tick(self.now), resent=True)
         self._arm_broker_timer()
 
     def _arm_broker_timer(self) -> None:

@@ -1,4 +1,5 @@
-"""scripts/bench_ab.py's verdicts: the claim check and the end-to-end bound check."""
+"""scripts/bench_ab.py's verdicts (the claim check and the end-to-end bound
+check) and its per-call figures of traced runs."""
 
 import importlib.util
 from pathlib import Path
@@ -91,3 +92,24 @@ def test_claim_fails_on_more_failed_operations():
     verdict = bench_ab.claim_verdict(_metric(PARENT, [20.8] * 10, wins=10), 10,
                                      {"parent": 0, "change": 1})
     assert verdict["no_more_failures"] is False and verdict["met"] is False
+
+
+def test_per_call_figures_compare_traced_runs_of_unequal_work():
+    # the change side ran fewer calls, so its larger total hides a faster call
+    parent = {"broker.handle_s": 3.2, "broker.handle_calls": 800_000,
+              "codec.encode_s": 0.5, "codec.encode_calls": 0,
+              "controller.handle_s": 1.0, "sim.records": 7}
+    change = {"broker.handle_s": 3.6, "broker.handle_calls": 1_200_000}
+    assert bench_ab.with_per_call(parent) == {
+        **parent, "broker.handle_us_per_call": pytest.approx(4.0)}  # nothing for 0 or no calls
+    runs = {
+        "parent": [bench_ab.with_per_call(parent),
+                   bench_ab.with_per_call({**parent, "broker.handle_calls": 640_000})],
+        "change": [bench_ab.with_per_call(change),
+                   bench_ab.with_per_call({**change, "broker.handle_s": 3.0})],
+    }
+    medians = {side: bench_ab.trace_medians(side_runs) for side, side_runs in runs.items()}
+    assert medians["parent"]["broker.handle_s"] < medians["change"]["broker.handle_s"]
+    assert medians["parent"]["broker.handle_us_per_call"] == pytest.approx((4.0 + 5.0) / 2)
+    assert medians["change"]["broker.handle_us_per_call"] == pytest.approx((3.0 + 2.5) / 2)
+    assert "codec.encode_us_per_call" not in medians["parent"]

@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parksim import broker
 from parksim.broker import BrokerCore, Close, Send
 from parksim.codec import (
     ConnAck,
@@ -348,6 +349,35 @@ class TestRedelivery:
         assert deadline == 0.05 + 2.0
         assert [o.packet.dup for o in core.tick(deadline)] == [True]
 
+    def test_a_resend_stores_a_fresh_entry_and_leaves_the_shared_one_alone(self):
+        # copies sharing a Publish share their entry, so they fall due
+        # together; each resend stores an entry of its own
+        core = BrokerCore(ack_timeout_s=2.0, max_retries=3)
+        connect(core, "pub", "publisher")
+        for conn in ("s1", "s2", "s3"):
+            connect(core, conn, conn)
+            core.handle(conn, Subscribe(packet_id=1, filters=(("t/#", 1),)), 0.0)
+        outputs = core.handle("pub", Publish(topic="t/x", payload=b"p", qos=1, packet_id=1), 0.0)
+        pid = sends_of(outputs, Publish)[0].packet.packet_id
+        shared = core.sessions["s1"].inflight[pid]
+        assert all(core.sessions[conn].inflight[pid] is shared for conn in ("s1", "s2", "s3"))
+        assert (shared.retries, shared.deadline) == (0, 2.0)
+
+        resends = core.tick(2.0)
+        assert [(o.conn_id, o.packet.packet_id, o.packet.dup) for o in resends] == [
+            ("s1", pid, True), ("s2", pid, True), ("s3", pid, True)]
+        entries = [core.sessions[conn].inflight[pid] for conn in ("s1", "s2", "s3")]
+        assert len({id(entry) for entry in entries + [shared]}) == 4
+        for entry in entries:
+            assert (entry.publish, entry.accept_t, entry.deadline, entry.retries) == (
+                shared.publish, 0.0, 4.0, 1)
+        assert (shared.retries, shared.deadline) == (0, 2.0)  # never changed once stored
+
+        core.handle("s1", PubAck(packet_id=pid), 2.5)
+        assert (core.corrected_errors, core.uncorrected_errors) == (1, 0)
+        assert [core.sessions[conn].inflight[pid] for conn in ("s2", "s3")] == entries[1:]
+        assert core.next_deadline() == 4.0
+
     def test_resend_moves_to_the_back_of_the_deadline_order(self):
         core, first = self._setup_inflight()
         outputs = core.handle("pub", Publish(topic="t/y", payload=b"q", qos=1, packet_id=2), 1.0)
@@ -416,9 +446,33 @@ class TestPacketIds:
         assert copies["s1"] is copies["s3"] and copies["s1"].packet_id == 1
         assert copies["s2"] is not copies["s1"]
         assert copies["s2"] == Publish(topic="t/x", payload=b"p", qos=1, packet_id=3)
-        for conn in ("s1", "s2", "s3"):
-            assert core.sessions[conn].inflight[copies[conn].packet_id].publish is copies[conn]
+        entries = {conn: core.sessions[conn].inflight[copies[conn].packet_id]
+                   for conn in ("s1", "s2", "s3")}
+        for conn, entry in entries.items():
+            assert entry.publish is copies[conn]
+        # the copies sharing a Publish share its entry; s2's own copy has its own
+        assert entries["s1"] is entries["s3"] and entries["s2"] is not entries["s1"]
         assert core.next_packet_id == 2
+
+    @pytest.mark.parametrize("subscribers", [1, 3, 64])
+    def test_a_publish_to_n_subscribers_builds_one_inflight_entry(self, monkeypatch, subscribers):
+        core = BrokerCore()
+        connect(core, "pub", "publisher")
+        for n in range(subscribers):
+            connect(core, f"s{n}", f"s{n}")
+            core.handle(f"s{n}", Subscribe(packet_id=1, filters=(("t/#", 1),)), 0.0)
+        built = []
+        real = broker.Inflight
+
+        def counted(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(broker, "Inflight", counted)
+        core.handle("pub", Publish(topic="t/x", payload=b"p", qos=1, packet_id=1), 1.0)
+        assert len(built) == 1
+        assert all(session.inflight == {1: built[0]} for session in core.sessions.values()
+                   if session.client_id != "publisher")
 
     def test_qos0_copies_share_one_publish(self):
         core = BrokerCore()
@@ -691,10 +745,13 @@ def _scripts(draw):
         "closed": st.tuples(st.just("closed"), client),
         "sweep": st.tuples(st.just("sweep")),
         "wrap": st.tuples(st.just("wrap"), client, st.integers(0, 7)),
+        "share": st.tuples(st.just("share"), client, topic),
     }
-    # publishes and subscribes carry the matching, and wraps the id collisions
-    # (a wrap finds a copy in flight only now and then); the other kinds change state
-    kind = st.sampled_from(("publish",) * 4 + ("subscribe",) * 3 + ("wrap",) * 2 + tuple(steps))
+    # publishes and subscribes carry the matching, wraps the id collisions (a
+    # wrap finds a copy in flight only now and then) and shares the copies
+    # of one message held by several sessions; the other kinds change state
+    kind = st.sampled_from(("publish",) * 4 + ("subscribe",) * 3 + ("wrap",) * 2 + ("share",) * 2
+                           + tuple(steps))
     step = kind.flatmap(steps.__getitem__)
     return draw(st.lists(step, min_size=10, max_size=40))
 
@@ -720,6 +777,15 @@ def _apply(core, step, now):
         sent = held[step[2] % len(held)]
         core.next_packet_id = sent.packet_id
         kind, step = "publish", ("publish", client, sent.topic, 1, False, b"w")
+    elif kind == "share":
+        # every client subscribes to the topic at qos 1, so that the publish
+        # that follows has a qos-1 copy for each of them
+        for other in CLIENTS:
+            if other not in core.sessions:
+                outputs += core.handle(f"{other}-auto", Connect(client_id=other), now)
+            outputs += core.handle(core.sessions[other].conn_id,
+                                   Subscribe(packet_id=1, filters=((step[2], 1),)), now)
+        kind, step = "publish", ("publish", client, step[2], 1, False, b"s")
     if kind == "subscribe":
         packet = Subscribe(packet_id=1, filters=tuple(step[2]))
     elif kind == "unsubscribe":
@@ -802,6 +868,22 @@ def _assert_copies_shared(core, outputs, held):
             assert packet is shared
 
 
+def _assert_entries_shared(core):
+    """Every inflight key is its entry's packet id, and sessions hold one
+    entry object exactly when they hold the same Publish and neither copy
+    was resent: a resend stores an entry of its own."""
+    by_publish = {}
+    for session in core.sessions.values():
+        for pid, entry in session.inflight.items():
+            assert pid == entry.publish.packet_id
+            by_publish.setdefault(id(entry.publish), []).append(entry)
+    for entries in by_publish.values():
+        first = [entry for entry in entries if entry.retries == 0]
+        assert all(entry is first[0] for entry in first)
+        resent = [id(entry) for entry in entries if entry.retries]
+        assert len(set(resent)) == len(resent)
+
+
 @settings(max_examples=300)
 @given(_scripts())
 def test_indexed_core_matches_brute_force_reference(steps):
@@ -813,8 +895,7 @@ def test_indexed_core_matches_brute_force_reference(steps):
         assert outputs == _apply(reference, step, now), step
         if step[0] in ("publish", "wrap"):
             _assert_copies_shared(indexed, outputs, held)
-        for session in indexed.sessions.values():
-            assert all(pid == entry.publish.packet_id for pid, entry in session.inflight.items())
+        _assert_entries_shared(indexed)
         assert list(indexed.retained.items()) == list(reference.retained.items())
         _assert_no_leaked_nodes(indexed)
         assert indexed.next_deadline() == _brute_force_deadline(indexed)
