@@ -4,8 +4,10 @@ Supported packets: CONNECT, CONNACK, PUBLISH (QoS 0/1), PUBACK, SUBSCRIBE,
 SUBACK, UNSUBSCRIBE, UNSUBACK, PINGREQ, PINGRESP, DISCONNECT. QoS 2, wills,
 username/password and session resumption are out of scope; CONNECT frames
 that request them decode fine but are flagged so the broker can refuse them
-with return code 0x01. A SUBSCRIBE may request QoS 2 (the broker grants 1);
-a requested QoS above 2 is malformed (MQTT-3.8.3-4).
+with return code 0x01. A CONNECT whose Will QoS or Will Retain bits are
+set without the Will Flag, or whose Will QoS is 3, is malformed
+(MQTT-3.1.2-13 to -15). A SUBSCRIBE may request QoS 2 (the broker grants
+1); a requested QoS above 2 is malformed (MQTT-3.8.3-4).
 
 Each direction is one table lookup. decode_packet() parses the fixed header
 once (one byte of remaining length is the common case) and hands
@@ -20,9 +22,7 @@ decode_packet() is incremental: it returns None while the buffer holds only
 a prefix of a frame, and raises ProtocolError for bytes that can never
 become a valid frame. The remaining-length cap is enforced before any
 payload allocation. FrameSplitter turns one connection's byte stream into
-packets on top of it. frame_size() gives the length encode_packet() would
-produce for a PUBLISH, after the same checks and from the same arithmetic,
-without building the frame. A QoS 0 PUBLISH must not set DUP (MQTT-3.3.1-2):
+packets on top of it. A QoS 0 PUBLISH must not set DUP (MQTT-3.3.1-2):
 neither side encodes one, and decoding one is a protocol error.
 
 Packets are immutable `values.Value` classes: slotted, built positionally
@@ -248,9 +248,7 @@ def _frame(first: int, body: bytes) -> bytes:
     return _fixed_header(first, len(body)) + body
 
 
-def _publish_layout(packet: Publish) -> tuple[bytes, int]:
-    """Checks a PUBLISH as encode_packet() does; returns its UTF-8 topic and
-    its remaining length."""
+def _encode_publish(packet: Publish) -> bytes:
     try:
         validate_topic(packet.topic)
     except ValueError as exc:
@@ -270,27 +268,12 @@ def _publish_layout(packet: Publish) -> tuple[bytes, int]:
     if len(topic) > 0xFFFF:
         raise EncodeError(f"string too long for wire format ({len(topic)} bytes)")
     remaining = len(topic) + len(packet.payload) + (4 if qos else 2)
-    if remaining > MAX_REMAINING_LENGTH:
-        raise EncodeError(f"varint out of range: {remaining}")
-    return topic, remaining
-
-
-def frame_size(packet: Publish) -> int:
-    """len(encode_packet(packet)) for a PUBLISH, after the same checks,
-    without serializing it."""
-    remaining = _publish_layout(packet)[1]
-    varint_len = 1 if remaining < 0x80 else 2 if remaining < 0x4000 else 3 if remaining < 0x200000 else 4
-    return 1 + varint_len + remaining
-
-
-def _encode_publish(packet: Publish) -> bytes:
-    topic, remaining = _publish_layout(packet)
-    first = _PUBLISH << 4 | packet.dup << 3 | packet.qos << 1 | packet.retain
+    first = _PUBLISH << 4 | packet.dup << 3 | qos << 1 | packet.retain
     if remaining < 0x80:
         head = _BBH(first, remaining, len(topic))
     else:
         head = _fixed_header(first, remaining) + _U16(len(topic))
-    if packet.qos:
+    if qos:
         return b"".join((head, topic, _U16(packet.packet_id), packet.payload))
     return b"".join((head, topic, packet.payload))
 
@@ -487,10 +470,12 @@ def _decode_connect(flags, buf, start, stop) -> Connect:
     connect_flags = _byte(buf, i + 1, stop)
     if connect_flags & 0x01:
         raise ProtocolError("CONNECT reserved flag bit set")
+    will = bool(connect_flags & 0x04)
+    if connect_flags & 0x18 == 0x18 or not will and connect_flags & 0x38:  # MQTT-3.1.2-13..15
+        raise ProtocolError(f"malformed CONNECT will flags 0x{connect_flags & 0x3C:02X}")
     keep_alive = _u16(buf, i + 2, stop)
     client_id, i = _string(buf, i + 4, stop)
     clean_session = bool(connect_flags & 0x02)
-    will = bool(connect_flags & 0x04)
     username = bool(connect_flags & 0x80)
     password = bool(connect_flags & 0x40)
     if will:

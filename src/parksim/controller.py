@@ -1,13 +1,15 @@
 """Facility controller: sensor events in, actuator commands and publishes out.
 
 Each handler is a pure transition (state, config, reading) -> (new state,
-actions); the wrapper class below serializes events for the simulator. A
-handler builds its new `FacilityState` positionally, every field in slot
-order, copying the ones it does not set. A handler that refuses a reading
-says so with an `Anomaly` action, always the last of its list. The entrance
-check is check-then-decrement, so the vacancy counter can never go
-transiently negative; ghost exit detections at a fully vacant lot clamp the
-counter and are reported as anomalies instead of overflowing it.
+actions); the wrapper class below serializes events for the simulator,
+sensor readings and gate auto-close timeouts alike, through its one
+`handle` entry point. A handler builds its new `FacilityState`
+positionally, every field in slot order, copying the ones it does not
+set. A handler that refuses a reading says so with an `Anomaly` action,
+always the last of its list. The entrance check is check-then-decrement,
+so the vacancy counter can never go transiently negative; ghost exit
+detections at a fully vacant lot clamp the counter and are reported as
+anomalies instead of overflowing it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .values import Value
 log = logging.getLogger(__name__)
 
 
-# Sensor-side events; the simulator stamps each record with its own clock.
+# Controller events; the simulator stamps each record with its own clock.
 
 class EntranceDetect(Value):
     __slots__ = ()
@@ -55,7 +57,11 @@ class GasReading(Value):
     __slots__ = ("ppm",)
 
 
-ControllerEvent = EntranceDetect | ExitDetect | SlotUpdate | EnvReading | GasReading
+class GateTimeout(Value):
+    __slots__ = ("gate",)  # "entrance" or "exit": its auto-close timer fired
+
+
+ControllerEvent = EntranceDetect | ExitDetect | SlotUpdate | EnvReading | GasReading | GateTimeout
 
 
 def slot_topic(cfg: FacilityConfig, slot_id: int) -> str:
@@ -243,7 +249,9 @@ def initial_actions(state: FacilityState, cfg: FacilityConfig) -> list[ControlAc
 class Controller:
     """Event-serialized wrapper around the pure handlers.
 
-    One event in, one action list out; all mutation happens here.
+    One event in, one action list out; all mutation happens here. A gate's
+    auto-close timeout is an event too (`GateTimeout`), so every transition
+    after startup goes through `handle`.
     """
 
     def __init__(self, cfg: FacilityConfig, state: FacilityState):
@@ -261,14 +269,8 @@ class Controller:
         self.state, actions = on_event(self.state, self.cfg, event)
         return actions
 
-    def close_entrance(self) -> list[ControlAction]:
-        self.state, actions = close_entrance_gate(self.state, self.cfg)
-        return actions
 
-    def close_exit(self) -> list[ControlAction]:
-        self.state, actions = close_exit_gate(self.state, self.cfg)
-        return actions
-
+_CLOSE_GATE = {"entrance": close_entrance_gate, "exit": close_exit_gate}
 
 # Controller.handle's table, (state, cfg, event) -> (new state, actions);
 # any other event type is a TypeError.
@@ -278,4 +280,5 @@ _EVENT_HANDLERS = {
     SlotUpdate: lambda state, cfg, event: handle_slot_update(state, cfg, event.slot_id, event.occupied),
     EnvReading: lambda state, cfg, event: handle_env(state, cfg, event.temp_c, event.humidity_pct),
     GasReading: lambda state, cfg, event: handle_gas(state, cfg, event.ppm),
+    GateTimeout: lambda state, cfg, event: _CLOSE_GATE[event.gate](state, cfg),
 }

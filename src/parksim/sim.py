@@ -21,7 +21,9 @@ each one on its exact type through the `handlers` table, and the
 controller's actions go the same way through `action_handlers`, which has
 one entry per `domain.ControlAction` member: gate, buzzer and fan actions
 carry their state, and an `Anomaly` action becomes an `anomaly` record
-after the records of the actions before it.
+after the records of the actions before it. Opening a gate puts its
+auto-close timeout on the heap as a `controller.GateTimeout`, which goes
+back to `Controller.handle` when it fires, like every sensor event.
 
 Records go to the run's two sinks as they are made, BLOCK_RECORDS at a
 time: the log's summary (an `eventlog.ReportTally`, as `parksim report`
@@ -93,17 +95,13 @@ class GasInjectionEvent(Value):
     __slots__ = ("gas", "ppm")
 
 
-class GateTimer(Value):
-    __slots__ = ("gate",)  # "entrance" or "exit"
-
-
 class BrokerTimer(Value):
     __slots__ = ()
 
 
 SimPayload = (
     CarArrives | CarParks | CarDeparts | SensorSample | PacketDelivery
-    | GasInjectionEvent | GateTimer | BrokerTimer
+    | GasInjectionEvent | ctrl.GateTimeout | BrokerTimer
 )
 
 
@@ -294,7 +292,7 @@ class Simulation:
             CarArrives: self._on_car_arrives, CarParks: self._on_car_parks,
             CarDeparts: self._on_car_departs, SensorSample: self._on_sensor_sample,
             PacketDelivery: self._on_packet_delivery, GasInjectionEvent: self._on_gas_injection,
-            GateTimer: self._on_gate_timer, BrokerTimer: self._on_broker_timer,
+            ctrl.GateTimeout: self._on_gate_timeout, BrokerTimer: self._on_broker_timer,
         }
         self.action_handlers = {
             domain.Publish: self._do_publish, domain.UpdateDisplay: self._do_update_display,
@@ -337,27 +335,29 @@ class Simulation:
     # -- transport --------------------------------------------------------
 
     def _frame_size(self, packet: codec.Publish) -> int:
-        """codec.frame_size(packet), checked once per topic, payload length
-        and qos: the size depends on nothing else."""
+        """The length of the packet's encoded frame. The frame is encoded
+        once per topic, payload length and qos: the size depends on nothing
+        else."""
         key = (packet.topic, len(packet.payload), packet.qos)
         size = self.frame_sizes.get(key)
         if size is None:
-            size = self.frame_sizes[key] = codec.frame_size(packet)
+            size = self.frame_sizes[key] = len(codec.encode_packet(packet))
         return size
 
     def _send_to_broker(self, source: str, packet: codec.MqttPacket) -> None:
         self._push(self.now + self.cfg.network.latency_s, PacketDelivery(BROKER_CONN, source, packet))
 
-    def _dispatch_broker_outputs(self, outputs: list[Send | Close], resent: bool = False) -> None:
-        # a copy was accepted now unless it is `resent` (tick's output)
+    def _dispatch_broker_outputs(self, outputs: list[Send | Close]) -> None:
+        # a resend (DUP set) keeps its message's accept time; a first copy's is now
         for output in outputs:
             if type(output) is Close:
                 self._record("conn_close", client_id=output.client_id or output.conn_id,
                              reason=output.reason)
                 continue
             packet = output.packet
+            accept_t = None
             if isinstance(packet, codec.Publish):
-                accept_t = self._accept_time(output.conn_id, packet) if resent else self.now
+                accept_t = self._accept_time(output.conn_id, packet) if packet.dup else self.now
                 if packet.qos == 1:
                     # whether or not the frame survives the wire, its ack
                     # window is now one of the broker's deadlines
@@ -368,26 +368,16 @@ class Simulation:
                                  bytes=self._frame_size(packet),
                                  client_id=output.conn_id)
                     continue
-                self._push(
-                    self.now + self.cfg.network.latency_s,
-                    PacketDelivery(output.conn_id, BROKER_CONN, packet, accept_t=accept_t),
-                )
-            else:
-                self._push(
-                    self.now + self.cfg.network.latency_s,
-                    PacketDelivery(output.conn_id, BROKER_CONN, packet),
-                )
+            self._push(self.now + self.cfg.network.latency_s,
+                       PacketDelivery(output.conn_id, BROKER_CONN, packet, accept_t))
 
     def _accept_time(self, conn_id: str, packet: codec.Publish) -> float:
-        # a resent copy's accept time; now if the same tick's keep-alive
-        # sweep dropped its session
-        if packet.qos == 1 and packet.packet_id is not None:
-            session = self.broker.conn_sessions.get(conn_id)
-            if session is not None:
-                entry = session.inflight.get(packet.packet_id)
-                if entry is not None:
-                    return entry.accept_t
-        return self.now
+        # a resend's accept time, from the entry the resend just stored; now
+        # if the same tick's keep-alive sweep dropped its session
+        session = self.broker.conn_sessions.get(conn_id)
+        if session is None:
+            return self.now
+        return session.inflight[packet.packet_id].accept_t
 
     # -- controller actions -----------------------------------------------
 
@@ -411,7 +401,7 @@ class Simulation:
     def _do_set_gate(self, action: domain.SetGate) -> None:
         self._record("gate", gate=action.gate, state=action.state.value)
         if action.state is domain.GateState.OPEN:
-            self._push(self.now + self.cfg.facility.gate_open_s, GateTimer(action.gate))
+            self._push(self.now + self.cfg.facility.gate_open_s, ctrl.GateTimeout(action.gate))
 
     def _do_set_buzzer(self, action: domain.SetBuzzer) -> None:
         self._record("buzzer", state=action.state.value)
@@ -500,8 +490,7 @@ class Simulation:
                 topic=event.packet.topic,
                 bytes=self._frame_size(event.packet),
                 client_id=event.destination,
-                delay=telemetry.delay(event.accept_t if event.accept_t is not None else self.now,
-                                      self.now),
+                delay=telemetry.delay(event.accept_t, self.now),
             )
         for response in self.engines[event.destination].handle_packet(event.packet):
             self._send_to_broker(event.destination, response)
@@ -510,15 +499,12 @@ class Simulation:
         self.gas_field.inject(self.now, event.gas, event.ppm)
         self._record("gas_injection", gas=event.gas, ppm=event.ppm)
 
-    def _on_gate_timer(self, event: GateTimer) -> None:
-        if event.gate == "entrance":
-            self._apply_actions(self.controller.close_entrance())
-        else:
-            self._apply_actions(self.controller.close_exit())
+    def _on_gate_timeout(self, event: ctrl.GateTimeout) -> None:
+        self._apply_actions(self.controller.handle(event))
 
     def _on_broker_timer(self, event: BrokerTimer) -> None:
         self.broker_timer_pending = False
-        self._dispatch_broker_outputs(self.broker.tick(self.now), resent=True)
+        self._dispatch_broker_outputs(self.broker.tick(self.now))
         self._arm_broker_timer()
 
     def _arm_broker_timer(self) -> None:

@@ -792,8 +792,10 @@ def _apply(core, step, now):
         packet = Unsubscribe(packet_id=1, filters=tuple(step[2]))
     elif kind == "publish":
         _, _, topic, qos, retain, payload = step
+        # a qos-1 b"y" is the client's resend: its copies still go out
+        # without DUP (MQTT-3.3.1-3)
         packet = Publish(topic=topic, payload=payload, qos=qos, retain=retain,
-                         packet_id=1 if qos else None)
+                         dup=qos == 1 and payload == b"y", packet_id=1 if qos else None)
     elif kind == "clear":
         packet = Publish(topic=step[2], payload=b"", retain=True)
     elif kind == "puback":
@@ -868,6 +870,13 @@ def _assert_copies_shared(core, outputs, held):
             assert packet is shared
 
 
+def _assert_dup_only_on_resends(step, outputs):
+    """DUP marks a resend and nothing else: every PUBLISH that tick() emits
+    has it set, and none that handle() emits does."""
+    dups = {o.packet.dup for o in outputs if isinstance(o, Send) and type(o.packet) is Publish}
+    assert dups <= ({True} if step[0] == "sweep" else {False}), step
+
+
 def _assert_entries_shared(core):
     """Every inflight key is its entry's packet id, and sessions hold one
     entry object exactly when they hold the same Publish and neither copy
@@ -893,6 +902,7 @@ def test_indexed_core_matches_brute_force_reference(steps):
         held = {client: set(session.inflight) for client, session in indexed.sessions.items()}
         outputs = _apply(indexed, step, now)
         assert outputs == _apply(reference, step, now), step
+        _assert_dup_only_on_resends(step, outputs)
         if step[0] in ("publish", "wrap"):
             _assert_copies_shared(indexed, outputs, held)
         _assert_entries_shared(indexed)

@@ -8,9 +8,8 @@ from parksim.controller import (
     EnvReading,
     ExitDetect,
     GasReading,
+    GateTimeout,
     SlotUpdate,
-    close_entrance_gate,
-    close_exit_gate,
     handle_entrance,
     handle_env,
     handle_exit,
@@ -285,12 +284,16 @@ class TestControllerWrapper:
         cfg, state = facility(4)
         controller = Controller(cfg, state)
         controller.handle(EntranceDetect())
+        controller.handle(ExitDetect())
         assert controller.state.entrance_gate is GateState.OPEN
-        actions = controller.close_entrance()
+        actions = controller.handle(GateTimeout("entrance"))
         assert controller.state.entrance_gate is GateState.CLOSED
+        assert controller.state.exit_gate is GateState.OPEN
         assert controller.state.buzzer is Power.OFF
         assert actions  # close + publish
-        assert controller.close_entrance() == []  # idempotent
+        assert controller.handle(GateTimeout("entrance")) == []  # idempotent
+        assert SetGate("exit", GateState.CLOSED) in controller.handle(GateTimeout("exit"))
+        assert controller.state.exit_gate is GateState.CLOSED
 
 
 EVENT_KINDS = st.sampled_from(["entrance", "exit", "slot", "env", "gas"])
@@ -343,6 +346,12 @@ def state_fields(state):
     return {name: getattr(state, name) for name in FacilityState.__slots__}
 
 
+def timed_out(state, cfg, gate):
+    controller = Controller(cfg, state)
+    controller.handle(GateTimeout(gate))
+    return controller.state
+
+
 @given(events=st.lists(HANDLER_EVENTS, max_size=80))
 @settings(max_examples=200)
 def test_each_handler_changes_only_the_fields_it_sets(events):
@@ -383,10 +392,10 @@ def test_each_handler_changes_only_the_fields_it_sets(events):
                     fan = Power.OFF
                 changes = {"last_gas_ppm": ppm, "fan": fan}
         elif kind == "close_entrance":
-            after, _ = close_entrance_gate(state, cfg)
+            after = timed_out(state, cfg, "entrance")
             changes = {"entrance_gate": GateState.CLOSED, "buzzer": Power.OFF}
         else:
-            after, _ = close_exit_gate(state, cfg)
+            after = timed_out(state, cfg, "exit")
             changes = {"exit_gate": GateState.CLOSED}
         assert state_fields(after) == {**state_fields(state), **changes}, kind
         assert type(after.slots) is bytes

@@ -577,14 +577,14 @@ class TestFrameSizes:
         cfg = replace(default_scenario(), duration_s=1800.0,
                       network=NetworkConfig(latency_s=0.05, drop_prob=0.2))
         simulation = sim.Simulation(cfg)
-        with mock.patch.object(sim.codec, "frame_size", wraps=codec.frame_size) as checked:
+        with mock.patch.object(sim.codec, "encode_packet", wraps=codec.encode_packet) as encoded:
             records = simulation.run().records
         sized = [r for r in records if r["kind"] in ("publish", "deliver", "drop")]
         assert {r["kind"] for r in sized} == {"publish", "deliver", "drop"}
-        assert len(sized) > checked.call_count == len(simulation.frame_sizes)
+        assert len(sized) > encoded.call_count == len(simulation.frame_sizes)
         for (topic, length, qos), size in simulation.frame_sizes.items():
             packet = codec.Publish(topic, bytes(length), qos, packet_id=1 if qos else None)
-            assert size == codec.frame_size(packet)
+            assert size == len(codec.encode_packet(packet))
 
     def test_invalid_publish_raises_the_first_time_it_is_seen(self):
         simulation = sim.Simulation(quiet_scenario())

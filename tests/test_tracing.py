@@ -52,8 +52,20 @@ def test_traced_simulate_records_every_layer(tmp_path):
 
     # a call path that skips the wrapper for most calls still leaves a few
     # spans, so the hot spans must also cover the records they stand behind
-    kinds = Counter(record["kind"] for record in sim.read_events_jsonl(tmp_path / "out" / "events.jsonl"))
+    records = sim.read_events_jsonl(tmp_path / "out" / "events.jsonl")
+    kinds = Counter(record["kind"] for record in records)
     assert counts["broker.handle"] >= kinds["publish"] > 0
     assert counts["client.publish_packet"] >= kinds["publish"]
     assert counts["client.handle_packet"] >= kinds["deliver"] > 0
-    assert counts["controller.handle"] >= kinds["env_sample"] + kinds["gas_sample"] > 0
+
+    # every controller transition goes through Controller.handle: one event
+    # per arrival, park and sample, two per departure (the slot, then the
+    # exit detector), and one per gate timeout that fires within the run
+    config = records[0]["config"]
+    timeouts = sum(1 for record in records
+                   if record["kind"] == "gate" and record["state"] == "open"
+                   and record["t"] + config["facility.gate_open_s"] <= config["duration_s"])
+    assert timeouts > 0
+    assert counts["controller.handle"] == (
+        kinds["car_arrives"] + kinds["car_parks"] + 2 * kinds["car_departs"]
+        + kinds["env_sample"] + kinds["gas_sample"] + timeouts)

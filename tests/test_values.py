@@ -37,7 +37,6 @@ _CLASS_CASES = {
     sim.PacketDelivery: ({"destination": "dashboard", "source": "broker", "packet": _PUBLISH},
                          {"accept_t": None}),
     sim.GasInjectionEvent: ({"gas": "lpg", "ppm": 12.5}, {}),
-    sim.GateTimer: ({"gate": "entrance"}, {}),
     sim.BrokerTimer: ({}, {}),
     domain.DisplayFrame: ({"temp_c": 21.5, "humidity_pct": 40.0, "total_vacant": 3,
                            "total_slots": 8}, {}),
@@ -49,6 +48,7 @@ _CLASS_CASES = {
     controller.SlotUpdate: ({"slot_id": 2, "occupied": 1}, {}),
     controller.EnvReading: ({"temp_c": 21.5, "humidity_pct": 40.0}, {}),
     controller.GasReading: ({"ppm": 3.25}, {}),
+    controller.GateTimeout: ({"gate": "entrance"}, {}),
     domain.FacilityState: ({"slots": bytes((1, 0, 0, 0)), "total_vacant": 3},
                            {"entrance_gate": GateState.CLOSED, "exit_gate": GateState.CLOSED,
                             "buzzer": Power.OFF, "fan": Power.OFF, "last_temp_c": 0.0,
