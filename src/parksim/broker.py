@@ -28,9 +28,18 @@ so a core whose messages reach one qos-1 subscriber hands that session the
 ids a per-session counter would. A copy that finds all 65,535 ids of its
 session in flight is not sent and counts as uncorrected. The copies that
 share a Publish share one inflight entry too; a copy with a Publish of its
-own, and each retained-replay copy, gets an entry of its own. An entry is
-never changed once stored: a resend replaces it in its session's table with
-a fresh one, so it never moves another session's deadline or retry count.
+own gets an entry of its own. An entry is never changed once stored: a
+resend replaces it in its session's table with a fresh one, so it never
+moves another session's deadline or retry count.
+
+A retained value works the same way across SUBSCRIBEs: its qos-1 replay
+copies share one Publish (retain set) with one id, built at the value's
+first replay, kept per topic, and dropped when a retained publish
+overwrites or clears that topic, so the cache never outgrows the retained
+store. A session that holds the cached id in flight gets its own Publish
+with the counter's next id free in its table. Each replay copy stores an
+inflight entry of its own, since its accept time and deadline are those of
+its SUBSCRIBE.
 
 Time enters through one timer: every inflight entry and every session with
 a keep-alive carries an absolute deadline, next_deadline() reports the
@@ -46,9 +55,9 @@ session's connect sequence number and holds the session itself with the
 granted qos, so a publish reaches its sessions without a lookup by client
 id, and sorting the matched keys, plain ints, gives connect order. Outputs
 keep the order a linear scan gives: fan-out in session connect order,
-replay in retained-store order. One builder makes each session's copy of a
-message, for a live publish and a retained replay alike; redeliver()
-resends a copy that was not acknowledged in time.
+replay in retained-store order. _send_copies builds the copies of a live
+publish and _handle_subscribe those of a retained replay; redeliver()
+resends either kind of copy that was not acknowledged in time.
 
 A dict keeps its peak size after its entries are popped, so a session's
 inflight table that a retained replay filled (one copy per matching
@@ -103,8 +112,10 @@ BrokerOutput = Send | Close
 
 
 class Inflight:
-    """A qos-1 copy awaiting its PUBACK; shared by every session that got the
-    same Publish, and never changed once stored (a resend stores a new one)."""
+    """A qos-1 copy awaiting its PUBACK; never changed once stored (a resend
+    stores a new one). The live copies of a message that share a Publish
+    share one entry; each retained-replay copy has its own, because its
+    accept time and deadline are those of its SUBSCRIBE."""
 
     __slots__ = ("publish", "accept_t", "deadline", "retries")
 
@@ -255,6 +266,9 @@ class BrokerCore:
         self.sessions: dict[str, Session] = {}
         self.conn_sessions: dict[str, Session] = {}
         self.retained: dict[str, tuple[bytes, int]] = {}
+        # topic -> the qos-1 Publish its retained value's replay copies share;
+        # built at the value's first replay, dropped when the topic is written
+        self._replay: dict[str, Publish] = {}
         self.corrected_errors = 0
         self.uncorrected_errors = 0
         self.next_packet_id = 1  # the id of the next message with a qos-1 copy
@@ -317,6 +331,7 @@ class BrokerCore:
         if qos == 1:
             outputs.append(Send(sender.conn_id, PubAck(packet.packet_id)))
         if packet.retain:
+            self._replay.pop(topic, None)
             if not payload:
                 if self.retained.pop(topic, None) is not None:
                     _trie_remove(self._retained_trie, topic.split("/"), topic)
@@ -324,7 +339,7 @@ class BrokerCore:
                 if topic not in self.retained:
                     _trie_insert(self._retained_trie, topic.split("/"), topic, next(self._seq))
                 self.retained[topic] = (payload, qos)
-        self._send_copies(outputs, topic, payload, qos, False, self._subscribers(topic), now)
+        self._send_copies(outputs, topic, payload, qos, self._subscribers(topic), now)
         return outputs
 
     def _handle_subscribe(self, session: Session, packet: Subscribe, now: float) -> list[BrokerOutput]:
@@ -336,15 +351,33 @@ class BrokerCore:
             session.subscriptions[topic_filter] = qos
             _trie_insert(self._subscription_trie, topic_filter.split("/"), session.connect_seq,
                          (session, qos))
-        outputs: list[BrokerOutput] = [Send(session.conn_id, SubAck(packet.packet_id, granted))]
-        retained = self.retained
-        held = len(session.inflight)
+        conn_id, inflight = session.conn_id, session.inflight
+        outputs: list[BrokerOutput] = [Send(conn_id, SubAck(packet.packet_id, granted))]
+        retained, replay = self.retained, self._replay
+        held = len(inflight)
+        deadline = now + self.ack_timeout_s
         for (topic_filter, _), qos in zip(packet.filters, granted):
-            target = ((session, qos),)
             for topic in self._retained_matching(topic_filter):
                 payload, retained_qos = retained[topic]
-                self._send_copies(outputs, topic, payload, retained_qos, True, target, now)
-        if len(session.inflight) > held:
+                if qos == 0 or retained_qos == 0:
+                    outputs.append(Send(conn_id, Publish(topic, payload, 0, True, False, None)))
+                    continue
+                # the value's shared copy, unless this session holds its id
+                publish = replay.get(topic)
+                if publish is None or publish.packet_id in inflight:
+                    packet_id = codec.free_packet_id(self.next_packet_id, inflight)
+                    if packet_id is None:
+                        self.uncorrected_errors += 1
+                        self._emit("error_uncorrected", client_id=session.client_id, topic=topic)
+                        continue
+                    self.next_packet_id = packet_id % 0xFFFF + 1
+                    own = Publish(topic, payload, 1, True, False, packet_id)
+                    if publish is None:
+                        replay[topic] = own
+                    publish = own
+                inflight[publish.packet_id] = Inflight(publish, now, deadline)
+                outputs.append(Send(conn_id, publish))
+        if len(inflight) > held:
             session.replayed = True
         return outputs
 
@@ -395,11 +428,11 @@ class BrokerCore:
         return []
 
     def _send_copies(
-        self, outputs: list[BrokerOutput], topic: str, payload: bytes, qos: int, retain: bool,
+        self, outputs: list[BrokerOutput], topic: str, payload: bytes, qos: int,
         targets: Iterable[tuple[Session, int]], now: float,
     ) -> None:
         """Append to `outputs` the frame of each (session, granted qos) target's
-        copy of one message, at the lower of `qos` and the granted qos. The
+        live copy of one message, at the lower of `qos` and the granted qos. The
         qos-0 copies share one Publish, and the qos-1 copies share another
         and one inflight entry: the first qos-1 copy takes the counter's next
         id free in its session's table, and a later session that holds that
@@ -412,7 +445,7 @@ class BrokerCore:
         for session, granted in targets:
             if qos == 0 or granted == 0:
                 if plain is None:
-                    plain = Publish(topic, payload, 0, retain, False, None)
+                    plain = Publish(topic, payload, 0, False, False, None)
                 outputs.append(Send(session.conn_id, plain))
                 continue
             inflight = session.inflight
@@ -423,13 +456,13 @@ class BrokerCore:
                     self._emit("error_uncorrected", client_id=session.client_id, topic=topic)
                     continue
                 if shared is not None:
-                    own = Publish(topic, payload, 1, retain, False, packet_id)
+                    own = Publish(topic, payload, 1, False, False, packet_id)
                     inflight[packet_id] = Inflight(own, now, deadline)
                     outputs.append(Send(session.conn_id, own))
                     continue
                 shared_id = packet_id
             if shared is None:
-                shared = Publish(topic, payload, 1, retain, False, shared_id)
+                shared = Publish(topic, payload, 1, False, False, shared_id)
                 entry = Inflight(shared, now, deadline)
                 self.next_packet_id = shared_id % 0xFFFF + 1
             inflight[shared_id] = entry

@@ -6,7 +6,8 @@ username/password and session resumption are out of scope; CONNECT frames
 that request them decode fine but are flagged so the broker can refuse them
 with return code 0x01. A CONNECT whose Will QoS or Will Retain bits are
 set without the Will Flag, or whose Will QoS is 3, is malformed
-(MQTT-3.1.2-13 to -15). A SUBSCRIBE may request QoS 2 (the broker grants
+(MQTT-3.1.2-13 to -15), and so is one whose Password Flag is set without
+the User Name Flag (MQTT-3.1.2-22). A SUBSCRIBE may request QoS 2 (the broker grants
 1); a requested QoS above 2 is malformed (MQTT-3.8.3-4).
 
 Each direction is one table lookup. decode_packet() parses the fixed header
@@ -473,6 +474,8 @@ def _decode_connect(flags, buf, start, stop) -> Connect:
     will = bool(connect_flags & 0x04)
     if connect_flags & 0x18 == 0x18 or not will and connect_flags & 0x38:  # MQTT-3.1.2-13..15
         raise ProtocolError(f"malformed CONNECT will flags 0x{connect_flags & 0x3C:02X}")
+    if connect_flags & 0xC0 == 0x40:  # MQTT-3.1.2-22
+        raise ProtocolError("CONNECT password flag set without the user name flag")
     keep_alive = _u16(buf, i + 2, stop)
     client_id, i = _string(buf, i + 4, stop)
     clean_session = bool(connect_flags & 0x02)

@@ -590,6 +590,59 @@ class TestReplayTable:
         assert session.inflight == {} and not session.replayed
 
 
+class TestReplayShared:
+    """The qos-1 replay copies of one retained value share one Publish."""
+
+    @pytest.mark.parametrize("sessions", [1, 3, 32])
+    def test_n_sessions_replaying_k_topics_build_k_publishes(self, monkeypatch, sessions):
+        topics = 8
+        core = BrokerCore()
+        connect(core, "pub", "publisher")
+        for slot in range(1, topics + 1):
+            core.handle("pub", Publish(topic=f"parking/slot/{slot}/status", payload=b"0", qos=1,
+                                       retain=True, packet_id=1), 0.0)
+        built = []
+        real = broker.Publish
+
+        def counted(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(broker, "Publish", counted)
+        replays = []
+        for n in range(sessions):
+            connect(core, f"s{n}", f"s{n}", now=1.0)
+            outputs = core.handle(f"s{n}", Subscribe(packet_id=1, filters=(("parking/#", 1),)), 1.0)
+            replays.append([o.packet for o in sends_of(outputs, real)])
+        assert len(built) == topics
+        assert all(copies == built for copies in replays)
+        assert all(a is b for copies in replays for a, b in zip(copies, built))
+        # each session still holds an entry of its own for every copy
+        entries = [entry for n in range(sessions)
+                   for entry in core.sessions[f"s{n}"].inflight.values()]
+        assert len(entries) == sessions * topics
+        assert len({id(entry) for entry in entries}) == len(entries)
+
+    def test_an_overwrite_between_subscribes_replays_the_new_value(self):
+        core = BrokerCore()
+        connect(core, "pub", "publisher")
+        core.handle("pub", Publish(topic="t/x", payload=b"old", qos=1, retain=True, packet_id=1), 0.0)
+        connect(core, "s1", "first")
+        first = sends_of(core.handle("s1", Subscribe(packet_id=1, filters=(("t/#", 1),)), 1.0),
+                         Publish)
+        assert [(o.packet.payload, o.packet.retain) for o in first] == [(b"old", True)]
+        old_id = first[0].packet.packet_id
+        core.handle("pub", Publish(topic="t/x", payload=b"new", qos=1, retain=True, packet_id=2), 1.5)
+        connect(core, "s2", "second")
+        second = sends_of(core.handle("s2", Subscribe(packet_id=1, filters=(("t/#", 1),)), 2.0),
+                          Publish)
+        assert [(o.packet.payload, o.packet.retain) for o in second] == [(b"new", True)]
+        # the first session's unacked replay copy is resent as it was sent
+        resent = [o.packet for o in core.tick(3.0) if o.conn_id == "s1" and o.packet.retain]
+        assert resent == [Publish(topic="t/x", payload=b"old", qos=1, retain=True, dup=True,
+                                  packet_id=old_id)]
+
+
 class TestKeepalive:
     def test_silent_past_grace_closes(self):
         core = BrokerCore()
@@ -878,19 +931,48 @@ def _assert_dup_only_on_resends(step, outputs):
 
 
 def _assert_entries_shared(core):
-    """Every inflight key is its entry's packet id, and sessions hold one
-    entry object exactly when they hold the same Publish and neither copy
-    was resent: a resend stores an entry of its own."""
+    """Every inflight key is its entry's packet id. Sessions holding the same
+    live Publish (retain clear) hold one entry object for it, unless their
+    copy was resent: a resend stores an entry of its own. Each replay copy
+    (retain set) owns its entry, even where its Publish is shared."""
     by_publish = {}
     for session in core.sessions.values():
         for pid, entry in session.inflight.items():
             assert pid == entry.publish.packet_id
             by_publish.setdefault(id(entry.publish), []).append(entry)
     for entries in by_publish.values():
-        first = [entry for entry in entries if entry.retries == 0]
+        first = [entry for entry in entries if not entry.retries and not entry.publish.retain]
         assert all(entry is first[0] for entry in first)
-        resent = [id(entry) for entry in entries if entry.retries]
-        assert len(set(resent)) == len(resent)
+        own = [id(entry) for entry in entries if entry.retries or entry.publish.retain]
+        assert len(set(own)) == len(own)
+
+
+def _assert_replay_shared(core, outputs, held):
+    """No qos-1 replay copy (retain set, DUP clear: a resend keeps its id)
+    takes an id its session `held` before the step or was sent earlier in
+    it. Each is the one Publish the core keeps for its retained value, but
+    for a session that already had that Publish's id: such a session gets a
+    Publish of its own."""
+    taken = {client: set(ids) for client, ids in held.items()}
+    for o in outputs:
+        if not (isinstance(o, Send) and type(o.packet) is Publish and o.packet.qos == 1
+                and not o.packet.dup):
+            continue
+        packet = o.packet
+        ids = taken.setdefault(core.conn_sessions[o.conn_id].client_id, set())
+        if packet.retain:
+            assert packet.packet_id not in ids
+            cached = core._replay[packet.topic]
+            assert (packet is cached) == (cached.packet_id not in ids)
+        ids.add(packet.packet_id)
+
+
+def _assert_replay_cache_current(core):
+    """Every cached replay Publish carries its topic's current retained
+    value, at qos 1 with retain set and DUP clear."""
+    for topic, publish in core._replay.items():
+        assert core.retained[topic] == (publish.payload, 1)
+        assert (publish.topic, publish.qos, publish.retain, publish.dup) == (topic, 1, True, False)
 
 
 @settings(max_examples=300)
@@ -905,6 +987,8 @@ def test_indexed_core_matches_brute_force_reference(steps):
         _assert_dup_only_on_resends(step, outputs)
         if step[0] in ("publish", "wrap"):
             _assert_copies_shared(indexed, outputs, held)
+        _assert_replay_shared(indexed, outputs, held)
+        _assert_replay_cache_current(indexed)
         _assert_entries_shared(indexed)
         assert list(indexed.retained.items()) == list(reference.retained.items())
         _assert_no_leaked_nodes(indexed)
@@ -917,5 +1001,5 @@ def test_indexed_core_matches_brute_force_reference(steps):
         indexed.handle("janitor", Publish(topic=topic, payload=b"", retain=True), len(steps))
     for session in list(indexed.sessions.values()):
         indexed.handle(session.conn_id, Disconnect(), len(steps))
-    assert indexed.sessions == {} and indexed.retained == {}
+    assert indexed.sessions == {} and indexed.retained == {} and indexed._replay == {}
     assert indexed._subscription_trie.is_empty() and indexed._retained_trie.is_empty()

@@ -1,0 +1,24 @@
+"""scripts/broker_phases.py at its smallest size: the set-up and one job."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "broker_phases.py"
+
+
+def test_one_job_times_every_packet_type_and_passes_the_rig_checks():
+    done = subprocess.run([sys.executable, str(SCRIPT), "--seed", "3", "--jobs", "1"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in done.stdout.splitlines()[1:]}
+    # 2,055 retained publishes, then 200 sessions that each replay
+    assert rows["setup", "PUBLISH"][0] == "2055"
+    assert rows["setup", "SUBSCRIBE+replay"][0] == "200"
+    # one job: 200 publishes and 8 reconnects
+    assert rows["jobs", "PUBLISH"][0] == "200"
+    assert rows["jobs", "SUBSCRIBE+replay"][0] == "8"
+    assert rows["all", "PUBACK"][3] == "1.00"
+    for kind in ("PUBLISH", "PUBACK", "SUBSCRIBE+replay"):
+        calls, seconds, us_per_call, over_puback = rows["all", kind]
+        assert int(calls) > 0 and float(us_per_call) > 0 and float(over_puback) > 0

@@ -436,6 +436,9 @@ MALFORMED = [
      "will flags 0x20"),
     ("connect-will-qos3", b"\x10\x13\x00\x04MQTT\x04\x1e\x00\x1e\x00\x01c\x00\x01w\x00\x01m",
      "will flags 0x1C"),
+    # MQTT-3.1.2-22: a password needs a user name (here clean session + "p")
+    ("connect-password-no-username",
+     b"\x10\x10\x00\x04MQTT\x04\x42\x00\x1e\x00\x01c\x00\x01p", "without the user name flag"),
     ("connect-trailing", b"\x10\x0e" + _CONNECT_BODY + b"x", "trailing bytes"),
     ("connect-bad-utf8", b"\x10\x0d" + _CONNECT_BODY[:-1] + b"\xff", "invalid UTF-8"),
     ("connack-flags", b"\x21\x02\x00\x00", "invalid fixed-header flags"),
