@@ -41,7 +41,7 @@ from .values import Value
 # Protocol ceiling for the remaining-length varint.
 MAX_REMAINING_LENGTH = 268_435_455
 # What we actually accept on a connection; facility messages are tiny.
-DEFAULT_REMAINING_LENGTH_CAP = 256 * 1024
+REMAINING_LENGTH_CAP = 256 * 1024
 
 _CONNECT, _CONNACK, _PUBLISH, _PUBACK = 1, 2, 3, 4
 _SUBSCRIBE, _SUBACK, _UNSUBSCRIBE, _UNSUBACK = 8, 9, 10, 11
@@ -578,10 +578,7 @@ _DECODERS = tuple({
 }.get(ptype) for ptype in range(16))
 
 
-def decode_packet(
-    buf: Buffer,
-    max_remaining_length: int = DEFAULT_REMAINING_LENGTH_CAP,
-) -> tuple[MqttPacket, int] | None:
+def decode_packet(buf: Buffer) -> tuple[MqttPacket, int] | None:
     """Decode one packet from the front of `buf`.
 
     Returns (packet, bytes_consumed), or None when more bytes are needed.
@@ -606,8 +603,8 @@ def decode_packet(
         if varint is None:
             return None
         remaining, start = varint[0], 1 + varint[1]
-    if remaining > max_remaining_length:
-        raise ProtocolError(f"remaining length {remaining} exceeds cap {max_remaining_length}")
+    if remaining > REMAINING_LENGTH_CAP:
+        raise ProtocolError(f"remaining length {remaining} exceeds cap {REMAINING_LENGTH_CAP}")
     stop = start + remaining
     if size < stop:
         return None

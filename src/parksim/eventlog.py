@@ -5,7 +5,9 @@ A run writes one JSON record per line, its `meta` header first.
 `ReportTally` is the log's one summary: a run feeds it the records as it
 makes them and `render_report` feeds it the records of a written log, both
 BLOCK_RECORDS at a time, so report.txt and metrics.csv come out the same
-either way. Nothing here imports the simulator.
+either way. The tally reads the `meta` header and lays out report.txt;
+the records themselves are visited once, by its `telemetry.Aggregator`.
+Nothing here imports the simulator.
 """
 
 from __future__ import annotations
@@ -48,53 +50,32 @@ class ReportTally:
     fed a block at a time.
 
     The first record fed must be the log's `meta` header: its
-    `config.duration_s` builds the `telemetry.Aggregator` behind
-    metrics.csv and report.txt's telemetry lines, which is fed every block
-    too. The tally itself keeps counts per kind (a Counter, so a kind never
-    fed reads 0) and the time-weighted mean occupancy over [0, duration_s].
-    The mean and its errors are those of an occupancy step function built
-    from the park and depart records and integrated over the same interval,
-    float for float: the integral takes the same steps in the same order.
+    `config.duration_s` builds the `telemetry.Aggregator` that every block
+    then goes to. The aggregator's loop is the only one over a block: it
+    checks each record and keeps the counts per kind, the mean occupancy
+    and the telemetry behind metrics.csv. The tally keeps the header and
+    lays out report.txt.
     """
 
     def __init__(self) -> None:
         self.meta: dict[str, Any] = {}
         self.duration_s: float | None = None
         self.aggregator: telemetry.Aggregator | None = None
-        self.counts: Counter[str] = Counter()
-        self._fed = 0                   # records seen, for error messages
-        self._parked = 0
-        self._steps = 0                 # park and depart records seen
-        self._level = 0                 # parked cars since _prev_t
-        self._prev_t = 0.0
-        self._area = 0.0                # car-seconds up to _prev_t
-        self._past_end = False          # later steps fall outside [0, duration_s]
 
     def add_records(self, records: list[dict[str, Any]]) -> None:
         """Feed one block of records, the first of them the log's header if
         this is the first block."""
         if self.aggregator is None:
             self._read_header(records[0])
-        # counted in a plain dict and merged once per call: a store into a
-        # Counter costs about 100 ns more per record than into a dict
-        counts: dict[str, int] = {}
-        for index, record in enumerate(records, start=self._fed):
-            if not isinstance(record, dict) or "kind" not in record or "t" not in record:
-                raise ValueError(f"record {index}: missing 't'/'kind' fields: {record!r}")
-            kind = record["kind"]
-            try:  # raises on an unhashable kind or a 't' that is not a number
-                counts[kind] = counts.get(kind, 0) + 1
-                if kind == "car_parks":
-                    self._parked += 1
-                    self._step(float(record["t"]))
-                elif kind == "car_departs":
-                    self._parked -= 1
-                    self._step(float(record["t"]))
-            except (ArithmeticError, TypeError, ValueError) as exc:
-                raise ValueError(f"record {index}: {exc}: {record!r}") from None
-        self._fed += len(records)
-        self.counts.update(counts)
         self.aggregator.add_records(records)
+
+    @property
+    def counts(self) -> Counter[str]:
+        """Records fed per kind; a kind never fed reads 0."""
+        return Counter() if self.aggregator is None else self.aggregator.counts
+
+    def mean_occupancy(self) -> float:
+        return 0.0 if self.aggregator is None else self.aggregator.mean_occupancy()
 
     def _read_header(self, first: Any) -> None:
         config = first.get("config") if isinstance(first, dict) and first.get("kind") == "meta" \
@@ -110,27 +91,6 @@ class ReportTally:
         # refuses a duration that is not > 0, not finite, or makes too many windows
         self.aggregator = telemetry.Aggregator(duration_s=duration)
         self.meta, self.duration_s = first, duration
-
-    def _step(self, t: float) -> None:
-        # one turn of an integral over [0, duration_s] of the step function
-        self._steps += 1
-        if self._past_end:
-            return
-        if t < 0.0:
-            self._level = self._parked
-            return
-        if t > self.duration_s:
-            self._past_end = True
-            return
-        self._area += self._level * (t - self._prev_t)
-        self._prev_t = t
-        self._level = self._parked
-
-    def mean_occupancy(self) -> float:
-        if not self._steps:
-            return 0.0
-        end = self.duration_s  # > 0: the Aggregator built from it refuses any other
-        return (self._area + self._level * (end - self._prev_t)) / end
 
     def render(self) -> str:
         """report.txt."""

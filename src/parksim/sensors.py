@@ -122,13 +122,12 @@ def sample_env(
     return temp, humidity
 
 
-def sample_mq2(
-    model: Mq2Model,
-    concentrations: Mapping[str, float],
-    rng: PCG64,
-) -> float:
-    """Weighted sum of gas concentrations plus noise, clamped at zero."""
-    reading = 0.0
+def weighted_level(model: Mq2Model, concentrations: Mapping[str, float]) -> float:
+    """The sensitivity-weighted sum of gas concentrations, in gas-name order.
+
+    It adds left to right from 0: sum() compensates float additions from
+    Python 3.12 on, so its total would depend on the version."""
+    level = 0.0
     for gas in sorted(concentrations):
         ppm = concentrations[gas]
         if ppm < 0:
@@ -137,7 +136,17 @@ def sample_mq2(
             coeff = model.sensitivities[gas]
         except KeyError:
             raise ConfigError(f"no sensitivity configured for gas {gas!r}") from None
-        reading += coeff * ppm
+        level += coeff * ppm
+    return level
+
+
+def sample_mq2(
+    model: Mq2Model,
+    concentrations: Mapping[str, float],
+    rng: PCG64,
+) -> float:
+    """Weighted sum of gas concentrations plus noise, clamped at zero."""
+    reading = weighted_level(model, concentrations)
     if model.noise_sd_ppm > 0:
         reading += rng.normal(0.0, model.noise_sd_ppm)
     return max(reading, 0.0)

@@ -120,21 +120,12 @@ class GasField:
         self.fan_on = False
         self.last_t = 0.0
 
-    def _weighted_level(self) -> float:
-        # left to right, as sensors.sample_mq2 adds: sum() compensates float
-        # additions from Python 3.12 on, so its total depends on the version
-        sensitivities = self.model.sensitivities
-        level = 0.0
-        for gas, ppm in sorted(self.concentrations.items()):
-            level += sensitivities.get(gas, 0.0) * ppm
-        return level
-
     def advance(self, t: float) -> None:
         dt = t - self.last_t
         self.last_t = t
         if dt <= 0 or not self.fan_on or not self.concentrations:
             return
-        level = self._weighted_level()
+        level = sensors.weighted_level(self.model, self.concentrations)
         if level <= 0:
             return
         target = max(level - self.decay_ppm_per_s * dt, 0.0)

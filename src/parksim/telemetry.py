@@ -3,15 +3,19 @@
 Three primitive measures: data transfer rate (bytes moved over elapsed
 time), point-to-point delay (broker accept to subscriber delivery), and the
 error-correction ratio (recovered deliveries over deliveries that needed
-recovery; 1.0 when nothing needed recovery). The aggregator turns an event
-record stream into windowed CSV rows and is a pure function of its input,
-so re-running it over the same log reproduces the file byte for byte.
+recovery; 1.0 when nothing needed recovery). The aggregator is the one loop
+over an event log's records: it counts them per kind, integrates the
+parked-car count, and turns the publish and deliver records into windowed
+CSV rows. It is a pure function of its input, so re-running it over the
+same log reproduces the file byte for byte.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
+from collections.abc import Iterable
 
 
 def data_rate(bytes_total: float, duration_s: float) -> float:
@@ -57,12 +61,6 @@ def check_window_count(duration_s: float, window_s: float = WINDOW_S) -> None:
                          f"of {window_s:g} s")
 
 
-# Event-log record kinds this module consumes. "publish" is a broker accept,
-# "deliver" a subscriber delivery (carrying its delay), and the error kinds
-# come from qos-1 recovery bookkeeping.
-_SAMPLE_KINDS = ("publish", "deliver", "error_corrected", "error_uncorrected")
-
-
 def fmt(value: float) -> str:
     """A number as metrics.csv and report.txt write it."""
     return format(value, ".10g")
@@ -76,17 +74,20 @@ def _sample(record: dict, field: str) -> float:
 
 
 class Aggregator:
-    """Windowed rollup of telemetry samples extracted from event records.
+    """The one loop over an event log's records, fed a block at a time.
 
-    Each sample is folded into its window and into the run totals as it is
-    added: a running sum and count per window and a running sum, count,
-    min and max for the run, no lists of values. The sums add the same
-    values in the same order as a scan of every sample per window would,
-    so the CSV keeps its bytes, whatever blocks the records come in.
+    Each record is visited once: its kind is counted, a park or depart
+    steps the occupancy integral, and a `publish` (broker accept) or
+    `deliver` (subscriber delivery, with its delay) is folded into its
+    window and the run totals as running sums, counts, min and max. The
+    sums add the same values in the same order as a scan of every sample
+    per window would, so the CSV keeps its bytes, whatever the blocks.
 
-    A bad sample (a negative value, a missing `bytes` or `delay`) does not
-    raise from add_records: the first one stops the fold, and rows() and
-    summary() raise its exception, as a scan made at report time would.
+    A record without `t` or `kind`, an unhashable kind, or a park or depart
+    whose `t` is not a number raises a ValueError naming its index in the
+    log. A bad sample (a negative value, a missing `bytes` or `delay`) does
+    not: the first one stops the fold, and rows() and summary() raise it,
+    as a scan made at report time would.
     """
 
     def __init__(self, duration_s: float, window_s: float = WINDOW_S):
@@ -101,29 +102,79 @@ class Aggregator:
         self.window_s = window_s
         self._bounds = self._window_bounds()
         self._starts = [start for start, _ in self._bounds]
+        # records per kind; a store into a Counter costs ~100 ns more than this
+        self._counts: dict[str, int] = {}
         # running sums start at 0 and add left to right, as sum() does, so
         # they give sum()'s floats; per window: [bytes, delay sum, delays]
         self._in_window = [[0, 0, 0] for _ in self._bounds]
         self._bytes_total = self._delay_total = self._delays = 0
         self._delay_min = self._delay_max = 0.0
-        self._errors = {"error_corrected": 0, "error_uncorrected": 0}
-        self._added = 0  # sample records added, folded or not
         self._bad: Exception | None = None  # the first bad sample's exception
+        # the occupancy step function's integral over [0, duration_s]
+        self._parked = 0
+        self._level = 0                 # parked cars since _prev_t
+        self._prev_t = 0.0
+        self._area = 0.0                # car-seconds up to _prev_t
+        self._past_end = False          # later steps fall outside [0, duration_s]
+
+    @property
+    def counts(self) -> Counter[str]:
+        """Records added per kind, as a new Counter: an unseen kind reads 0."""
+        return Counter(self._counts)
 
     @property
     def samples(self) -> range:
-        """One entry per sample record added, in order; the values
-        themselves are folded, not kept."""
-        return range(self._added)
+        """One entry per publish, deliver and error record added."""
+        get = self._counts.get
+        return range(get("publish", 0) + get("deliver", 0)
+                     + get("error_corrected", 0) + get("error_uncorrected", 0))
 
-    def add_records(self, records) -> None:
-        samples = [record for record in records if record.get("kind") in _SAMPLE_KINDS]
-        self._added += len(samples)
-        if self._bad is None:
-            try:
-                self._fold(samples)
+    def add_records(self, records: Iterable[dict]) -> None:
+        """Feed one block of records, in log order."""
+        counts, duration, bounds, starts, in_window = (
+            self._counts, self.duration_s, self._bounds, self._starts, self._in_window)
+        bytes_total, delay_total, delays = self._bytes_total, self._delay_total, self._delays
+        delay_min, delay_max, bad = self._delay_min, self._delay_max, self._bad
+        # every record counted so far is one the log holds before this block
+        for index, record in enumerate(records, start=sum(counts.values())):
+            if not isinstance(record, dict) or "kind" not in record or "t" not in record:
+                raise ValueError(f"record {index}: missing 't'/'kind' fields: {record!r}")
+            kind = record["kind"]
+            try:  # raises on an unhashable kind or a 't' that is not a number
+                counts[kind] = counts.get(kind, 0) + 1
+                if kind == "car_parks" or kind == "car_departs":
+                    self._parked += 1 if kind == "car_parks" else -1
+                    self._step(float(record["t"]))
+            except (ArithmeticError, TypeError, ValueError) as exc:
+                raise ValueError(f"record {index}: {exc}: {record!r}") from None
+            if bad is not None or (kind != "publish" and kind != "deliver"):
+                continue
+            try:  # what float() and _sample raise on a bad sample
+                t = float(record["t"])
+                # a window holds start <= t < end; the last, ending at duration_s, also t == end
+                i = bisect.bisect_right(starts, t) - 1
+                window = in_window[i] if i >= 0 and (t < bounds[i][1] or t == bounds[i][1] == duration) \
+                    else None
+                value = _sample(record, "bytes")
+                bytes_total += value
+                if window is not None:
+                    window[0] += value
+                if kind == "deliver":
+                    value = _sample(record, "delay")
+                    # min() and max() keep the first of equal values, as these do
+                    if not delays or value < delay_min:
+                        delay_min = value
+                    if not delays or value > delay_max:
+                        delay_max = value
+                    delay_total += value
+                    delays += 1
+                    if window is not None:
+                        window[1] += value
+                        window[2] += 1
             except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
-                self._bad = exc  # what float() and _sample raise on a bad sample
+                bad = exc
+        self._bytes_total, self._delay_total, self._delays = bytes_total, delay_total, delays
+        self._delay_min, self._delay_max, self._bad = delay_min, delay_max, bad
 
     def _window_bounds(self) -> list[tuple[float, float]]:
         bounds = []
@@ -134,39 +185,21 @@ class Aggregator:
             start += self.window_s
         return bounds
 
-    def _fold(self, samples: list[dict]) -> None:
-        duration, bounds, starts = self.duration_s, self._bounds, self._starts
-        in_window, errors = self._in_window, self._errors
-        bytes_total, delay_total, delays = self._bytes_total, self._delay_total, self._delays
-        delay_min, delay_max = self._delay_min, self._delay_max
-        for record in samples:
-            kind = record["kind"]
-            if kind in errors:
-                errors[kind] += 1
-                continue
-            t = float(record.get("t", 0.0))
-            # a window holds start <= t < end; the last, ending at duration_s, also t == end
-            i = bisect.bisect_right(starts, t) - 1
-            window = in_window[i] if i >= 0 and (t < bounds[i][1] or t == bounds[i][1] == duration) \
-                else None
-            value = _sample(record, "bytes")
-            bytes_total += value
-            if window is not None:
-                window[0] += value
-            if kind == "deliver":
-                value = _sample(record, "delay")
-                # min() and max() keep the first of equal values, as these do
-                if not delays or value < delay_min:
-                    delay_min = value
-                if not delays or value > delay_max:
-                    delay_max = value
-                delay_total += value
-                delays += 1
-                if window is not None:
-                    window[1] += value
-                    window[2] += 1
-        self._bytes_total, self._delay_total, self._delays = bytes_total, delay_total, delays
-        self._delay_min, self._delay_max = delay_min, delay_max
+    def _step(self, t: float) -> None:
+        # one turn of the integral: a step before 0 only sets the level, and
+        # the first past duration_s ends it
+        if self._past_end or t > self.duration_s:
+            self._past_end = True
+            return
+        if not t < 0.0:  # a NaN time too, which makes the area NaN
+            self._area += self._level * (t - self._prev_t)
+            self._prev_t = t
+        self._level = self._parked
+
+    def mean_occupancy(self) -> float:
+        """The time-weighted mean parked-car count over [0, duration_s], float
+        for float that of the step function built as a list from the records."""
+        return (self._area + self._level * (self.duration_s - self._prev_t)) / self.duration_s
 
     def _rolled_up(self) -> tuple[list[tuple[str, float, float, float]], dict[str, float]]:
         """(per-window rows, run totals), from the running sums."""
@@ -181,7 +214,8 @@ class Aggregator:
             if delay_count:
                 per_window.append(("delay_mean_s", start, end, delay_sum / delay_count))
 
-        corrected, uncorrected = self._errors["error_corrected"], self._errors["error_uncorrected"]
+        corrected = self._counts.get("error_corrected", 0)
+        uncorrected = self._counts.get("error_uncorrected", 0)
         totals = {
             "bytes_total": self._bytes_total,
             "data_rate_bytes_per_s": data_rate(self._bytes_total, duration),

@@ -112,9 +112,10 @@ def test_varint_range_and_malformed():
 
 def test_remaining_length_cap_enforced_before_allocation():
     # header claims ~1 MiB; the cap must trip without waiting for the body
+    assert codec.REMAINING_LENGTH_CAP < 1_000_000
     header = b"\x30" + encode_varint(1_000_000)
-    with pytest.raises(ProtocolError):
-        decode_packet(header, max_remaining_length=256 * 1024)
+    with pytest.raises(ProtocolError, match="exceeds cap"):
+        decode_packet(header)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import json
 import math
 import typing
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -12,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
-from parksim import codec, domain, eventlog, sim
+from parksim import codec, domain, eventlog, sensors, sim
 from parksim.domain import ConfigError, FacilityConfig
 from parksim.scenario import (
     DashboardConfig,
@@ -93,6 +94,8 @@ class TestVentilationScenario:
         assert first_reading == pytest.approx(18.4)
 
     def test_weighted_level_adds_left_to_right(self):
+        # the level the fan scales down and the MQ-2 reading come from one
+        # function, whatever order the field's gases were injected in
         field = sim.GasField(Mq2Model(sensitivities={"a": 1.0, "b": 1.0, "c": 1.0}), 2.0)
         field.inject(0.0, "c", 0.3)
         field.inject(0.0, "a", 0.1)
@@ -103,7 +106,9 @@ class TestVentilationScenario:
             reference += term
         # a compensated sum (sum() on 3.12+, math.fsum) gives another float here
         assert reference != math.fsum(terms)
-        assert field._weighted_level() == reference
+        assert sensors.weighted_level(field.model, field.concentrations) == reference
+        quiet = Mq2Model(sensitivities=field.model.sensitivities, noise_sd_ppm=0.0)
+        assert sensors.sample_mq2(quiet, field.concentrations, None) == reference
 
 
 class TestDeterminism:
@@ -397,6 +402,30 @@ def test_one_pass_tally_equals_the_list_references(data, duration, block):
     records = data.draw(_event_logs(duration))
     assert _outcome(_one_pass_tally, records, block) == \
         _outcome(_reference_tally, records, duration)
+
+
+class _CountedIterations(list):
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_a_block_fed_to_the_tally_is_iterated_once():
+    records = [{"t": 0.0, "kind": "meta", "config": {"duration_s": 100.0}},
+               {"t": 5.0, "kind": "car_parks"},
+               {"t": 9.0, "kind": "publish", "bytes": 8},
+               {"t": 9.5, "kind": "deliver", "bytes": 8, "delay": 0.5},
+               {"t": 50.0, "kind": "car_departs"}]
+    tally = eventlog.ReportTally()
+    for block in (records[:2], records[2:]):
+        block = _CountedIterations(block)
+        tally.add_records(block)
+        assert block.iterations == 1
+    assert tally.counts == Counter(record["kind"] for record in records)
+    assert tally.mean_occupancy() == 45.0 / 100.0
+    assert tally.aggregator.summary()["bytes_total"] == 16
 
 
 _BODY = [{"t": 5.0, "kind": "car_parks"}, {"t": 9.0, "kind": "publish", "bytes": 8}]

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -240,6 +241,7 @@ def test_records_fed_in_blocks_fold_to_the_scan(run, block):
     rows, summary = _reference_rows(records, duration_s, window_s)
     agg = _fed_in_blocks(records, duration_s, window_s, block)
     assert len(agg.samples) == sum(r["kind"] in _SAMPLE_KINDS for r in records)
+    assert agg.counts == Counter(r["kind"] for r in records)
     assert agg.rows() == rows
     assert agg.summary() == summary
     assert agg.to_csv() == _csv(rows)

@@ -8,12 +8,13 @@ benchmark does and checks that each span it relies on was recorded.
 """
 
 import importlib.util
+import math
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
-from parksim import sim
+from parksim import eventlog, sim
 
 ROOT = Path(__file__).resolve().parent.parent
 DAY_CFG = ROOT / "scenarios" / "day.cfg"
@@ -23,7 +24,8 @@ DAY_CFG = ROOT / "scenarios" / "day.cfg"
 EXPECTED_SPANS = (
     "sim.run", "sim.write", "controller.handle", "broker.handle", "broker.redeliver",
     "client.handle_packet", "client.publish_packet", "sensors.sample_env",
-    "sensors.sample_mq2", "stochastic.next_arrival", "telemetry.rows", "scenario.load",
+    "sensors.sample_mq2", "stochastic.next_arrival", "telemetry.add_records",
+    "telemetry.rows", "telemetry.summary", "scenario.load",
 )
 
 
@@ -57,6 +59,8 @@ def test_traced_simulate_records_every_layer(tmp_path):
     assert counts["broker.handle"] >= kinds["publish"] > 0
     assert counts["client.publish_packet"] >= kinds["publish"]
     assert counts["client.handle_packet"] >= kinds["deliver"] > 0
+    # the log's one loop runs behind Aggregator.add_records, once per block
+    assert counts["telemetry.add_records"] == math.ceil(len(records) / eventlog.BLOCK_RECORDS) > 1
 
     # every controller transition goes through Controller.handle: one event
     # per arrival, park and sample, two per departure (the slot, then the
