@@ -50,7 +50,16 @@ pending timer event, the TCP server uses it as its select timeout.
 Matching runs on two level tries kept in step with every state change: one
 over subscription filters (so a publish visits only the filters that can
 match its topic) and one over retained topics (so a SUBSCRIBE replays only
-the topics its filters match). A subscription entry is keyed by its
+the topics its filters match). The retained trie is walked once per
+wildcard filter, not once per SUBSCRIBE: the walk's result is kept as the
+filter's match snapshot and every later SUBSCRIBE to that filter replays
+from it. Adding or clearing a retained topic drops every snapshot (an
+overwrite moves no topic, so it keeps them), and a filter's last holder
+takes its snapshot with it when it unsubscribes or its session ends, so
+the snapshots never hold more than the replays of live subscriptions
+emit. A literal filter can match only the topic equal to it and is
+answered from the retained store, with no walk and no snapshot. A snapshot
+is replaced, never changed in place. A subscription entry is keyed by its
 session's connect sequence number and holds the session itself with the
 granted qos, so a publish reaches its sessions without a lookup by client
 id, and sorting the matched keys, plain ints, gives connect order. Outputs
@@ -175,19 +184,22 @@ def _trie_insert(root: _Node, levels: list[str], key, value) -> None:
     node.entries[key] = value
 
 
-def _trie_remove(root: _Node, levels: list[str], key) -> None:
-    """Remove `key` at `levels` and prune the nodes left empty."""
+def _trie_remove(root: _Node, levels: list[str], key) -> bool:
+    """Remove `key` at `levels` and prune the nodes left empty; True when
+    no entry is left at `levels`."""
     path = [root]
     for level in levels:
         node = path[-1].children.get(level)
         if node is None:
-            return
+            return True
         path.append(node)
-    path[-1].entries.pop(key, None)
+    entries = path[-1].entries
+    entries.pop(key, None)
     for depth in range(len(levels), 0, -1):
         if not path[depth].is_empty():
             break
         del path[depth - 1].children[levels[depth - 1]]
+    return not entries
 
 
 def _collect_subscribers(node: _Node, levels: list[str], i: int, best: dict) -> None:
@@ -269,6 +281,9 @@ class BrokerCore:
         # topic -> the qos-1 Publish its retained value's replay copies share;
         # built at the value's first replay, dropped when the topic is written
         self._replay: dict[str, Publish] = {}
+        # wildcard filter held by a live session -> its match snapshot, the
+        # retained topics it matches (see the module docstring)
+        self._match_snapshots: dict[str, list[str]] = {}
         self.corrected_errors = 0
         self.uncorrected_errors = 0
         self.next_packet_id = 1  # the id of the next message with a qos-1 copy
@@ -335,9 +350,11 @@ class BrokerCore:
             if not payload:
                 if self.retained.pop(topic, None) is not None:
                     _trie_remove(self._retained_trie, topic.split("/"), topic)
+                    self._match_snapshots.clear()
             else:
                 if topic not in self.retained:
                     _trie_insert(self._retained_trie, topic.split("/"), topic, next(self._seq))
+                    self._match_snapshots.clear()
                 self.retained[topic] = (payload, qos)
         self._send_copies(outputs, topic, payload, qos, self._subscribers(topic), now)
         return outputs
@@ -384,7 +401,7 @@ class BrokerCore:
     def _handle_unsubscribe(self, session: Session, packet: Unsubscribe, now: float) -> list[BrokerOutput]:
         for topic_filter in packet.filters:
             if session.subscriptions.pop(topic_filter, None) is not None:
-                _trie_remove(self._subscription_trie, topic_filter.split("/"), session.connect_seq)
+                self._remove_subscription(session, topic_filter)
         return [Send(session.conn_id, UnsubAck(packet.packet_id))]
 
     def _handle_pingreq(self, session: Session, packet: PingReq, now: float) -> list[BrokerOutput]:
@@ -409,11 +426,20 @@ class BrokerCore:
         return [best[seq] for seq in sorted(best)]
 
     def _retained_matching(self, topic_filter: str) -> list[str]:
-        """Retained topics matching `topic_filter`, in retained-store order."""
-        found: list[tuple[str, int]] = []
-        _collect_retained(self._retained_trie, topic_filter.split("/"), 0, found)
-        found.sort(key=itemgetter(1))
-        return [topic for topic, _ in found]
+        """Retained topics matching `topic_filter`, in retained-store order.
+
+        A literal filter can match only the topic equal to it. A wildcard
+        filter's list is its match snapshot, shared by every call until it
+        is dropped, so callers must not change it."""
+        if "+" not in topic_filter and "#" not in topic_filter:
+            return [topic_filter] if topic_filter in self.retained else []
+        snapshot = self._match_snapshots.get(topic_filter)
+        if snapshot is None:
+            found: list[tuple[str, int]] = []
+            _collect_retained(self._retained_trie, topic_filter.split("/"), 0, found)
+            found.sort(key=itemgetter(1))
+            snapshot = self._match_snapshots[topic_filter] = [topic for topic, _ in found]
+        return snapshot
 
     def _handle_puback(self, session: Session, packet: PubAck, now: float) -> list[BrokerOutput]:
         entry = session.inflight.pop(packet.packet_id, None)
@@ -538,7 +564,13 @@ class BrokerCore:
         del self.sessions[session.client_id]
         del self.conn_sessions[session.conn_id]
         for topic_filter in session.subscriptions:
-            _trie_remove(self._subscription_trie, topic_filter.split("/"), session.connect_seq)
+            self._remove_subscription(session, topic_filter)
+
+    def _remove_subscription(self, session: Session, topic_filter: str) -> None:
+        """Take `session`'s entry for `topic_filter` out of the subscription
+        trie, and the filter's match snapshot with its last holder."""
+        if _trie_remove(self._subscription_trie, topic_filter.split("/"), session.connect_seq):
+            self._match_snapshots.pop(topic_filter, None)
 
     def _emit(self, kind: str, **fields) -> None:
         if self.event_sink is not None:

@@ -257,6 +257,76 @@ class TestRetained:
         )
         assert sends_of(outputs, Publish)[0].packet.retain is False
 
+    # A wildcard filter's match snapshot: the retained trie is walked at the
+    # filter's first replay, and later SUBSCRIBEs replay from that list.
+
+    def _replay_to(self, conn, topic_filter="parking/#", now=5.0):
+        if conn not in self.core.conn_sessions:
+            connect(self.core, conn, conn, now=now)
+        outputs = self.core.handle(conn, Subscribe(packet_id=1, filters=((topic_filter, 0),)), now)
+        return [(o.packet.topic, o.packet.payload) for o in sends_of(outputs, Publish)]
+
+    def test_a_topic_retained_between_subscribes_reaches_the_second_subscriber(self):
+        assert len(self._replay_to("s1")) == 4
+        self.core.handle("pub", Publish(topic="parking/slot/5/status", payload=b"1", retain=True), 6.0)
+        assert self._replay_to("s2")[-1] == ("parking/slot/5/status", b"1")
+        assert len(self._replay_to("s3")) == 5
+
+    def test_a_topic_cleared_between_subscribes_is_not_replayed(self):
+        assert len(self._replay_to("s1")) == 4
+        self.core.handle("pub", Publish(topic="parking/slot/2/status", payload=b"", retain=True), 6.0)
+        assert [topic for topic, _ in self._replay_to("s2")] == [
+            "parking/slot/1/status", "parking/slot/3/status", "parking/slot/4/status"]
+
+    @pytest.mark.parametrize("subscribes", [2, 5])
+    def test_overwrites_between_subscribes_replay_new_values_from_one_walk(self, monkeypatch,
+                                                                           subscribes):
+        walks = []
+        real = broker._collect_retained
+
+        def counted(node, flevels, i, out):
+            if i == 0:  # a walk from the root, not one of its own recursive calls
+                walks.append("/".join(flevels))
+            real(node, flevels, i, out)
+
+        monkeypatch.setattr(broker, "_collect_retained", counted)
+        for n in range(subscribes):
+            payload = str(n).encode()
+            for slot in (1, 3):
+                self.core.handle("pub", Publish(topic=f"parking/slot/{slot}/status",
+                                                payload=payload, retain=True), 5.0 + n)
+            assert self._replay_to(f"s{n}", now=5.0 + n) == [
+                ("parking/slot/1/status", payload), ("parking/slot/2/status", b"0"),
+                ("parking/slot/3/status", payload), ("parking/slot/4/status", b"0")]
+        assert walks == ["parking/#"]
+        assert list(self.core._match_snapshots) == ["parking/#"]
+
+    @pytest.mark.parametrize("leave", ["unsubscribe", "disconnect", "closed", "takeover"])
+    def test_a_filters_snapshot_goes_with_its_last_holder(self, leave):
+        self._replay_to("s1")
+        self._replay_to("s2")
+        self._replay_to("s2", "parking/slot/+/status")
+        snapshots = self.core._match_snapshots
+        assert set(snapshots) == {"parking/#", "parking/slot/+/status"}
+        self.core.handle("s1", Disconnect(), 6.0)
+        assert set(snapshots) == {"parking/#", "parking/slot/+/status"}
+        if leave == "unsubscribe":
+            self.core.handle("s2", Unsubscribe(packet_id=2, filters=("parking/#",)), 7.0)
+            assert set(snapshots) == {"parking/slot/+/status"}
+            return
+        if leave == "disconnect":
+            self.core.handle("s2", Disconnect(), 7.0)
+        elif leave == "closed":
+            self.core.connection_closed("s2")
+        else:
+            connect(self.core, "s2-again", "s2", now=7.0)
+        assert snapshots == {}
+
+    def test_a_literal_filter_replays_its_topic_without_a_snapshot(self):
+        assert self._replay_to("s1", "parking/slot/3/status") == [("parking/slot/3/status", b"0")]
+        assert self._replay_to("s1", "parking/slot/9/status") == []
+        assert self.core._match_snapshots == {}
+
 
 class TestRedelivery:
     def _setup_inflight(self, drop_first=True):
@@ -967,6 +1037,17 @@ def _assert_replay_shared(core, outputs, held):
         ids.add(packet.packet_id)
 
 
+def _assert_match_snapshots_current(core):
+    """Every match snapshot belongs to a wildcard filter that a live session
+    holds, and equals a scan of the retained store for that filter."""
+    held = {topic_filter for session in core.sessions.values()
+            for topic_filter in session.subscriptions}
+    for topic_filter, snapshot in core._match_snapshots.items():
+        assert "+" in topic_filter or "#" in topic_filter
+        assert topic_filter in held
+        assert snapshot == [topic for topic in core.retained if topic_matches(topic_filter, topic)]
+
+
 def _assert_replay_cache_current(core):
     """Every cached replay Publish carries its topic's current retained
     value, at qos 1 with retain set and DUP clear."""
@@ -989,6 +1070,7 @@ def test_indexed_core_matches_brute_force_reference(steps):
             _assert_copies_shared(indexed, outputs, held)
         _assert_replay_shared(indexed, outputs, held)
         _assert_replay_cache_current(indexed)
+        _assert_match_snapshots_current(indexed)
         _assert_entries_shared(indexed)
         assert list(indexed.retained.items()) == list(reference.retained.items())
         _assert_no_leaked_nodes(indexed)
@@ -1002,4 +1084,5 @@ def test_indexed_core_matches_brute_force_reference(steps):
     for session in list(indexed.sessions.values()):
         indexed.handle(session.conn_id, Disconnect(), len(steps))
     assert indexed.sessions == {} and indexed.retained == {} and indexed._replay == {}
+    assert indexed._match_snapshots == {}
     assert indexed._subscription_trie.is_empty() and indexed._retained_trie.is_empty()

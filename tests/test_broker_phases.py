@@ -20,5 +20,11 @@ def test_one_job_times_every_packet_type_and_passes_the_rig_checks():
     assert rows["jobs", "SUBSCRIBE+replay"][0] == "8"
     assert rows["all", "PUBACK"][3] == "1.00"
     for kind in ("PUBLISH", "PUBACK", "SUBSCRIBE+replay"):
-        calls, seconds, us_per_call, over_puback = rows["all", kind]
+        calls, seconds, us_per_call, over_puback, *_ = rows["all", kind]
         assert int(calls) > 0 and float(us_per_call) > 0 and float(over_puback) > 0
+    # replay copies: every PUBLISH a SUBSCRIBE returned, and the time per copy
+    assert rows["setup", "SUBSCRIBE+replay"][4] == "205480"
+    assert rows["jobs", "SUBSCRIBE+replay"][4] == "8223"
+    assert rows["all", "SUBSCRIBE+replay"][4] == "213703"
+    assert float(rows["all", "SUBSCRIBE+replay"][5]) > 0
+    assert rows["all", "PUBLISH"][4:] == ["-", "-"]
