@@ -47,24 +47,26 @@ earliest of them and tick(now) acts on those due. A driver calls tick at
 (or after) that deadline, whatever its clock: the simulator keeps one
 pending timer event, the TCP server uses it as its select timeout.
 
-Matching runs on two level tries kept in step with every state change: one
-over subscription filters (so a publish visits only the filters that can
-match its topic) and one over retained topics (so a SUBSCRIBE replays only
-the topics its filters match). The retained trie is walked once per
-wildcard filter, not once per SUBSCRIBE: the walk's result is kept as the
-filter's match snapshot and every later SUBSCRIBE to that filter replays
-from it. Adding or clearing a retained topic drops every snapshot (an
-overwrite moves no topic, so it keeps them), and a filter's last holder
-takes its snapshot with it when it unsubscribes or its session ends, so
-the snapshots never hold more than the replays of live subscriptions
-emit. A literal filter can match only the topic equal to it and is
-answered from the retained store, with no walk and no snapshot. A snapshot
-is replaced, never changed in place. A subscription entry is keyed by its
-session's connect sequence number and holds the session itself with the
-granted qos, so a publish reaches its sessions without a lookup by client
-id, and sorting the matched keys, plain ints, gives connect order. Outputs
-keep the order a linear scan gives: fan-out in session connect order,
-replay in retained-store order. _send_copies builds the copies of a live
+Matching runs on one level trie over subscription filters, kept in step
+with every state change, so a publish visits only the filters that can
+match its topic. A SUBSCRIBE replays from its wildcard filter's match
+snapshot: the retained topics that filter matches, in store order, found
+by one scan of the retained store at the filter's first replay and kept
+for every later SUBSCRIBE to it. The scan tests each topic against the
+filter's literal prefix (its levels before the first wildcard) before it
+compares levels. Adding or clearing a retained topic drops every snapshot
+(an overwrite moves no topic, so it keeps them), and a filter's last
+holder takes its snapshot with it when it unsubscribes or its session
+ends, so the snapshots never hold more than the replays of live
+subscriptions emit. A literal filter can match only the topic equal to it
+and is answered from the retained store, with no scan and no snapshot. A
+snapshot is replaced, never changed in place. A subscription entry is
+keyed by its session's connect sequence number and holds the session
+itself with the granted qos, so a publish reaches its sessions without a
+lookup by client id, and sorting the matched keys, plain ints, gives
+connect order. Outputs keep the order a linear scan gives: fan-out in
+session connect order, replay in retained-store order (a cleared and
+re-added topic moves to the end). _send_copies builds the copies of a live
 publish and _handle_subscribe those of a retained replay; redeliver()
 resends either kind of copy that was not acknowledged in time.
 
@@ -82,7 +84,6 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Iterable
 
 from . import codec
@@ -156,13 +157,9 @@ def _release_inflight(session: Session) -> None:
 
 
 class _Node:
-    """One topic level of a trie; `entries` holds what ends at this level.
-
-    Subscription trie: filter levels ('+' and '#' are ordinary keys),
-    entries map a session's connect_seq -> (session, granted qos).
-    Retained trie: topic levels, entries map the topic -> its insertion
-    sequence number.
-    """
+    """One filter level of the subscription trie ('+' and '#' are ordinary
+    keys); `entries` maps the connect_seq of each session whose filter ends
+    at this level -> (session, granted qos)."""
 
     __slots__ = ("children", "entries")
 
@@ -236,33 +233,37 @@ def _merge_highest(best: dict, entries: dict) -> None:
 _NO_TARGET = (None, -1)
 
 
-def _collect_retained(node: _Node, flevels: list[str], i: int, out: list) -> None:
-    """Append (topic, seq) for every retained topic under `node` matching flevels[i:].
+def _scan_retained(topics: Iterable[str], topic_filter: str) -> list[str]:
+    """The topics in `topics` that wildcard filter `topic_filter` matches, in
+    their order, from one pass that tests each topic against the filter's
+    literal prefix before it compares levels.
 
-    At the root a wildcard skips '$' topics (MQTT 3.1.1 section 4.7.2).
+    A wildcard in the first level skips '$' topics (MQTT 3.1.1 section 4.7.2).
     """
-    if i == len(flevels):
-        out.extend(node.entries.items())
-        return
-    level = flevels[i]
-    if level != "+" and level != "#":
-        child = node.children.get(level)
-        if child is not None:
-            _collect_retained(child, flevels, i + 1, out)
-        return
-    for key, child in node.children.items():
-        if i == 0 and key.startswith("$"):
-            continue
-        if level == "+":
-            _collect_retained(child, flevels, i + 1, out)
-            continue
-        stack = [child]
-        while stack:
-            below = stack.pop()
-            out.extend(below.entries.items())
-            stack.extend(below.children.values())
-    if level == "#":
-        out.extend(node.entries.items())  # 'a/#' also matches 'a'
+    flevels = topic_filter.split("/")
+    first = next(i for i, level in enumerate(flevels) if level == "+" or level == "#")
+    rest = flevels[first:]
+    if first:
+        prefix = "/".join(flevels[:first]) + "/"
+    else:
+        prefix = ""
+        topics = [topic for topic in topics if not topic.startswith("$")]
+    if rest == ["#"]:
+        parent = prefix[:-1]  # 'a/#' also matches 'a'; a topic is never empty
+        return [topic for topic in topics if topic.startswith(prefix) or topic == parent]
+    skip = len(prefix)
+    return [topic for topic in topics
+            if topic.startswith(prefix) and _levels_match(topic[skip:].split("/"), rest)]
+
+
+def _levels_match(tlevels: list[str], flevels: list[str]) -> bool:
+    """Whether topic levels `tlevels` match filter levels `flevels`, `$` aside."""
+    for i, level in enumerate(flevels):
+        if level == "#":
+            return True
+        if i == len(tlevels) or level != "+" and level != tlevels[i]:
+            return False
+    return len(tlevels) == len(flevels)
 
 
 class BrokerCore:
@@ -288,8 +289,7 @@ class BrokerCore:
         self.uncorrected_errors = 0
         self.next_packet_id = 1  # the id of the next message with a qos-1 copy
         self._subscription_trie = _Node()
-        self._retained_trie = _Node()
-        self._seq = itertools.count()  # insertion order of sessions and retained topics
+        self._seq = itertools.count()  # session connect order
 
     # -- inbound ---------------------------------------------------------
 
@@ -349,11 +349,9 @@ class BrokerCore:
             self._replay.pop(topic, None)
             if not payload:
                 if self.retained.pop(topic, None) is not None:
-                    _trie_remove(self._retained_trie, topic.split("/"), topic)
                     self._match_snapshots.clear()
             else:
                 if topic not in self.retained:
-                    _trie_insert(self._retained_trie, topic.split("/"), topic, next(self._seq))
                     self._match_snapshots.clear()
                 self.retained[topic] = (payload, qos)
         self._send_copies(outputs, topic, payload, qos, self._subscribers(topic), now)
@@ -435,10 +433,8 @@ class BrokerCore:
             return [topic_filter] if topic_filter in self.retained else []
         snapshot = self._match_snapshots.get(topic_filter)
         if snapshot is None:
-            found: list[tuple[str, int]] = []
-            _collect_retained(self._retained_trie, topic_filter.split("/"), 0, found)
-            found.sort(key=itemgetter(1))
-            snapshot = self._match_snapshots[topic_filter] = [topic for topic, _ in found]
+            snapshot = self._match_snapshots[topic_filter] = _scan_retained(self.retained,
+                                                                             topic_filter)
         return snapshot
 
     def _handle_puback(self, session: Session, packet: PubAck, now: float) -> list[BrokerOutput]:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from parksim import codec
+from parksim.broker import BrokerCore, Close, Send
 from parksim.codec import (
     ConnAck,
     Connect,
@@ -187,6 +188,23 @@ def test_connect_unsupported_features_flagged():
     packet, _ = decode_packet(frame)
     assert isinstance(packet, Connect)
     assert packet.requests_unsupported
+
+
+# Well-formed CONNECTs asking for features outside the supported subset:
+# clean session and id "c", plus a will (topic "w", message "m") or a user
+# name "u" with a password "p".
+_CONNECT_WILL = b"\x10\x13\x00\x04MQTT\x04\x06\x00\x1e\x00\x01c\x00\x01w\x00\x01m"
+_CONNECT_PASSWORD = b"\x10\x13\x00\x04MQTT\x04\xc2\x00\x1e\x00\x01c\x00\x01u\x00\x01p"
+
+
+@pytest.mark.parametrize("frame", [_CONNECT_WILL, _CONNECT_PASSWORD], ids=["will", "password"])
+def test_connect_with_a_will_or_a_password_decodes_and_is_refused_with_code_1(frame):
+    packet, consumed = decode_packet(frame)
+    assert consumed == len(frame)
+    assert packet == Connect("c", 30, True, requests_unsupported=True)
+    outputs = BrokerCore().handle("conn", packet, 0.0)
+    assert outputs[0] == Send("conn", ConnAck(return_code=1))
+    assert isinstance(outputs[1], Close)
 
 
 def test_connect_roundtrip_clean():
@@ -427,6 +445,11 @@ MALFORMED = [
     ("connect-reserved-bit", b"\x10\x0d\x00\x04MQTT\x04\x03\x00\x1e\x00\x01c", "reserved flag bit"),
     ("connect-truncated", b"\x10\x0c" + _CONNECT_BODY[:-1], "truncated"),
     ("connect-will-missing", b"\x10\x0d\x00\x04MQTT\x04\x06\x00\x1e\x00\x01c", "truncated"),
+    # a will message and a password whose length runs past the frame
+    ("connect-will-message-truncated", _CONNECT_WILL[:-1].replace(b"\x13", b"\x12", 1),
+     "truncated"),
+    ("connect-password-truncated", _CONNECT_PASSWORD[:-1].replace(b"\x13", b"\x12", 1),
+     "truncated"),
     # MQTT-3.1.2-13 to -15: Will QoS and Will Retain need the Will Flag, and
     # a Will QoS of 3 is malformed even with it
     ("connect-will-qos1-no-will", b"\x10\x0d\x00\x04MQTT\x04\x0a\x00\x1e\x00\x01c",
