@@ -34,7 +34,7 @@ def measure(drop_prob: float, messages: int, max_retries: int, seed: int) -> tup
         seed=seed,
     )
     report = sim.run_scenario(cfg)
-    counts = report.tally.counts
+    counts = report.aggregator.counts
     corrected = counts["error_corrected"]
     uncorrected = counts["error_uncorrected"]
     total = corrected + uncorrected

@@ -105,6 +105,9 @@ from .values import Value
 
 log = logging.getLogger(__name__)
 
+ACK_TIMEOUT_S = 2.0  # qos-1 default: an unacked copy is resent after this long
+MAX_RETRIES = 3  # qos-1 default: resends before a copy is lost as uncorrected
+
 RETURN_ACCEPTED = 0x00
 RETURN_UNSUPPORTED = 0x01
 RETURN_ID_REJECTED = 0x02
@@ -269,8 +272,8 @@ def _levels_match(tlevels: list[str], flevels: list[str]) -> bool:
 class BrokerCore:
     def __init__(
         self,
-        ack_timeout_s: float = 2.0,
-        max_retries: int = 3,
+        ack_timeout_s: float = ACK_TIMEOUT_S,
+        max_retries: int = MAX_RETRIES,
         event_sink: Callable[..., None] | None = None,
     ):
         self.ack_timeout_s = ack_timeout_s

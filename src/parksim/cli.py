@@ -182,7 +182,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     state = report.final_state
     print(f"wrote {paths['events']}, {paths['metrics']}, {paths['report']}")
-    counts = report.tally.counts
+    counts = report.aggregator.counts
     print(
         f"arrivals {counts['car_arrives']} "
         f"(admitted {counts['car_admitted']}, rejected {counts['car_rejected']}), "

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import telemetry
+from .broker import ACK_TIMEOUT_S, MAX_RETRIES
 from .domain import ConfigError, FacilityConfig
 from .sensors import EnvModel, IrModel, Mq2Model
 from .stochastic import TrafficProfile
@@ -31,8 +32,8 @@ class NetworkConfig:
 @dataclass(frozen=True)
 class MqttConfig:
     publish_qos: int = 1
-    ack_timeout_s: float = 2.0
-    max_retries: int = 3
+    ack_timeout_s: float = ACK_TIMEOUT_S
+    max_retries: int = MAX_RETRIES
 
     def validate(self) -> None:
         if self.publish_qos not in (0, 1):

@@ -26,7 +26,7 @@ auto-close timeout on the heap as a `controller.GateTimeout`, which goes
 back to `Controller.handle` when it fires, like every sensor event.
 
 Records go to the run's two sinks as they are made, BLOCK_RECORDS at a
-time: the log's summary (an `eventlog.ReportTally`, as `parksim report`
+time: the log's summary (a `telemetry.Aggregator`, as `parksim report`
 builds one from the written log) and the JSON-lines encoder, whose lines go
 straight to an unnamed temporary file (a LogSpool). The record dicts are
 then dropped, so a run's memory does not grow with its log.
@@ -49,8 +49,8 @@ from . import codec, controller as ctrl, domain, rng, sensors, stochastic, telem
 from .broker import BrokerCore, Close, Send
 from .client import ClientEngine
 # read_events_jsonl and render_report stay readable as sim.* too
-from .eventlog import (BLOCK_RECORDS, ReportTally, iter_events_jsonl,  # noqa: F401
-                       read_events_jsonl, render_report)
+from .eventlog import (BLOCK_RECORDS, iter_events_jsonl, read_events_jsonl,  # noqa: F401
+                       render, render_report)
 from .scenario import ScenarioConfig, to_flat_dict
 from .values import Value
 
@@ -185,14 +185,15 @@ class LogSpool:
 
 @dataclass
 class SimReport:
-    """A finished run. `tally` was fed the records as the run made them, a
-    block at a time, and is the source of every count and metric the run
-    reports. `spool` holds events.jsonl as it was encoded; the record dicts
-    themselves are not kept."""
+    """A finished run. `aggregator` was fed the records as the run made
+    them, a block at a time, and is the source of every count and metric
+    the run reports. `spool` holds events.jsonl as it was encoded; the
+    record dicts themselves are not kept."""
 
     spool: LogSpool
     final_state: domain.FacilityState
-    tally: ReportTally  # the log's summary: counts, report.txt and metrics.csv
+    meta: dict[str, Any]  # the fields of the log's header
+    aggregator: telemetry.Aggregator  # the log's summary: counts, report.txt and metrics.csv
 
     @property
     def records(self) -> list[dict[str, Any]]:
@@ -202,7 +203,7 @@ class SimReport:
 
     @property
     def metrics_csv(self) -> str:
-        return self.tally.aggregator.to_csv()
+        return self.aggregator.to_csv()
 
     def events_jsonl(self) -> str:
         return self.spool.rewound().read().decode("utf-8")
@@ -210,8 +211,8 @@ class SimReport:
     def write(self, out_dir: str | Path) -> dict[str, Path]:
         """The three output files. events.jsonl is copied from the spool
         _COPY_BYTES at a time, so the whole log never exists in memory;
-        the other two are rendered from the run's tally. It may be called
-        again, and the log can still be read afterwards."""
+        the other two are rendered from the run's aggregator. It may be
+        called again, and the log can still be read afterwards."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         paths = {
@@ -222,7 +223,7 @@ class SimReport:
         with open(paths["events"], "wb") as events:
             shutil.copyfileobj(self.spool.rewound(), events, _COPY_BYTES)
         paths["metrics"].write_text(self.metrics_csv, encoding="utf-8")
-        paths["report"].write_text(self.tally.render(), encoding="utf-8")
+        paths["report"].write_text(render(self.meta, self.aggregator), encoding="utf-8")
         return paths
 
 
@@ -291,10 +292,13 @@ class Simulation:
             domain.SetFan: self._do_set_fan, domain.Anomaly: self._do_anomaly,
         }
 
+        # the fields of the log's meta header
+        self.meta = {"rng": RNG_ALGORITHM, "rng_streams": list(RNG_STREAMS),
+                     "config": to_flat_dict(cfg)}
         # the run's sinks: records gather in _block, and each full block
-        # goes to the tally and the encoder, then is dropped
+        # goes to the aggregator and the encoder, then is dropped
         self._block: list[dict[str, Any]] = []
-        self.tally = ReportTally()  # reads the duration from the meta record
+        self.aggregator = telemetry.Aggregator(duration_s=float(cfg.duration_s))
         self._encode_block = _block_encoder()
         self.spool = LogSpool()  # events.jsonl, a block at a time
         # (topic, payload length, qos) -> PUBLISH frame size; see _frame_size
@@ -320,7 +324,7 @@ class Simulation:
 
     def _flush_block(self) -> None:
         block, self._block = self._block, []
-        self.tally.add_records(block)
+        self.aggregator.add_records(block)
         self.spool.append(self._encode_block(block))
 
     # -- transport --------------------------------------------------------
@@ -508,12 +512,7 @@ class Simulation:
     # -- run ----------------------------------------------------------------
 
     def _bootstrap(self) -> None:
-        self._record(
-            "meta",
-            rng=RNG_ALGORITHM,
-            rng_streams=list(RNG_STREAMS),
-            config=to_flat_dict(self.cfg),
-        )
+        self._record("meta", **self.meta)
         # connect the controller client and, if enabled, the dashboard app
         outs = self.broker.handle(CONTROLLER_CONN, self.controller_client.connect_packet(), 0.0)
         self._dispatch_broker_outputs(outs)
@@ -557,10 +556,11 @@ class Simulation:
         # the log against the final state
         state = self.controller.state
         in_lot = state.total_slots - state.total_vacant
-        counts = self.tally.counts
+        counts = self.aggregator.counts
         assert counts["car_admitted"] == counts["car_departs"] + in_lot, \
             "car conservation violated"
-        return SimReport(spool=self.spool, final_state=state, tally=self.tally)
+        return SimReport(spool=self.spool, final_state=state, meta=self.meta,
+                         aggregator=self.aggregator)
 
 
 def run_scenario(cfg: ScenarioConfig, publish_hook=None) -> SimReport:

@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from parksim import cli, net, sim
 from parksim.cli import UsageError, parse_args
+from parksim.scenario import load_scenario
+from parksim.watch import WatchView
 from tests.test_sim import _no_resource_warning
 
 DAY_CFG = """
@@ -524,7 +526,7 @@ class TestSimulateAndReport:
             "t past float", "kind not a string", "rng_streams not strings"])
     def test_report_on_a_record_it_cannot_read_exits_2(self, tmp_path, capsys, header, record,
                                                         error):
-        # a record that the tally or its aggregator cannot read is refused
+        # a record that read_header or the aggregator cannot read is refused
         # like a malformed line, without a traceback
         path = tmp_path / "events.jsonl"
         path.write_text(header + "\n" + record + "\n", encoding="utf-8")
@@ -548,3 +550,69 @@ class TestSimulateAndReport:
         assert cli.main(["report", "--in", str(log), "--out", str(out_path)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"parksim: cannot write {out_path}: ") and err.count("\n") == 1
+
+
+def _barrier(conn, name):
+    """SUBSCRIBE `conn` to a filter nothing is published on and read until
+    its SUBACK: by then the broker has handled everything `conn` sent
+    before, and `conn` has read every frame queued for it before the
+    SUBACK. No clock decides when the barrier is passed."""
+    conn.subscribe(f"barrier/{name}")
+    while conn.engine.pending_subscribes:
+        assert conn.poll(10.0), f"{name}: the connection closed before its SUBACK"
+
+
+class TestMirrorParity:
+    def test_a_mirrored_run_leaves_the_live_broker_and_watchers_where_the_run_ends(
+            self, tmp_path, capsys, monkeypatch):
+        # a 1-hour stock day mirrored to a live broker, watched at qos 0
+        # and at qos 1 from before the run starts
+        scenario = tmp_path / "hour.cfg"
+        scenario.write_text(re.sub(r"(?m)^duration_s = .*$", "duration_s = 3600",
+                                   STOCK_DAY.read_text(encoding="utf-8")), encoding="utf-8")
+        simulation = sim.Simulation(load_scenario(scenario))
+        expected = simulation.run()
+        publishes = [r["topic"] for r in expected.records if r["kind"] == "publish"]
+        assert len(publishes) > 100
+
+        class Mirror(net.MqttConnection):
+            def close(self):
+                _barrier(self, "mirror")
+                super().close()
+
+        server = net.BrokerServer(host="127.0.0.1", port=0)
+        server.start()
+        host, port = server.address
+        watchers = []
+        try:
+            for qos in (0, 1):
+                watcher = net.MqttConnection(host, port, client_id=f"watcher-qos{qos}")
+                watchers.append(watcher)
+                watcher.subscribe("parking/#", qos)
+                _barrier(watcher, "subscribed")
+            monkeypatch.setattr(net, "MqttConnection", Mirror)
+            out_dir = tmp_path / "out"
+            code = cli.main(["simulate", "--scenario", str(scenario), "--out", str(out_dir),
+                             "--broker", f"{host}:{port}"])
+            assert code == cli.EXIT_OK
+            for watcher in watchers:
+                _barrier(watcher, "drained")
+        finally:
+            for watcher in watchers:
+                watcher.close()
+            server.stop()
+        assert (out_dir / "events.jsonl").read_text(encoding="utf-8") == expected.events_jsonl()
+        # the mirror publishes at qos 0: compare the stores' payloads only
+        assert {topic: payload for topic, (payload, _) in server.core.retained.items()} == \
+            {topic: payload for topic, (payload, _) in simulation.broker.retained.items()}
+        state = expected.final_state
+        for watcher in watchers:
+            assert [topic for topic, _, _ in watcher.messages] == publishes
+            view = WatchView()
+            for topic, payload, _ in watcher.messages:
+                view.feed(topic, payload)
+            assert view.slots == dict(enumerate(state.slots, start=1))
+            assert (view.total_vacant, view.total_slots) == (state.total_vacant, state.total_slots)
+            assert view.fan == state.fan.value
+            assert view.gates == {"entrance": state.entrance_gate.value,
+                                  "exit": state.exit_gate.value}

@@ -28,6 +28,15 @@ def _lossy_six_hours():
     return replace(cfg, duration_s=6 * 3600.0, network=replace(cfg.network, drop_prob=0.1))
 
 
+def _lot_six_hours():
+    # a lot-shaped run: 256 slots under 32 times the stock arrival rates,
+    # with the lossy case's 10% drop
+    cfg = _lossy_six_hours()
+    return replace(cfg, facility=replace(cfg.facility, total_slots=256),
+                   traffic=replace(cfg.traffic,
+                                   hourly_rates=tuple(r * 32 for r in cfg.traffic.hourly_rates)))
+
+
 @pytest.mark.parametrize(
     "make_cfg,events_sha256,metrics_sha256,report_sha256",
     [
@@ -43,8 +52,14 @@ def _lossy_six_hours():
             "ad7c56645f57264f705930632abf4f9ed37733456ed92d005c5375ac1fb2bcc2",
             "598aaa486ede566cc9f7e52c282a51d605bb8520951604c8883843db72c8d76b",
         ),
+        (
+            _lot_six_hours,
+            "012bb0bc0cf266c268d3e0f9cdf73390e18655b836bdf8b95071e63874258ca5",
+            "df0efd6eb95c98564d42b01f3a94d354033f5f5a93bfe499bf01b90797462fad",
+            "aa02b2ae26fc0c6ac1017eb9eb75fefab7144159e13548fb3b662153b13a9ef4",
+        ),
     ],
-    ids=["day-seed42", "lossy-6h-drop0.1"],
+    ids=["day-seed42", "lossy-6h-drop0.1", "lot256-6h-drop0.1"],
 )
 def test_output_digests_pinned(make_cfg, events_sha256, metrics_sha256, report_sha256, tmp_path):
     cfg = make_cfg()

@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
-from parksim import codec, domain, eventlog, sensors, sim
+from parksim import codec, domain, eventlog, sensors, sim, telemetry
 from parksim.domain import ConfigError, FacilityConfig
 from parksim.scenario import (
     DashboardConfig,
@@ -53,7 +53,7 @@ class TestSingleCarTrace:
         )
         simulation = sim.Simulation(cfg)
         report = simulation.run()
-        counts = report.tally.counts
+        counts = report.aggregator.counts
         assert {kind: counts[kind] for kind in (
             "car_arrives", "car_admitted", "car_rejected", "car_departs", "fan", "drop")} == dict(
             car_arrives=1, car_admitted=1, car_rejected=0, car_departs=0, fan=0, drop=0,
@@ -153,7 +153,7 @@ class TestDeterminism:
     @given(seed=st.integers(min_value=0, max_value=2**64),
            drop_prob=st.sampled_from([0.0, 0.2]))
     def test_outputs_do_not_depend_on_the_block_size(self, tmp_path_factory, seed, drop_prob):
-        # records reach the tally (and its aggregator) and the spool a block
+        # records reach the aggregator and the spool a block
         # at a time, in a run and in render_report: where the blocks end
         # must not show in metrics.csv or report.txt
         cfg = replace(default_scenario(), duration_s=2 * 3600.0, seed=seed,
@@ -201,14 +201,14 @@ class TestConservationAndCausality:
     def test_conservation(self, run):
         state = run.final_state
         in_lot = state.total_slots - state.total_vacant
-        counts = run.tally.counts
+        counts = run.aggregator.counts
         assert counts["car_admitted"] == counts["car_departs"] + in_lot
         assert counts["car_arrives"] == counts["car_admitted"] + counts["car_rejected"]
 
     def test_a_kind_never_logged_counts_zero(self, run):
         # this run rejects no car, so no car_rejected record exists to count
-        assert "car_rejected" not in run.tally.counts
-        assert run.tally.counts["car_rejected"] == 0
+        assert "car_rejected" not in run.aggregator.counts
+        assert run.aggregator.counts["car_rejected"] == 0
 
     def test_causality_per_car(self, run):
         seen_arrive, seen_park = set(), set()
@@ -246,7 +246,7 @@ class TestConservationAndCausality:
 
 def occupancy_timeseries(event_log):
     """Step function of parked-car count from park/depart records: the
-    list reference that ReportTally's one-pass integral is checked against."""
+    list reference that the Aggregator's one-pass integral is checked against."""
     series = []
     count = 0
     for index, record in enumerate(event_log):
@@ -351,12 +351,15 @@ def _reference_tally(records, duration):
 
 
 def _one_pass_tally(records, block):
-    """The same from a ReportTally fed `block` records at a time: the
-    duration comes from the log's header."""
-    tally = eventlog.ReportTally()
-    for i in range(0, len(records), block):
-        tally.add_records(records[i:i + block])
-    return tally.counts, tally.mean_occupancy()
+    """The same from render_report's one pass: read_header takes the
+    duration from the log's header, and the Aggregator it builds is fed
+    `block` records at a time, the header among them."""
+    def summary(meta, aggregator):
+        return aggregator.counts, aggregator.mean_occupancy()
+
+    with mock.patch.object(eventlog, "render", summary), \
+            mock.patch.object(eventlog, "BLOCK_RECORDS", block):
+        return eventlog.render_report(records)
 
 
 def _outcome(tally, *args):
@@ -418,14 +421,14 @@ def test_a_block_fed_to_the_tally_is_iterated_once():
                {"t": 9.0, "kind": "publish", "bytes": 8},
                {"t": 9.5, "kind": "deliver", "bytes": 8, "delay": 0.5},
                {"t": 50.0, "kind": "car_departs"}]
-    tally = eventlog.ReportTally()
+    aggregator = telemetry.Aggregator(duration_s=eventlog.read_header(records[0]))
     for block in (records[:2], records[2:]):
         block = _CountedIterations(block)
-        tally.add_records(block)
+        aggregator.add_records(block)
         assert block.iterations == 1
-    assert tally.counts == Counter(record["kind"] for record in records)
-    assert tally.mean_occupancy() == 45.0 / 100.0
-    assert tally.aggregator.summary()["bytes_total"] == 16
+    assert aggregator.counts == Counter(record["kind"] for record in records)
+    assert aggregator.mean_occupancy() == 45.0 / 100.0
+    assert aggregator.summary()["bytes_total"] == 16
 
 
 _BODY = [{"t": 5.0, "kind": "car_parks"}, {"t": 9.0, "kind": "publish", "bytes": 8}]
@@ -501,7 +504,7 @@ def test_encoded_lines_equal_json_dumps(records, block, c_encoder):
         spool.append(text)
     # and SimReport reads the spool back: the log as one string, and the
     # records decoded (compared as JSON: NaN != NaN)
-    report = sim.SimReport(spool=spool, final_state=None, tally=None)
+    report = sim.SimReport(spool=spool, final_state=None, meta=None, aggregator=None)
     assert report.events_jsonl() == "".join(
         json.dumps(r, separators=(", ", ": ")) + "\n" for r in records)
     assert json.dumps(report.records) == json.dumps(records)
@@ -547,7 +550,7 @@ def test_decoder_reads_each_line_as_one_record(tmp_path_factory, records, corrup
     path.write_bytes(text.encode("utf-8"))
     spool = sim.LogSpool()
     spool.append(text)
-    report = sim.SimReport(spool=spool, final_state=None, tally=None)
+    report = sim.SimReport(spool=spool, final_state=None, meta=None, aggregator=None)
     for name, read in ((path, lambda: sim.read_events_jsonl(path)),
                        ("<spooled events.jsonl>", lambda: report.records)):
         if bad_line is None:
@@ -585,7 +588,7 @@ class TestNetworkInjection:
             seed=11,
         )
         report = sim.run_scenario(cfg)
-        assert report.tally.counts["drop"] > 0
+        assert report.aggregator.counts["drop"] > 0
         corrected = len(kinds(report.records, "error_corrected"))
         uncorrected = len(kinds(report.records, "error_uncorrected"))
         assert corrected > 0
@@ -663,7 +666,7 @@ class TestBrokerTimer:
 
         report = Watched(cfg).run()
         assert most == 1
-        assert fired > 0 and report.tally.counts["drop"] > 0
+        assert fired > 0 and report.aggregator.counts["drop"] > 0
 
 
 class TestAnomalies:
