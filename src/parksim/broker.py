@@ -34,12 +34,12 @@ moves another session's deadline or retry count.
 
 A retained value works the same way across SUBSCRIBEs: its qos-1 replay
 copies share one Publish (retain set) with one id, built at the value's
-first replay, kept per topic, and dropped when a retained publish
-overwrites or clears that topic, so the cache never outgrows the retained
-store. A session that holds the cached id in flight gets its own Publish
-with the counter's next id free in its table. Each replay copy stores an
-inflight entry of its own, since its accept time and deadline are those of
-its SUBSCRIBE.
+first replay and kept in the value's own retained-store entry. A retained
+publish writes a fresh entry, so the cache goes with the value it copies
+and never outgrows the store. A session that holds the cached id in flight
+gets its own Publish with the counter's next id free in its table. Each
+replay copy stores an inflight entry of its own, since its accept time and
+deadline are those of its SUBSCRIBE.
 
 Time enters through one timer: every inflight entry and every session with
 a keep-alive carries an absolute deadline, next_deadline() reports the
@@ -51,24 +51,25 @@ Matching runs on one level trie over subscription filters, kept in step
 with every state change, so a publish visits only the filters that can
 match its topic. A SUBSCRIBE replays from its wildcard filter's match
 snapshot: the retained topics that filter matches, in store order, found
-by one scan of the retained store at the filter's first replay and kept
-for every later SUBSCRIBE to it. The scan tests each topic against the
-filter's literal prefix (its levels before the first wildcard) before it
-compares levels. Adding or clearing a retained topic drops every snapshot
-(an overwrite moves no topic, so it keeps them), and a filter's last
-holder takes its snapshot with it when it unsubscribes or its session
-ends, so the snapshots never hold more than the replays of live
-subscriptions emit. A literal filter can match only the topic equal to it
-and is answered from the retained store, with no scan and no snapshot. A
-snapshot is replaced, never changed in place. A subscription entry is
-keyed by its session's connect sequence number and holds the session
-itself with the granted qos, so a publish reaches its sessions without a
-lookup by client id, and sorting the matched keys, plain ints, gives
-connect order. Outputs keep the order a linear scan gives: fan-out in
-session connect order, replay in retained-store order (a cleared and
-re-added topic moves to the end). _send_copies builds the copies of a live
-publish and _handle_subscribe those of a retained replay; redeliver()
-resends either kind of copy that was not acknowledged in time.
+by one scan of the retained store at the filter's first replay and kept on
+the filter's trie node for every later SUBSCRIBE to it. The scan tests
+each topic against the filter's literal prefix (its levels before the
+first wildcard) before it compares levels. A publish that adds or clears a
+retained topic drops the snapshots of the filters matching that topic, on
+the trie walk that finds its subscribers (an overwrite moves no topic, so
+it keeps them), and a filter's last holder takes its snapshot with it when
+it unsubscribes or its session ends, so the snapshots never hold more than
+the replays of live subscriptions emit. A literal filter can match only
+the topic equal to it and is answered from the retained store, with no
+scan and no snapshot. A snapshot is replaced, never changed in place. A
+subscription entry is keyed by its session's connect sequence number and
+holds the session itself with the granted qos, so a publish reaches its
+sessions without a lookup by client id, and sorting the matched keys,
+plain ints, gives connect order. Outputs keep the order a linear scan
+gives: fan-out in session connect order, replay in retained-store order (a
+cleared and re-added topic moves to the end). _send_copies builds the
+copies of a live publish and _handle_subscribe those of a retained replay;
+redeliver() resends either kind of copy that was not acknowledged in time.
 
 A dict keeps its peak size after its entries are popped, so a session's
 inflight table that a retained replay filled (one copy per matching
@@ -162,19 +163,22 @@ def _release_inflight(session: Session) -> None:
 class _Node:
     """One filter level of the subscription trie ('+' and '#' are ordinary
     keys); `entries` maps the connect_seq of each session whose filter ends
-    at this level -> (session, granted qos)."""
+    at this level -> (session, granted qos). `snapshot` is the match
+    snapshot of the wildcard filter ending here, or None until its next
+    replay (see the module docstring)."""
 
-    __slots__ = ("children", "entries")
+    __slots__ = ("children", "entries", "snapshot")
 
     def __init__(self) -> None:
         self.children: dict[str, _Node] = {}
         self.entries: dict = {}
+        self.snapshot: list[str] | None = None
 
     def is_empty(self) -> bool:
         return not self.children and not self.entries
 
 
-def _trie_insert(root: _Node, levels: list[str], key, value) -> None:
+def _trie_insert(root: _Node, levels: list[str], key, value) -> _Node:
     node = root
     for level in levels:
         child = node.children.get(level)
@@ -182,28 +186,32 @@ def _trie_insert(root: _Node, levels: list[str], key, value) -> None:
             child = node.children[level] = _Node()
         node = child
     node.entries[key] = value
+    return node
 
 
-def _trie_remove(root: _Node, levels: list[str], key) -> bool:
-    """Remove `key` at `levels` and prune the nodes left empty; True when
-    no entry is left at `levels`."""
+def _trie_remove(root: _Node, levels: list[str], key) -> None:
+    """Remove `key` at `levels`, the node's snapshot with its last entry,
+    and prune the nodes left empty."""
     path = [root]
     for level in levels:
         node = path[-1].children.get(level)
         if node is None:
-            return True
+            return
         path.append(node)
-    entries = path[-1].entries
-    entries.pop(key, None)
+    node = path[-1]
+    node.entries.pop(key, None)
+    if not node.entries:
+        node.snapshot = None
     for depth in range(len(levels), 0, -1):
         if not path[depth].is_empty():
             break
         del path[depth - 1].children[levels[depth - 1]]
-    return not entries
 
 
-def _collect_subscribers(node: _Node, levels: list[str], i: int, best: dict) -> None:
-    """Merge into `best` the entries of every filter under `node` matching levels[i:].
+def _collect_subscribers(node: _Node, levels: list[str], i: int, best: dict,
+                         moved: bool) -> None:
+    """Merge into `best` the entries of every filter under `node` matching
+    levels[i:], and drop those filters' snapshots if `moved`.
 
     Recurses into '+' children and loops down the literal child.
     """
@@ -212,12 +220,16 @@ def _collect_subscribers(node: _Node, levels: list[str], i: int, best: dict) -> 
         child = children.get("#")  # 'a/#' matches 'a' too
         if child is not None:
             _merge_highest(best, child.entries)
+            if moved:
+                child.snapshot = None
         if i == len(levels):
             _merge_highest(best, node.entries)
+            if moved:
+                node.snapshot = None
             return
         child = children.get("+")
         if child is not None:
-            _collect_subscribers(child, levels, i + 1, best)
+            _collect_subscribers(child, levels, i + 1, best, moved)
         node = children.get(levels[i])
         if node is None:
             return
@@ -281,13 +293,9 @@ class BrokerCore:
         self.event_sink = event_sink
         self.sessions: dict[str, Session] = {}
         self.conn_sessions: dict[str, Session] = {}
-        self.retained: dict[str, tuple[bytes, int]] = {}
-        # topic -> the qos-1 Publish its retained value's replay copies share;
-        # built at the value's first replay, dropped when the topic is written
-        self._replay: dict[str, Publish] = {}
-        # wildcard filter held by a live session -> its match snapshot, the
-        # retained topics it matches (see the module docstring)
-        self._match_snapshots: dict[str, list[str]] = {}
+        # topic -> (payload, qos, the qos-1 Publish its replay copies share,
+        # or None until the value's first replay)
+        self.retained: dict[str, tuple[bytes, int, Publish | None]] = {}
         self.corrected_errors = 0
         self.uncorrected_errors = 0
         self.next_packet_id = 1  # the id of the next message with a qos-1 copy
@@ -348,40 +356,38 @@ class BrokerCore:
         topic, payload, qos = packet.topic, packet.payload, packet.qos
         if qos == 1:
             outputs.append(Send(sender.conn_id, PubAck(packet.packet_id)))
+        moved = False  # the retained store gains or loses `topic`
         if packet.retain:
-            self._replay.pop(topic, None)
             if not payload:
-                if self.retained.pop(topic, None) is not None:
-                    self._match_snapshots.clear()
+                moved = self.retained.pop(topic, None) is not None
             else:
-                if topic not in self.retained:
-                    self._match_snapshots.clear()
-                self.retained[topic] = (payload, qos)
-        self._send_copies(outputs, topic, payload, qos, self._subscribers(topic), now)
+                moved = topic not in self.retained
+                self.retained[topic] = (payload, qos, None)
+        self._send_copies(outputs, topic, payload, qos, self._subscribers(topic, moved), now)
         return outputs
 
     def _handle_subscribe(self, session: Session, packet: Subscribe, now: float) -> list[BrokerOutput]:
         for topic_filter, _ in packet.filters:
             codec.validate_filter(topic_filter)
         granted = tuple([min(qos, 1) for _, qos in packet.filters])
+        nodes = []
         for (topic_filter, _), qos in zip(packet.filters, granted):
             # re-subscribing to the same filter replaces the old qos
             session.subscriptions[topic_filter] = qos
-            _trie_insert(self._subscription_trie, topic_filter.split("/"), session.connect_seq,
-                         (session, qos))
+            nodes.append(_trie_insert(self._subscription_trie, topic_filter.split("/"),
+                                      session.connect_seq, (session, qos)))
         conn_id, inflight = session.conn_id, session.inflight
         outputs: list[BrokerOutput] = [Send(conn_id, SubAck(packet.packet_id, granted))]
-        retained, replay = self.retained, self._replay
+        retained = self.retained
         held = len(inflight)
         deadline = now + self.ack_timeout_s
-        for (topic_filter, _), qos in zip(packet.filters, granted):
-            for topic in self._retained_matching(topic_filter):
-                payload, retained_qos = retained[topic]
+        for (topic_filter, _), qos, node in zip(packet.filters, granted, nodes):
+            for topic in self._retained_matching(topic_filter, node):
+                payload, retained_qos, publish = retained[topic]
                 if qos == 0 or retained_qos == 0:
                     outputs.append(Send(conn_id, Publish(topic, payload, 0, True, False, None)))
                     continue
                 # the value's shared copy, unless this session holds its id
-                publish = replay.get(topic)
                 if publish is None or publish.packet_id in inflight:
                     packet_id = codec.free_packet_id(self.next_packet_id, inflight)
                     if packet_id is None:
@@ -391,7 +397,7 @@ class BrokerCore:
                     self.next_packet_id = packet_id % 0xFFFF + 1
                     own = Publish(topic, payload, 1, True, False, packet_id)
                     if publish is None:
-                        replay[topic] = own
+                        retained[topic] = (payload, 1, own)
                     publish = own
                 inflight[publish.packet_id] = Inflight(publish, now, deadline)
                 outputs.append(Send(conn_id, publish))
@@ -402,7 +408,7 @@ class BrokerCore:
     def _handle_unsubscribe(self, session: Session, packet: Unsubscribe, now: float) -> list[BrokerOutput]:
         for topic_filter in packet.filters:
             if session.subscriptions.pop(topic_filter, None) is not None:
-                self._remove_subscription(session, topic_filter)
+                _trie_remove(self._subscription_trie, topic_filter.split("/"), session.connect_seq)
         return [Send(session.conn_id, UnsubAck(packet.packet_id))]
 
     def _handle_pingreq(self, session: Session, packet: PingReq, now: float) -> list[BrokerOutput]:
@@ -412,33 +418,33 @@ class BrokerCore:
         self._drop_session(session)
         return [Close(session.conn_id, session.client_id, "client disconnect")]
 
-    def _subscribers(self, topic: str) -> list[tuple[Session, int]]:
+    def _subscribers(self, topic: str, moved: bool = False) -> list[tuple[Session, int]]:
         """(session, highest qos granted by its filters matching `topic`),
-        in session connect order."""
+        in session connect order. `moved`: the retained store just gained or
+        lost `topic`, so the walk drops those filters' snapshots."""
         levels = topic.split("/")
         best: dict[int, tuple[Session, int]] = {}
         if topic.startswith("$"):
             # root-level wildcards never match '$' topics (section 4.7.2)
             node = self._subscription_trie.children.get(levels[0])
             if node is not None:
-                _collect_subscribers(node, levels, 1, best)
+                _collect_subscribers(node, levels, 1, best, moved)
         else:
-            _collect_subscribers(self._subscription_trie, levels, 0, best)
+            _collect_subscribers(self._subscription_trie, levels, 0, best, moved)
         return [best[seq] for seq in sorted(best)]
 
-    def _retained_matching(self, topic_filter: str) -> list[str]:
-        """Retained topics matching `topic_filter`, in retained-store order.
+    def _retained_matching(self, topic_filter: str, node: _Node) -> list[str]:
+        """Retained topics matching `topic_filter`, whose trie node is `node`,
+        in retained-store order.
 
         A literal filter can match only the topic equal to it. A wildcard
-        filter's list is its match snapshot, shared by every call until it
-        is dropped, so callers must not change it."""
+        filter's list is its match snapshot, kept on `node` and shared by
+        every call until it is dropped, so callers must not change it."""
         if "+" not in topic_filter and "#" not in topic_filter:
             return [topic_filter] if topic_filter in self.retained else []
-        snapshot = self._match_snapshots.get(topic_filter)
-        if snapshot is None:
-            snapshot = self._match_snapshots[topic_filter] = _scan_retained(self.retained,
-                                                                             topic_filter)
-        return snapshot
+        if node.snapshot is None:
+            node.snapshot = _scan_retained(self.retained, topic_filter)
+        return node.snapshot
 
     def _handle_puback(self, session: Session, packet: PubAck, now: float) -> list[BrokerOutput]:
         entry = session.inflight.pop(packet.packet_id, None)
@@ -563,13 +569,7 @@ class BrokerCore:
         del self.sessions[session.client_id]
         del self.conn_sessions[session.conn_id]
         for topic_filter in session.subscriptions:
-            self._remove_subscription(session, topic_filter)
-
-    def _remove_subscription(self, session: Session, topic_filter: str) -> None:
-        """Take `session`'s entry for `topic_filter` out of the subscription
-        trie, and the filter's match snapshot with its last holder."""
-        if _trie_remove(self._subscription_trie, topic_filter.split("/"), session.connect_seq):
-            self._match_snapshots.pop(topic_filter, None)
+            _trie_remove(self._subscription_trie, topic_filter.split("/"), session.connect_seq)
 
     def _emit(self, kind: str, **fields) -> None:
         if self.event_sink is not None:

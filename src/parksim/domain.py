@@ -12,13 +12,25 @@ event asks of the runtime.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .values import Value
 
 
 class ConfigError(Exception):
     """Invalid facility or scenario configuration."""
+
+
+def check_finite(config) -> None:
+    """Refuse NaN and infinities in the float fields of dataclass `config`,
+    tuples of floats included: validate() checks ranges by comparison, and
+    NaN passes every comparison."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        numbers = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 class GateState(enum.Enum):
@@ -41,6 +53,7 @@ class FacilityConfig:
     gate_open_s: float = 5.0  # gates (and the entrance buzzer) auto-close after this long
 
     def validate(self) -> None:
+        check_finite(self)
         if not isinstance(self.total_slots, int) or self.total_slots < 1:
             raise ConfigError(f"total_slots must be a positive integer, got {self.total_slots!r}")
         if self.gas_threshold_ppm < 0:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import telemetry
 from .broker import ACK_TIMEOUT_S, MAX_RETRIES
-from .domain import ConfigError, FacilityConfig
+from .domain import ConfigError, FacilityConfig, check_finite
 from .sensors import EnvModel, IrModel, Mq2Model
 from .stochastic import TrafficProfile
 
@@ -23,6 +23,7 @@ class NetworkConfig:
     drop_prob: float = 0.0
 
     def validate(self) -> None:
+        check_finite(self)
         if self.latency_s < 0:
             raise ConfigError("network latency must be >= 0")
         if not 0.0 <= self.drop_prob < 1.0:
@@ -36,6 +37,7 @@ class MqttConfig:
     max_retries: int = MAX_RETRIES
 
     def validate(self) -> None:
+        check_finite(self)
         if self.publish_qos not in (0, 1):
             raise ConfigError("publish_qos must be 0 or 1")
         if self.ack_timeout_s <= 0:
@@ -88,6 +90,7 @@ class ScenarioConfig:
         self.network.validate()
         self.mqtt.validate()
         self.dashboard.validate()
+        check_finite(self)
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be > 0")
         try:  # the run's metrics.csv would need more windows than an Aggregator builds
@@ -103,7 +106,7 @@ class ScenarioConfig:
         if self.gas_decay_ppm_per_s < 0:
             raise ConfigError("gas_decay_ppm_per_s must be >= 0")
         for injection in self.injections:
-            if injection.t < 0 or injection.ppm < 0:
+            if not (0 <= injection.t < math.inf and 0 <= injection.ppm < math.inf):
                 raise ConfigError(f"bad gas injection: {injection}")
             if injection.gas not in self.mq2.sensitivities:
                 raise ConfigError(
@@ -128,7 +131,7 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_float(raw: str) -> float:
-    # validate() checks ranges by comparison, which NaN passes, and no key has a use for inf
+    # no key has a use for NaN or inf: refused here with its line, and by validate() in code
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {raw.strip()!r}")

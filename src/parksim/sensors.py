@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .domain import ConfigError
+from .domain import ConfigError, check_finite
 
 if TYPE_CHECKING:
     from .rng import PCG64
@@ -28,6 +28,7 @@ class IrModel:
     lux_max: float = 1000.0
 
     def validate(self) -> None:
+        check_finite(self)
         if not 0.0 <= self.acc_high_lux <= self.acc_low_lux <= 1.0:
             raise ConfigError("need 0 <= acc_high_lux <= acc_low_lux <= 1")
         if self.lux_max <= 0:
@@ -60,6 +61,7 @@ class EnvModel:
     noise_sd: tuple[float, float] = (0.1, 0.5)
 
     def validate(self) -> None:
+        check_finite(self)
         if self.relax_tau_s <= 0:
             raise ConfigError("relax_tau_s must be > 0")
         if self.temp_range[0] > self.temp_range[1] or self.humidity_range[0] > self.humidity_range[1]:
@@ -82,6 +84,7 @@ class Mq2Model:
     noise_sd_ppm: float = 0.2
 
     def validate(self) -> None:
+        check_finite(self)
         for gas, coeff in self.sensitivities.items():
             if not 0.0 <= coeff <= 1.0:
                 raise ConfigError(f"sensitivity for {gas!r} must be in [0, 1], got {coeff}")

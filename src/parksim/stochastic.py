@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .domain import ConfigError
+from .domain import ConfigError, check_finite
 
 if TYPE_CHECKING:
     from .rng import PCG64
@@ -36,6 +36,7 @@ class TrafficProfile:
     dwell_mean_s: float = 600.0
 
     def validate(self) -> None:
+        check_finite(self)
         if len(self.hourly_rates) != 24:
             raise ConfigError(f"hourly_rates needs 24 entries, got {len(self.hourly_rates)}")
         if any(rate < 0 for rate in self.hourly_rates):

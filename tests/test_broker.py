@@ -282,14 +282,7 @@ class TestRetained:
     @pytest.mark.parametrize("subscribes", [2, 5])
     def test_overwrites_between_subscribes_replay_new_values_from_one_walk(self, monkeypatch,
                                                                            subscribes):
-        scans = []
-        real = broker._scan_retained
-
-        def counted(topics, topic_filter):
-            scans.append(topic_filter)
-            return real(topics, topic_filter)
-
-        monkeypatch.setattr(broker, "_scan_retained", counted)
+        scans = _count_scans(monkeypatch)
         for n in range(subscribes):
             payload = str(n).encode()
             for slot in (1, 3):
@@ -299,20 +292,19 @@ class TestRetained:
                 ("parking/slot/1/status", payload), ("parking/slot/2/status", b"0"),
                 ("parking/slot/3/status", payload), ("parking/slot/4/status", b"0")]
         assert scans == ["parking/#"]
-        assert list(self.core._match_snapshots) == ["parking/#"]
+        assert list(_snapshots(self.core)) == ["parking/#"]
 
     @pytest.mark.parametrize("leave", ["unsubscribe", "disconnect", "closed", "takeover"])
     def test_a_filters_snapshot_goes_with_its_last_holder(self, leave):
         self._replay_to("s1")
         self._replay_to("s2")
         self._replay_to("s2", "parking/slot/+/status")
-        snapshots = self.core._match_snapshots
-        assert set(snapshots) == {"parking/#", "parking/slot/+/status"}
+        assert set(_snapshots(self.core)) == {"parking/#", "parking/slot/+/status"}
         self.core.handle("s1", Disconnect(), 6.0)
-        assert set(snapshots) == {"parking/#", "parking/slot/+/status"}
+        assert set(_snapshots(self.core)) == {"parking/#", "parking/slot/+/status"}
         if leave == "unsubscribe":
             self.core.handle("s2", Unsubscribe(packet_id=2, filters=("parking/#",)), 7.0)
-            assert set(snapshots) == {"parking/slot/+/status"}
+            assert set(_snapshots(self.core)) == {"parking/slot/+/status"}
             return
         if leave == "disconnect":
             self.core.handle("s2", Disconnect(), 7.0)
@@ -320,7 +312,45 @@ class TestRetained:
             self.core.connection_closed("s2")
         else:
             connect(self.core, "s2-again", "s2", now=7.0)
-        assert snapshots == {}
+        assert _snapshots(self.core) == {}
+
+    def test_the_last_holder_of_a_filter_with_longer_filters_below_takes_its_snapshot(
+            self, monkeypatch):
+        # 'parking/+' keeps its trie node while 'parking/+/x' is held below it
+        scans = _count_scans(monkeypatch)
+        self.core.handle("pub", Publish(topic="parking/a", payload=b"1", retain=True), 1.0)
+        assert self._replay_to("s1", "parking/+") == [("parking/a", b"1")]
+        self._replay_to("s2", "parking/+/x")
+        assert set(_snapshots(self.core)) == {"parking/+", "parking/+/x"}
+        self.core.handle("s1", Unsubscribe(packet_id=2, filters=("parking/+",)), 6.0)
+        assert "+" in self.core._subscription_trie.children["parking"].children
+        assert set(_snapshots(self.core)) == {"parking/+/x"}
+        assert self._replay_to("s3", "parking/+") == [("parking/a", b"1")]
+        assert scans == ["parking/+", "parking/+/x", "parking/+"]
+
+    @pytest.mark.parametrize("topic,payload,dropped", [
+        ("parking/env/humidity", b"1", ["#"]),
+        ("$SYS/y", b"1", ["$SYS/#"]),  # '#' skips '$' topics (section 4.7.2)
+        ("parking/slot/2/status", b"", ["parking/slot/+/status", "#"]),
+        ("$SYS/x", b"", ["$SYS/#"]),
+        ("parking/slot/2/status", b"1", []),  # an overwrite moves no topic
+    ], ids=["add", "add-dollar", "clear", "clear-dollar", "overwrite"])
+    def test_moving_a_topic_drops_only_the_snapshots_of_filters_matching_it(
+            self, monkeypatch, topic, payload, dropped):
+        filters = ("parking/slot/+/status", "#", "$SYS/#")
+        self.core.handle("pub", Publish(topic="$SYS/x", payload=b"1", retain=True), 1.0)
+        scans = _count_scans(monkeypatch)
+        for topic_filter in filters:
+            self._replay_to("s1", topic_filter)
+        assert scans == list(filters)
+        self.core.handle("pub", Publish(topic=topic, payload=payload, retain=True), 6.0)
+        scans.clear()
+        after = {topic_filter: self._replay_to("s2", topic_filter) for topic_filter in filters}
+        assert scans == dropped
+        for topic_filter in filters:
+            expected = [t for t in self.core.retained if topic_matches(topic_filter, t)]
+            assert [t for t, _ in after[topic_filter]] == expected
+            assert _snapshots(self.core)[topic_filter] == expected
 
     def test_a_topic_cleared_and_retained_again_replays_last(self):
         assert self._replay_to("s1")[1] == ("parking/slot/2/status", b"0")
@@ -343,7 +373,35 @@ class TestRetained:
     def test_a_literal_filter_replays_its_topic_without_a_snapshot(self):
         assert self._replay_to("s1", "parking/slot/3/status") == [("parking/slot/3/status", b"0")]
         assert self._replay_to("s1", "parking/slot/9/status") == []
-        assert self.core._match_snapshots == {}
+        assert _snapshots(self.core) == {}
+
+
+def _count_scans(monkeypatch):
+    """The filters that `broker._scan_retained` scans the retained store for,
+    from now on, in call order."""
+    scans = []
+    real = broker._scan_retained
+
+    def counted(topics, topic_filter):
+        scans.append(topic_filter)
+        return real(topics, topic_filter)
+
+    monkeypatch.setattr(broker, "_scan_retained", counted)
+    return scans
+
+
+def _snapshots(core):
+    """filter -> match snapshot, read off the subscription trie's nodes. A
+    snapshot sits only on a node that holds entries."""
+    found = {}
+    stack = [((), core._subscription_trie)]
+    while stack:
+        levels, node = stack.pop()
+        if node.snapshot is not None:
+            assert node.entries, levels
+            found["/".join(levels)] = node.snapshot
+        stack.extend((levels + (level,), child) for level, child in node.children.items())
+    return found
 
 
 class TestRedelivery:
@@ -801,8 +859,8 @@ def test_retained_consistency_after_many_flips():
 def test_a_retained_slot_topic_costs_the_broker_little_memory():
     # One retained status per slot of a 2,048-slot lot. The packets are built
     # before tracing starts, so only what the core keeps per topic counts:
-    # about 71 B a topic here, against about 814 B when each topic was also
-    # indexed in a level trie.
+    # about 89 B a topic here (a 3-tuple entry with its replay slot), against
+    # about 814 B when each topic was also indexed in a level trie.
     slots = 2048
     core = BrokerCore()
     connect(core, "pub", "publisher")
@@ -859,7 +917,7 @@ class BruteForceCore(BrokerCore):
     """Reference matcher: linear scans with codec.topic_matches, the way the
     broker matched before it kept tries. Everything else is shared."""
 
-    def _subscribers(self, topic):
+    def _subscribers(self, topic, moved=False):
         found = []
         for session in self.sessions.values():
             granted = [qos for topic_filter, qos in session.subscriptions.items()
@@ -868,7 +926,7 @@ class BruteForceCore(BrokerCore):
                 found.append((session, max(granted)))
         return found
 
-    def _retained_matching(self, topic_filter):
+    def _retained_matching(self, topic_filter, node):
         return [topic for topic in self.retained if topic_matches(topic_filter, topic)]
 
 
@@ -1081,7 +1139,7 @@ def _assert_replay_shared(core, outputs, held):
         ids = taken.setdefault(core.conn_sessions[o.conn_id].client_id, set())
         if packet.retain:
             assert packet.packet_id not in ids
-            cached = core._replay[packet.topic]
+            cached = core.retained[packet.topic][2]
             assert (packet is cached) == (cached.packet_id not in ids)
         ids.add(packet.packet_id)
 
@@ -1091,7 +1149,7 @@ def _assert_match_snapshots_current(core):
     holds, and equals a scan of the retained store for that filter."""
     held = {topic_filter for session in core.sessions.values()
             for topic_filter in session.subscriptions}
-    for topic_filter, snapshot in core._match_snapshots.items():
+    for topic_filter, snapshot in _snapshots(core).items():
         assert "+" in topic_filter or "#" in topic_filter
         assert topic_filter in held
         assert snapshot == [topic for topic in core.retained if topic_matches(topic_filter, topic)]
@@ -1100,8 +1158,10 @@ def _assert_match_snapshots_current(core):
 def _assert_replay_cache_current(core):
     """Every cached replay Publish carries its topic's current retained
     value, at qos 1 with retain set and DUP clear."""
-    for topic, publish in core._replay.items():
-        assert core.retained[topic] == (publish.payload, 1)
+    for topic, (payload, qos, publish) in core.retained.items():
+        if publish is None:
+            continue
+        assert (payload, qos) == (publish.payload, 1)
         assert (publish.topic, publish.qos, publish.retain, publish.dup) == (topic, 1, True, False)
 
 
@@ -1132,6 +1192,5 @@ def test_indexed_core_matches_brute_force_reference(steps):
         indexed.handle("janitor", Publish(topic=topic, payload=b"", retain=True), len(steps))
     for session in list(indexed.sessions.values()):
         indexed.handle(session.conn_id, Disconnect(), len(steps))
-    assert indexed.sessions == {} and indexed.retained == {} and indexed._replay == {}
-    assert indexed._match_snapshots == {}
+    assert indexed.sessions == {} and indexed.retained == {}
     assert indexed._subscription_trie.is_empty()

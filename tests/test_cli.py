@@ -603,8 +603,8 @@ class TestMirrorParity:
             server.stop()
         assert (out_dir / "events.jsonl").read_text(encoding="utf-8") == expected.events_jsonl()
         # the mirror publishes at qos 0: compare the stores' payloads only
-        assert {topic: payload for topic, (payload, _) in server.core.retained.items()} == \
-            {topic: payload for topic, (payload, _) in simulation.broker.retained.items()}
+        assert {topic: value[0] for topic, value in server.core.retained.items()} == \
+            {topic: value[0] for topic, value in simulation.broker.retained.items()}
         state = expected.final_state
         for watcher in watchers:
             assert [topic for topic, _, _ in watcher.messages] == publishes

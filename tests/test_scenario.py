@@ -1,4 +1,6 @@
+import math
 import re
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
@@ -165,3 +167,52 @@ def test_non_finite_float_rejected_with_key_and_line(key, template, bad):
     text = f"seed = 3\n{key} = {template.format(bad)}\n"
     with pytest.raises(ConfigError, match=rf"^case\.cfg:2: bad value for '{re.escape(key)}'"):
         parse_scenario(text, source="case.cfg")
+
+
+def _holds_floats(f):
+    return f.type == "float" or f.type.startswith("tuple[float")
+
+
+def _float_fields():
+    """(section, name) of each float field of ScenarioConfig and of its
+    sections, tuples of floats included; the top level is section None."""
+    cfg = default_scenario()
+    found = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            found += [(f.name, g.name) for g in fields(value) if _holds_floats(g)]
+        elif _holds_floats(f):
+            found.append((None, f.name))
+    return found
+
+
+FLOAT_FIELDS = _float_fields()
+
+
+def test_float_fields_cover_every_section_with_floats():
+    assert {section for section, _ in FLOAT_FIELDS} == {
+        None, "facility", "traffic", "ir", "env", "mq2", "network", "mqtt"}
+    assert {(None, "duration_s"), (None, "gas_decay_ppm_per_s"), ("network", "latency_s"),
+            ("env", "temp_range"), ("traffic", "hourly_rates")} <= set(FLOAT_FIELDS)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("section, name", FLOAT_FIELDS)
+def test_validate_refuses_a_non_finite_number_in_code(section, name, bad):
+    # a config built in code never passes the file parser's check
+    cfg = default_scenario()
+    owner = cfg if section is None else getattr(cfg, section)
+    value = getattr(owner, name)
+    owner = replace(owner, **{name: (bad,) + value[1:] if isinstance(value, tuple) else bad})
+    cfg = owner if section is None else replace(cfg, **{section: owner})
+    with pytest.raises(ConfigError, match=rf"^{name} must be finite"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("t, ppm", [(math.nan, 5.0), (10.0, math.nan), (math.inf, 5.0),
+                                    (10.0, math.inf)])
+def test_validate_refuses_a_non_finite_gas_injection_in_code(t, ppm):
+    cfg = replace(default_scenario(), injections=(GasInjection(t=t, gas="butane", ppm=ppm),))
+    with pytest.raises(ConfigError, match="bad gas injection"):
+        cfg.validate()
